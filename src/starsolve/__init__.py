@@ -2,10 +2,11 @@
 
 The solution theory runs over any ring with involution in which 2 is
 invertible; concretely this package ships square matrix rings over the
-Gaussian rationals (exact) and over complex floats (approximate), plus a
-block embedding that carries rectangular instances A X B* -/+ B X* A* = C
-into a square ring.  An exact real-linearization oracle cross-checks both
-solvability verdicts and the completeness of the solution families.
+Gaussian rationals (exact) and over complex floats (approximate).
+Rectangular instances A X B* -/+ B X* A* = C run through the same formulas
+in the ring of C, cross-checked by a block embedding into a square ring.
+An exact real-linearization oracle cross-checks both solvability verdicts
+and the completeness of the solution families.
 """
 
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
@@ -22,7 +23,7 @@ from .ring import NotMpInvertibleError, StarRing
 from .scalars import GaussianRational
 from .solvers import (Condition, HypothesesFailError, HypothesisReport,
                       MINUS, PLUS, SolutionFamily, UnsolvableError,
-                      check_hypotheses, equation_lhs, particular, phi,
+                      check_hypotheses, equation_lhs, particular,
                       solvability_conditions, solve, solve_sym_left,
                       solve_sym_right, sym_solvability_conditions)
 
@@ -42,7 +43,7 @@ __all__ = [
     "GaussianRational",
     "Condition", "HypothesesFailError", "HypothesisReport", "MINUS", "PLUS",
     "SolutionFamily", "UnsolvableError", "check_hypotheses", "equation_lhs",
-    "particular", "phi", "solvability_conditions", "solve", "solve_sym_left",
+    "particular", "solvability_conditions", "solve", "solve_sym_left",
     "solve_sym_right", "sym_solvability_conditions",
     "__version__",
 ]

@@ -12,6 +12,8 @@ Exit codes are a stable contract:
     4  the instance is unsolvable (report still written)
     5  the standing hypotheses fail (report still written)
     6  `verify` rejected the claimed solution
+    7  internal self-check failed (a solution the solver returned did not
+       verify, or the oracle disagreed with it)
 """
 
 import argparse
@@ -28,10 +30,9 @@ from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
 from .oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                      oracle_solve, random_rect_instance, random_sym_instance,
                      random_square_instance, verify_family_against_oracle)
-from .rect import RectProblem, check_rect_hypotheses, solve_rect
 from .ring import NotMpInvertibleError
 from .solvers import (HypothesesFailError, UnsolvableError, check_hypotheses,
-                      solvability_conditions, solve, solve_sym_left,
+                      equation_lhs, solvability_conditions, solve, solve_sym_left,
                       solve_sym_right, sym_solvability_conditions)
 
 DEFAULT_TOL = 1e-9
@@ -45,9 +46,14 @@ EXIT_NOT_MP_INVERTIBLE = 3
 EXIT_UNSOLVABLE = 4
 EXIT_HYPOTHESES_FAIL = 5
 EXIT_VERIFY_FAIL = 6
+EXIT_SELF_CHECK = 7
 
 DEFAULT_SAMPLES = 3
 ORACLE_TRIALS = 5
+
+
+class SelfCheckError(Exception):
+    """A solution the CLI was about to print failed its own re-verification."""
 
 
 def _utc_now() -> str:
@@ -74,10 +80,6 @@ def _in_band(residual_max: float, tol: Optional[float]) -> bool:
     if tol is None:
         return False
     return tol / INDETERMINATE_BAND <= residual_max <= tol * INDETERMINATE_BAND
-
-
-def _sign_of(kind: str) -> str:
-    return "plus" if kind in ("plus", "sym_right", "sym_left", "rect_plus") else "minus"
 
 
 def _ring_for(inst: Instance) -> MatrixRing:
@@ -129,71 +131,38 @@ def _emit(doc: dict, args, summary_lines) -> None:
         sys.stdout.write(formats.dumps_doc(doc))
 
 
-def _instance_lhs(inst: Instance, x: Matrix) -> Matrix:
-    """Left side of the instance's equation at a candidate x."""
-    kind = inst.kind
-    a = inst.operand("a")
-    b = inst.operand("b")
-    if kind in SQUARE_KINDS or kind in RECT_KINDS:
-        first = a @ x @ b.star()
-        second = b @ x.star() @ a.star()
-        return first.sub(second) if _sign_of(kind) == "minus" else first.add(second)
-    if kind == "sym_right":
-        return (x @ a.star()).add(a @ x.star())
-    return (a.star() @ x).add(x.star() @ a)
-
-
-def _instance_rhs(inst: Instance) -> Matrix:
-    return inst.operand("c") if inst.kind in SQUARE_KINDS + RECT_KINDS else inst.operand("b")
-
-
 def _conditions_for(inst: Instance, rtol: float):
     """(hypothesis report or None, condition tuple) without solving."""
-    sign = _sign_of(inst.kind)
-    if inst.kind in SQUARE_KINDS:
-        ring = _ring_for(inst)
-        report = check_hypotheses(ring, inst.operand("a"), inst.operand("b"), rtol=rtol)
-        if not report.ok:
-            return report, ()
-        return report, solvability_conditions(sign, report, inst.operand("c"), rtol=rtol)
+    ring = _ring_for(inst)
+    a, b = inst.operand("a"), inst.operand("b")
     if inst.kind in SYM_KINDS:
-        ring = _ring_for(inst)
         side = "right" if inst.kind == "sym_right" else "left"
-        conds = sym_solvability_conditions(ring, side, inst.operand("a"),
-                                           inst.operand("b"), rtol=rtol)
-        return None, conds
-    problem = RectProblem(inst.operand("a"), inst.operand("b"), inst.operand("c"))
-    report = check_rect_hypotheses(problem, rtol=rtol)
+        return None, sym_solvability_conditions(ring, side, a, b, rtol=rtol)
+    report = check_hypotheses(ring, a, b, rtol=rtol)
     if not report.ok:
         return report, ()
-    return report, solvability_conditions(sign, report, inst.operand("c"), rtol=rtol)
+    return report, solvability_conditions(inst.sign, report, inst.operand("c"), rtol=rtol)
 
 
 def _solve_instance(inst: Instance, rtol: float):
-    sign = _sign_of(inst.kind)
-    if inst.kind in SQUARE_KINDS:
-        ring = _ring_for(inst)
-        return solve(ring, sign, inst.operand("a"), inst.operand("b"),
-                     inst.operand("c"), rtol=rtol)
+    ring = _ring_for(inst)
+    a, b = inst.operand("a"), inst.operand("b")
     if inst.kind == "sym_right":
-        return solve_sym_right(_ring_for(inst), inst.operand("a"),
-                               inst.operand("b"), rtol=rtol)
+        return solve_sym_right(ring, a, b, rtol=rtol)
     if inst.kind == "sym_left":
-        return solve_sym_left(_ring_for(inst), inst.operand("a"),
-                              inst.operand("b"), rtol=rtol)
-    problem = RectProblem(inst.operand("a"), inst.operand("b"), inst.operand("c"))
-    return solve_rect(problem, sign=sign, rtol=rtol)
+        return solve_sym_left(ring, a, b, rtol=rtol)
+    return solve(ring, inst.sign, a, b, inst.operand("c"), rtol=rtol)
 
 
 def _oracle_triple(inst: Instance):
-    """(sign, A, B, rhs) of the real-linearized system for this instance."""
+    """(sign, A, B, rhs) of the instance's equation in general form."""
     a = inst.operand("a")
-    if inst.kind in SQUARE_KINDS or inst.kind in RECT_KINDS:
-        return _sign_of(inst.kind), a, inst.operand("b"), inst.operand("c")
+    if inst.kind not in SYM_KINDS:
+        return inst.sign, a, inst.operand("b"), inst.operand("c")
     eye = Matrix.identity(a.rows, inst.involution, inst.backend)
     if inst.kind == "sym_right":
-        return "plus", eye, a, inst.operand("b")
-    return "plus", a.star(), eye, inst.operand("b")
+        return inst.sign, eye, a, inst.operand("b")
+    return inst.sign, a.star(), eye, inst.operand("b")
 
 
 def _base_report(command: str, inst: Instance, tol_rtol: float) -> dict:
@@ -278,7 +247,7 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
         residual = fam.residual(x)
         verified = fam.is_solution(x)
         if not verified:
-            raise RuntimeError(f"sample for seed {seed} failed re-verification")
+            raise SelfCheckError(f"sample for seed {seed} failed re-verification")
         samples.append({
             "seed": seed,
             "solution": formats.encode_matrix(x),
@@ -295,7 +264,7 @@ def _oracle_section(inst: Instance, fam) -> dict:
     result = oracle_solve(sign, oa, ob, rhs)
     agreement = verify_family_against_oracle(fam, result, trials=ORACLE_TRIALS)
     if not (result.solvable and agreement.ok):
-        raise RuntimeError("oracle cross-check failed on a solved instance")
+        raise SelfCheckError("oracle cross-check failed on a solved instance")
     return {
         "solvable": result.solvable,
         "real_dimension": result.real_dimension,
@@ -305,6 +274,8 @@ def _oracle_section(inst: Instance, fam) -> dict:
 
 def cmd_solve(args) -> int:
     rtol = _resolve_tol(args)
+    if args.samples < 0:
+        raise FormatError(f"--samples must be non-negative, got {args.samples}")
     inst = formats.load_instance(args.input)
     if args.oracle and inst.backend != EXACT:
         raise FormatError("--oracle needs the exact backend")
@@ -338,8 +309,7 @@ def cmd_solve(args) -> int:
         return EXIT_UNSOLVABLE
 
     if not fam.is_solution(fam.x0):
-        raise RuntimeError("particular solution failed re-verification")
-    _, conditions = _conditions_for(inst, rtol)
+        raise SelfCheckError("particular solution failed re-verification")
     residual = fam.residual(fam.x0)
     base_seed = args.seed if args.seed is not None else 0
     doc.update({
@@ -347,9 +317,9 @@ def cmd_solve(args) -> int:
                        if fam.report is not None else None),
         "verdict": "solvable",
         "failed_conditions": [],
-        "conditions": _condition_entries(conditions),
+        "conditions": _condition_entries(fam.conditions),
         "indeterminate": inst.backend == FLOAT and
-                         _indeterminate(fam.report, conditions),
+                         _indeterminate(fam.report, fam.conditions),
         "x0": formats.encode_matrix(fam.x0),
         "residual_max_abs": float(residual.max_abs()),
         "samples": _sample_section(fam, base_seed, args.samples),
@@ -405,7 +375,7 @@ def cmd_gen(args) -> int:
         raise FormatError(f"--involution must be one of {INVOLUTIONS}")
     dims = _parse_dims(kind, args.dims)
     rng = _random.Random(args.seed)
-    sign = _sign_of(kind)
+    sign = formats.sign_of(kind)
 
     if kind in SQUARE_KINDS:
         family = args.family or "unitary"
@@ -461,7 +431,8 @@ def cmd_verify(args) -> int:
     if x.shape != expected:
         raise FormatError(f"solution must have shape {expected}, got {x.shape}")
 
-    residual = _instance_lhs(inst, x).sub(_instance_rhs(inst))
+    sign, a, b, rhs = _oracle_triple(inst)
+    residual = equation_lhs(_ring_for(inst), sign, a, b, x).sub(rhs)
     residual_max = float(residual.max_abs())
     if inst.backend == EXACT:
         verified = residual.is_zero()
@@ -569,6 +540,9 @@ def main(argv=None) -> int:
     except NotMpInvertibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_MP_INVERTIBLE
+    except SelfCheckError as exc:
+        print(f"error: internal self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
 
 
 if __name__ == "__main__":

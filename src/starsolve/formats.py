@@ -42,6 +42,11 @@ OPERAND_NAMES = {
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 
+def sign_of(kind: str) -> str:
+    """Sign of the general-form equation a x b* -/+ b x* a* = c of a kind."""
+    return "plus" if kind in ("plus", "sym_right", "sym_left", "rect_plus") else "minus"
+
+
 class FormatError(ValueError):
     """Raised for any malformed or out-of-contract document."""
 
@@ -181,13 +186,12 @@ class Instance:
 
     @property
     def size(self) -> int:
-        """Ring size for square kinds (the common matrix dimension)."""
+        """Size of the ring of c: the row count of a (m for rect kinds)."""
         return self.operands["a"].rows
 
     @property
     def sign(self) -> str:
-        return "plus" if self.kind in ("plus", "sym_right", "sym_left",
-                                       "rect_plus") else "minus"
+        return sign_of(self.kind)
 
 
 def _validate_instance(inst: Instance) -> None:

@@ -484,9 +484,6 @@ class MatrixRing(StarRing):
     def max_abs(self, a: Matrix) -> Optional[float]:
         return None if self.backend == EXACT else a.max_abs()
 
-    def sample_element(self, rng: random.Random) -> Matrix:
-        return random_matrix(rng, self.size, self.size, self.backend, self.involution)
-
     def element_of(self, m: Matrix) -> bool:
         return (m.rows == m.cols == self.size and m.backend == self.backend
                 and m.involution == self.involution)

@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
                      random_matrix, random_rational)
-from .rect import RectProblem, check_rect_hypotheses
+from .rect import RectProblem
 from .scalars import GaussianRational
 from .solvers import MINUS, SolutionFamily, _check_sign, check_hypotheses
 
@@ -32,7 +32,8 @@ _MAX_TRIES = 500
 
 
 class GenerationError(Exception):
-    """A bounded rejection sampler ran out of attempts."""
+    """A generator cannot honour its parameters: an infeasible shape, or a
+    bounded rejection sampler ran out of attempts."""
 
 
 def _coordinate_index(rows: int, cols: int, involution: str) -> tuple:
@@ -421,7 +422,7 @@ def random_rect_pair(rng: random.Random, dims, family: str,
     m, n, p = dims
     if family == "coisometry":
         if n < m:
-            raise ValueError("coisometry family needs n >= m")
+            raise GenerationError(f"coisometry family needs n >= m, got dims {dims}")
         return (random_coisometry(rng, m, n, involution),
                 random_matrix(rng, m, p, EXACT, involution))
     if family == "diagonal":
@@ -443,11 +444,11 @@ def random_rect_pair(rng: random.Random, dims, family: str,
     if family == "rejection":
         # Dense draws only pass when both A and B have full row rank (so
         # n >= m and p >= m); at other dims the bounded sampler exhausts.
+        ring = MatrixRing(m, EXACT, involution)
         for _ in range(_MAX_TRIES):
             a = random_matrix(rng, m, n, EXACT, involution)
             b = random_matrix(rng, m, p, EXACT, involution)
-            probe = RectProblem(a, b, Matrix.zeros(m, m, involution, EXACT))
-            if check_rect_hypotheses(probe).ok:
+            if check_hypotheses(ring, a, b).ok:
                 return a, b
         raise GenerationError(
             f"no hypothesis-satisfying rectangular pair in {_MAX_TRIES} draws at dims {dims}")

@@ -7,9 +7,10 @@ triple embeds into the order-k ring, k = m + n + p, as
     c = [C 0 0; 0 0 0; 0 0 0],
 
 block rows/columns sized (m, n, p).  The square equation a x b* - b x* a* = c
-holds iff the (2,3) block X of x solves the rectangular equation, and the
-square solver's formulas evaluate verbatim on the rectangular operands
-(every product conforms), which is how :func:`solve_rect` computes directly.
+holds iff the (2,3) block X of x solves the rectangular equation.  The
+square solver's formulas also evaluate verbatim on the rectangular operands
+(every product conforms) in the m x m ring of C, which is how
+:func:`solve_rect` computes directly; the embedding is the cross-check.
 
 Note the shape normalization: B must be m x p for A X B* to exist; the
 p x m convention seen elsewhere refers to B*.
@@ -17,13 +18,11 @@ p x m convention seen elsewhere refers to B*.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
-from .matrix import Matrix, MatrixRing, mp_inverse, random_matrix
-from .solvers import (MINUS, HypothesesFailError, HypothesisReport, SolutionFamily,
-                      UnsolvableError, particular, phi, solvability_conditions, _tol_for)
+from .matrix import Matrix, MatrixRing
+from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, solve
 
 Dims = Tuple[int, int, int]
 
@@ -58,6 +57,10 @@ class RectProblem:
     @property
     def involution(self) -> str:
         return self.a.involution
+
+    def ring(self) -> MatrixRing:
+        """The m x m ring of C; it supplies the operations on A, B and X."""
+        return MatrixRing(self.a.rows, self.backend, self.involution)
 
     def to_float(self) -> "RectProblem":
         return RectProblem(self.a.to_float(), self.b.to_float(), self.c.to_float())
@@ -123,67 +126,24 @@ def embed_solution(x: Matrix, dims: Dims) -> Matrix:
     return Matrix.zeros(k, k, x.involution, x.backend).paste(m, m + n, x)
 
 
-def check_rect_hypotheses(problem: RectProblem, rtol: Optional[float] = None,
-                          mp: Optional[Callable[[Matrix], Matrix]] = None) -> HypothesisReport:
-    """Range and hermitian conditions for the rectangular pair (A, B).
-
-    The report's ring is the order-k square ring the problem embeds into;
-    it supplies the operations while the stored elements stay rectangular,
-    so the square solver's formula evaluators apply unchanged.
-    """
-    m, n, p = problem.dims
-    ops = MatrixRing(m + n + p, problem.backend, problem.involution)
-    mp_fn = mp if mp is not None else mp_inverse
-    a, b = problem.a, problem.b
-    a_dagger = mp_fn(a)
-    b_dagger = mp_fn(b)
-    tol = _tol_for(ops, rtol, a, b, a_dagger, b_dagger)
-
-    range_defect = (a @ a_dagger @ b).sub(b)
-    h = a_dagger @ b @ b_dagger @ a
-    hermitian_defect = h.star().sub(h)
-
-    e_b = Matrix.identity(m, problem.involution, problem.backend).sub(b @ b_dagger)
-    d = e_b @ a
-    d_dagger = a_dagger @ e_b
-    return HypothesisReport(ops, a, b, a_dagger, b_dagger, d, d_dagger,
-                            range_defect.is_zero(tol), hermitian_defect.is_zero(tol),
-                            range_defect, hermitian_defect, tol)
+def check_rect_hypotheses(problem: RectProblem,
+                          rtol: Optional[float] = None) -> HypothesisReport:
+    """Range and hermitian conditions for the rectangular pair (A, B),
+    checked in the m x m ring of C."""
+    return check_hypotheses(problem.ring(), problem.a, problem.b, rtol)
 
 
-class RectSolutionFamily(SolutionFamily):
-    """Solution family of the rectangular equation; parameters V are n x p."""
-
-    def __init__(self, problem: RectProblem, sign: str, x0: Matrix,
-                 homogeneous_map: Callable[[Matrix], Matrix],
-                 report: HypothesisReport):
-        super().__init__(report.ring, sign, problem.a, problem.b, problem.c,
-                         x0, homogeneous_map, report, kind="rect")
-        self.problem = problem
-        self.dims = problem.dims
-
-    def draw_parameter(self, rng: random.Random) -> Matrix:
-        m, n, p = self.dims
-        return random_matrix(rng, n, p, self.problem.backend, self.problem.involution)
-
-
-def solve_rect(problem: RectProblem, sign: str = MINUS, rtol: Optional[float] = None,
-               mp: Optional[Callable[[Matrix], Matrix]] = None) -> RectSolutionFamily:
+def solve_rect(problem: RectProblem, sign: str = MINUS,
+               rtol: Optional[float] = None) -> SolutionFamily:
     """Solve A X B* - B X* A* = C (or the plus variant) in rectangular shapes.
 
-    Same contract as the square solver: HypothesesFailError when the pair
-    (A, B) violates the range/hermitian conditions, UnsolvableError when C
-    fails the sign's symmetry or the averaged projection identity,
-    NotMpInvertibleError propagated from the MP-inverses.
+    The square solver run in the m x m ring of C, with the same contract:
+    HypothesesFailError when the pair (A, B) violates the range/hermitian
+    conditions, UnsolvableError when C fails the sign's symmetry or the
+    averaged projection identity, NotMpInvertibleError propagated from the
+    MP-inverses.  The family's parameters V are n x p.
     """
-    report = check_rect_hypotheses(problem, rtol, mp)
-    if not report.ok:
-        raise HypothesesFailError(report)
-    conditions = solvability_conditions(sign, report, problem.c, rtol)
-    if not all(cond.ok for cond in conditions):
-        raise UnsolvableError(conditions, report)
-    x0 = particular(sign, report, problem.c)
-    return RectSolutionFamily(problem, sign, x0, lambda v: phi(sign, report, v), report)
+    return solve(problem.ring(), sign, problem.a, problem.b, problem.c, rtol)
 
 
 def solve_rect_via_embedding(problem: RectProblem, sign: str = MINUS,
@@ -193,8 +153,6 @@ def solve_rect_via_embedding(problem: RectProblem, sign: str = MINUS,
     Returns (square SolutionFamily, EmbeddedTriple); extract_solution maps its
     members to rectangular solutions.  Raises exactly as solve_rect does.
     """
-    from .solvers import solve
-
     triple = embed(problem)
     fam = solve(triple.ring(), sign, triple.a, triple.b, triple.c, rtol)
     return fam, triple

@@ -8,7 +8,6 @@ treated as immutable, so rings are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from typing import Any, Optional
 
@@ -67,17 +66,11 @@ class StarRing(ABC):
 
     def mp_inverse(self, a: Element) -> Element:
         """Moore-Penrose inverse of ``a``, when the ring can compute one."""
-        raise NotMpInvertibleError(
-            f"{type(self).__name__} does not compute MP-inverses; supply one explicitly"
-        )
+        raise NotMpInvertibleError(f"{type(self).__name__} does not compute MP-inverses")
 
     def max_abs(self, a: Element) -> Optional[float]:
         """Magnitude scale for tolerance policies; ``None`` on exact rings."""
         return None
-
-    def sample_element(self, rng: random.Random) -> Element:
-        """Draw a small pseudorandom element (used for seeded family sampling)."""
-        raise NotImplementedError(f"{type(self).__name__} does not support sampling")
 
     # -- derived operations ---------------------------------------------
 

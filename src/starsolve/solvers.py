@@ -1,15 +1,16 @@
 """Closed-form solution families for a x b* -/+ b x* a* = c.
 
-Everything here works over an abstract :class:`~starsolve.ring.StarRing`.
-The standing hypotheses on the pair (a, b) are
+Everything here works over an abstract :class:`~starsolve.ring.StarRing`,
+except that families draw their random parameters as matrices.  The
+standing hypotheses on the pair (a, b) are
 
     range condition:      a a' b = b
     hermitian condition:  (a' b b' a)* = a' b b' a
 
 (' denotes the MP-inverse).  Under them d = (1 - b b') a is MP-invertible
 with d' = a' (1 - b b'), and the equation with either sign has an affine
-solution set x0 + {L(v) : v in ring} whenever the sign-appropriate pair of
-solvability conditions on c holds.
+solution set x0 + {L(v)} (see SolutionFamily) whenever the sign-appropriate
+pair of solvability conditions on c holds.
 
 Failed conditions are reported under stable names:
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Optional
 
+from .matrix import random_matrix
 from .ring import Element, StarRing
 
 MINUS = "minus"
@@ -108,17 +110,16 @@ class UnsolvableError(Exception):
 
 
 def check_hypotheses(ring: StarRing, a: Element, b: Element,
-                     mp: Optional[Callable[[Element], Element]] = None,
                      rtol: Optional[float] = None) -> HypothesisReport:
     """Evaluate the range and hermitian conditions for the pair (a, b).
 
-    ``mp`` overrides the ring's MP-inverse (for rings without a built-in
-    one); NotMpInvertibleError propagates.  Exact rings compare strictly;
-    float rings within rtol * (1 + max abs).
+    ``ring`` supplies the operations and must be the ring of c: for
+    rectangular a (m x n) and b (m x p), the m x m matrix ring.
+    NotMpInvertibleError propagates.  Exact rings compare strictly; float
+    rings within rtol * (1 + max abs).
     """
-    mp = mp if mp is not None else ring.mp_inverse
-    a_dagger = mp(a)
-    b_dagger = mp(b)
+    a_dagger = ring.mp_inverse(a)
+    b_dagger = ring.mp_inverse(b)
     tol = _tol_for(ring, rtol, a, b, a_dagger, b_dagger)
 
     aad = ring.multiply(a, a_dagger)
@@ -139,42 +140,6 @@ def check_hypotheses(ring: StarRing, a: Element, b: Element,
 def _require_ok(report: HypothesisReport):
     if not report.ok:
         raise HypothesesFailError(report)
-
-
-def phi(sign: str, report: HypothesisReport, v: Element) -> Element:
-    """The homogeneous solution map: L(v) solves a x b* -/+ b x* a* = 0.
-
-    minus: L(v) = v - (1/2) a'a v b'b + (1/2) a'b v* (b'a)*
-                    - (1/2) a'b v* (b'a d'a)* - (1/2) d'a v b'b
-    plus flips the signs of the two v* terms.  Every homogeneous solution
-    is a fixed point of L, so the image of L is exactly the kernel.
-    """
-    _check_sign(sign)
-    _require_ok(report)
-    r = report.ring
-    a, b = report.a, report.b
-    ad, bd, dd = report.a_dagger, report.b_dagger, report.d_dagger
-    v_star = r.star(v)
-
-    ada = r.multiply(ad, a)
-    bdb = r.multiply(bd, b)
-    adb = r.multiply(ad, b)
-    bda = r.multiply(bd, a)
-    dda = r.multiply(dd, a)
-
-    t2 = r.multiply(r.multiply(ada, v), bdb)
-    t3 = r.multiply(r.multiply(adb, v_star), r.star(bda))
-    t4 = r.multiply(r.multiply(adb, v_star), r.star(r.multiply(bda, dda)))
-    t5 = r.multiply(r.multiply(dda, v), bdb)
-
-    out = r.subtract(v, r.half_of(t2))
-    if sign == MINUS:
-        out = r.add(out, r.half_of(t3))
-        out = r.subtract(out, r.half_of(t4))
-    else:
-        out = r.subtract(out, r.half_of(t3))
-        out = r.add(out, r.half_of(t4))
-    return r.subtract(out, r.half_of(t5))
 
 
 def particular(sign: str, report: HypothesisReport, c: Element) -> Element:
@@ -234,11 +199,6 @@ def solvability_conditions(sign: str, report: HypothesisReport, c: Element,
     return (sym, hcond)
 
 
-def is_solvable(sign: str, report: HypothesisReport, c: Element,
-                rtol: Optional[float] = None) -> bool:
-    return all(cond.ok for cond in solvability_conditions(sign, report, c, rtol))
-
-
 def equation_lhs(ring: StarRing, sign: str, a: Element, b: Element, x: Element) -> Element:
     """a x b* -/+ b x* a* evaluated at x."""
     _check_sign(sign)
@@ -247,39 +207,54 @@ def equation_lhs(ring: StarRing, sign: str, a: Element, b: Element, x: Element) 
     return ring.subtract(left, right) if sign == MINUS else ring.add(left, right)
 
 
+@dataclass
 class SolutionFamily:
-    """The full solution set of a x b* -/+ b x* a* = c, as x0 + L(v).
+    """The full solution set of a x b* -/+ b x* a* = c, as x0 + L(v) with
 
-    ``at(v)`` evaluates the family at a caller-supplied parameter;
-    ``sample(seed)`` draws v reproducibly from the ring's small-element
-    distribution.  ``kind`` records which solver produced it ("general",
-    "sym_right", "sym_left", "rect"); the symmetric kinds store the
-    equivalent general-form triple (a, b, c) so residuals are uniform.
+        L(v) = v - (1/2) p v q + sigma (1/2) r v* s,
+
+    sigma = +1 for minus and -1 for plus.  L is idempotent and its image is
+    exactly the solution set of the homogeneous equation.  By ``kind``:
+
+        kind        sign   p            q          r        s
+        general     -/+    a'a + d'a    b'b        a'b      (b'a - b'a d'a)*
+        sym_right   plus   1 + E_a      a'a        a        (a')*
+        sym_left    plus   a a'         1 + F_a    (a')*    a
+
+    Rectangular instances are the general kind on rectangular operands; the
+    ring is then the m x m ring of c and v ranges over n x p matrices.  The
+    symmetric rows use the symmetric equation's own a; those families store
+    the equivalent general-form triple (a, b, c) -- (1, a, b) for sym_right,
+    (a*, 1, b) for sym_left -- so residuals are uniform.  ``report`` is the
+    hypothesis report (None for the symmetric kinds) and ``conditions`` the
+    solvability conditions the solver checked.
     """
 
-    def __init__(self, ring: StarRing, sign: str, a: Element, b: Element, c: Element,
-                 x0: Element, homogeneous_map: Callable[[Element], Element],
-                 report: Optional[HypothesisReport] = None, kind: str = "general",
-                 parameter_ring: Optional[StarRing] = None):
-        _check_sign(sign)
-        self.ring = ring
-        self.sign = sign
-        self.a = a
-        self.b = b
-        self.c = c
-        self.x0 = x0
-        self.report = report
-        self.kind = kind
-        self._hom = homogeneous_map
-        self._parameter_ring = parameter_ring if parameter_ring is not None else ring
+    ring: StarRing
+    sign: str
+    a: Element
+    b: Element
+    c: Element
+    x0: Element
+    p: Element
+    q: Element
+    r: Element
+    s: Element
+    kind: str
+    report: Optional[HypothesisReport]
+    conditions: tuple
 
     def homogeneous(self, v: Element) -> Element:
         """L(v): a solution of the homogeneous equation."""
-        return self._hom(v)
+        ring = self.ring
+        t = ring.half_of(ring.multiply(ring.multiply(self.p, v), self.q))
+        u = ring.half_of(ring.multiply(ring.multiply(self.r, ring.star(v)), self.s))
+        out = ring.subtract(v, t)
+        return ring.add(out, u) if self.sign == MINUS else ring.subtract(out, u)
 
     def at(self, v: Element) -> Element:
         """x0 + L(v)."""
-        return self.ring.add(self.x0, self._hom(v))
+        return self.ring.add(self.x0, self.homogeneous(v))
 
     def residual(self, x: Element) -> Element:
         """a x b* -/+ b x* a* - c; zero iff x solves the equation."""
@@ -290,36 +265,44 @@ class SolutionFamily:
         return self.ring.is_zero(self.residual(x), tol)
 
     def draw_parameter(self, rng: random.Random) -> Element:
-        return self._parameter_ring.sample_element(rng)
+        """A small pseudorandom parameter v, shaped like x0."""
+        return random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution)
 
     def sample(self, seed: int) -> Element:
         """Deterministic family member for a seed."""
         return self.at(self.draw_parameter(random.Random(seed)))
 
 
-def family_sample(fam: SolutionFamily, seed: int) -> Element:
-    """Seeded draw from a solution family."""
-    return fam.sample(seed)
+def _general_coefficients(report: HypothesisReport) -> tuple:
+    """(p, q, r, s) of the general family; see SolutionFamily."""
+    ring = report.ring
+    a, b = report.a, report.b
+    bda = ring.multiply(report.b_dagger, a)
+    dda = ring.multiply(report.d_dagger, a)
+    return (ring.add(ring.multiply(report.a_dagger, a), dda),
+            ring.multiply(report.b_dagger, b),
+            ring.multiply(report.a_dagger, b),
+            ring.star(ring.subtract(bda, ring.multiply(bda, dda))))
 
 
 def solve(ring: StarRing, sign: str, a: Element, b: Element, c: Element,
-          rtol: Optional[float] = None,
-          mp: Optional[Callable[[Element], Element]] = None) -> SolutionFamily:
+          rtol: Optional[float] = None) -> SolutionFamily:
     """Solve a x b* -/+ b x* a* = c.
 
-    Raises HypothesesFailError when the pair (a, b) violates the standing
+    ``ring`` is the ring of c, as for check_hypotheses.  Raises
+    HypothesesFailError when the pair (a, b) violates the standing
     hypotheses (the equation may still be solvable; the oracle can decide),
     UnsolvableError when the conditions on c fail, and propagates
     NotMpInvertibleError from the MP-inverse.
     """
-    report = check_hypotheses(ring, a, b, mp=mp, rtol=rtol)
+    report = check_hypotheses(ring, a, b, rtol)
     _require_ok(report)
     conditions = solvability_conditions(sign, report, c, rtol)
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions, report)
     x0 = particular(sign, report, c)
-    return SolutionFamily(ring, sign, a, b, c, x0,
-                          lambda v: phi(sign, report, v), report, "general")
+    return SolutionFamily(ring, sign, a, b, c, x0, *_general_coefficients(report),
+                          "general", report, conditions)
 
 
 def _sym_conditions(ring: StarRing, b: Element, proj: Element, proj_name: str,
@@ -333,11 +316,10 @@ def _sym_conditions(ring: StarRing, b: Element, proj: Element, proj_name: str,
 
 
 def _sym_setup(ring: StarRing, side: str, a: Element, b: Element,
-               rtol: Optional[float], mp: Optional[Callable[[Element], Element]]):
+               rtol: Optional[float]):
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    mp_fn = mp if mp is not None else ring.mp_inverse
-    a_dagger = mp_fn(a)
+    a_dagger = ring.mp_inverse(a)
     if side == "right":
         proj = ring.proj_complement_left(a, a_dagger)
         name = "E_condition"
@@ -349,15 +331,31 @@ def _sym_setup(ring: StarRing, side: str, a: Element, b: Element,
 
 
 def sym_solvability_conditions(ring: StarRing, side: str, a: Element, b: Element,
-                               rtol: Optional[float] = None,
-                               mp: Optional[Callable[[Element], Element]] = None) -> tuple:
+                               rtol: Optional[float] = None) -> tuple:
     """Named conditions for x a* + a x* = b ("right") or a* x + x* a = b ("left")."""
-    return _sym_setup(ring, side, a, b, rtol, mp)[0]
+    return _sym_setup(ring, side, a, b, rtol)[0]
+
+
+def _solve_sym(ring: StarRing, side: str, a: Element, b: Element,
+               rtol: Optional[float]) -> SolutionFamily:
+    conditions, a_dagger, proj = _sym_setup(ring, side, a, b, rtol)
+    if not all(cond.ok for cond in conditions):
+        raise UnsolvableError(conditions)
+    one_plus_proj = ring.add(ring.one(), proj)
+    ad_star = ring.star(a_dagger)
+    if side == "right":
+        x0 = ring.half_of(ring.multiply(one_plus_proj, ring.multiply(b, ad_star)))
+        return SolutionFamily(ring, PLUS, ring.one(), a, b, x0,
+                              one_plus_proj, ring.multiply(a_dagger, a), a, ad_star,
+                              "sym_right", None, conditions)
+    x0 = ring.half_of(ring.multiply(ring.multiply(ad_star, b), one_plus_proj))
+    return SolutionFamily(ring, PLUS, ring.star(a), ring.one(), b, x0,
+                          ring.multiply(a, a_dagger), one_plus_proj, ad_star, a,
+                          "sym_left", None, conditions)
 
 
 def solve_sym_right(ring: StarRing, a: Element, b: Element,
-                    rtol: Optional[float] = None,
-                    mp: Optional[Callable[[Element], Element]] = None) -> SolutionFamily:
+                    rtol: Optional[float] = None) -> SolutionFamily:
     """Solve x a* + a x* = b.
 
     Solvable iff b* = b and E_a b E_a = 0 with E_a = 1 - a a'.  The family is
@@ -366,26 +364,11 @@ def solve_sym_right(ring: StarRing, a: Element, b: Element,
 
     recorded as the general-form triple (1, a, b) with the plus sign.
     """
-    conditions, a_dagger, e_a = _sym_setup(ring, "right", a, b, rtol, mp)
-    if not all(cond.ok for cond in conditions):
-        raise UnsolvableError(conditions)
-
-    one_plus_e = ring.add(ring.one(), e_a)
-    ad_star = ring.star(a_dagger)
-    ada = ring.multiply(a_dagger, a)
-    x0 = ring.half_of(ring.multiply(one_plus_e, ring.multiply(b, ad_star)))
-
-    def hom(v: Element) -> Element:
-        t1 = ring.half_of(ring.multiply(one_plus_e, ring.multiply(v, ada)))
-        t2 = ring.half_of(ring.multiply(ring.multiply(a, ring.star(v)), ad_star))
-        return ring.subtract(ring.subtract(v, t1), t2)
-
-    return SolutionFamily(ring, PLUS, ring.one(), a, b, x0, hom, None, "sym_right")
+    return _solve_sym(ring, "right", a, b, rtol)
 
 
 def solve_sym_left(ring: StarRing, a: Element, b: Element,
-                   rtol: Optional[float] = None,
-                   mp: Optional[Callable[[Element], Element]] = None) -> SolutionFamily:
+                   rtol: Optional[float] = None) -> SolutionFamily:
     """Solve a* x + x* a = b.
 
     Solvable iff b* = b and F_a b F_a = 0 with F_a = 1 - a'a.  The family is
@@ -394,18 +377,4 @@ def solve_sym_left(ring: StarRing, a: Element, b: Element,
 
     recorded as the general-form triple (a*, 1, b) with the plus sign.
     """
-    conditions, a_dagger, f_a = _sym_setup(ring, "left", a, b, rtol, mp)
-    if not all(cond.ok for cond in conditions):
-        raise UnsolvableError(conditions)
-
-    one_plus_f = ring.add(ring.one(), f_a)
-    ad_star = ring.star(a_dagger)
-    aad = ring.multiply(a, a_dagger)
-    x0 = ring.half_of(ring.multiply(ring.multiply(ad_star, b), one_plus_f))
-
-    def hom(w: Element) -> Element:
-        t1 = ring.half_of(ring.multiply(ring.multiply(aad, w), one_plus_f))
-        t2 = ring.half_of(ring.multiply(ring.multiply(ad_star, ring.star(w)), a))
-        return ring.subtract(ring.subtract(w, t1), t2)
-
-    return SolutionFamily(ring, PLUS, ring.star(a), ring.one(), b, x0, hom, None, "sym_left")
+    return _solve_sym(ring, "left", a, b, rtol)

@@ -1,0 +1,108 @@
+"""The package surface the benchmark reaches must exist.
+
+perfbench/spans.py patches the names in its TARGETS and perfbench/workloads.py
+calls package attributes through ``lib.<module>.<name>``; a deleted or renamed
+name would only break a traced benchmark run.  These tests resolve both lists
+against the package instead.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from starsolve.matrix import MatrixRing
+from starsolve.solvers import PLUS, solve
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, dotted):
+    obj = importlib.import_module(module_name)
+    for part in dotted.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def _lib_module(node):
+    """'solvers' for ``lib.solvers`` or ``self.lib.solvers``, else None."""
+    if not isinstance(node, ast.Attribute):
+        return None
+    owner = node.value
+    if (isinstance(owner, ast.Name) and owner.id == "lib") or \
+            (isinstance(owner, ast.Attribute) and owner.attr == "lib"):
+        return node.attr
+    return None
+
+
+def _chain(node, aliases):
+    """(module, "a.b") for an attribute chain rooted at a package module."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        module = _lib_module(node)
+        if module is None and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            module, parts = aliases[node.value.id], parts + [node.attr]
+        if module is not None:
+            return (module, ".".join(reversed(parts))) if parts else None
+        parts.append(node.attr)
+        node = node.value
+    return None
+
+
+def _workload_names():
+    """Every (module, attribute path) workloads.py reaches, per function scope
+    so that local aliases such as ``s, m = lib.solvers, lib.matrix`` count."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        aliases = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                for t, v in pairs:
+                    if isinstance(t, ast.Name) and _lib_module(v):
+                        aliases[t.id] = _lib_module(v)
+        for node in ast.walk(func):
+            hit = _chain(node, aliases)
+            if hit is not None:
+                found.add(hit)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module_name,attr", [t[:2] for t in _load_spans().TARGETS])
+def test_span_target_resolves(module_name, attr):
+    assert callable(_resolve(module_name, attr))
+
+
+def test_workload_names_resolve():
+    names = _workload_names()
+    assert ("solvers", "solve") in names and ("rect", "solve_rect") in names
+    missing = []
+    for module, attr in names:
+        try:
+            _resolve(f"starsolve.{module}", attr)
+        except (AttributeError, ImportError):
+            missing.append(f"{module}.{attr}")
+    assert not missing
+
+
+def test_family_x0_is_assignable():
+    # perfbench/selftest.py moves x0 off the solution set to test the gate
+    ring = MatrixRing(1)
+    fam = solve(ring, PLUS, ring.one(), ring.one(), ring.zero())
+    fam.x0 = fam.x0.add(ring.one())
+    assert not fam.is_solution(fam.x0)

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from starsolve import formats
+from starsolve import formats, matrix
 from starsolve.cli import main
+from starsolve.solvers import SolutionFamily
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,6 +234,43 @@ def test_exit_6_verify_rejects_non_solution(tmp_path):
     doc = json.loads(out.read_text())
     assert not doc["verified"]
     assert doc["residual_max_abs"] > 0
+
+
+def test_exit_2_gen_coisometry_needs_n_at_least_m(capsys):
+    assert run_main("gen", "--kind", "rect_minus", "--family", "coisometry",
+                    "--dims", "3,2,2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_exit_2_negative_samples(capsys):
+    assert run_main("solve", "--input", str(GOLDEN / "scalar_minus.json"),
+                    "--samples", "-1") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_7_self_check_failure(monkeypatch, capsys):
+    monkeypatch.setattr(SolutionFamily, "is_solution", lambda self, x, rtol=None: False)
+    assert run_main("solve", "--input", str(GOLDEN / "scalar_minus.json")) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal self-check failed")
+    assert "Traceback" not in err
+
+
+def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
+    calls = []
+    real = matrix.mp_inverse
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(matrix, "mp_inverse", counting)
+    for name in ("diag_solvable.json", "rect_minus.json"):
+        calls.clear()
+        assert run_main("solve", "--input", str(GOLDEN / name),
+                        "--output", str(tmp_path / "r.json")) == 0
+        assert len(calls) == 2, name  # a' and b', once each
 
 
 def test_argparse_rejects_unknown_subcommand():

@@ -223,10 +223,3 @@ def test_ring_of_and_element_of():
     assert ring.size == 2 and ring.backend == FLOAT
     assert ring.element_of(m)
     assert not ring.element_of(Matrix.exact([[1, 2], [3, 4]]))
-
-
-def test_ring_sample_element_deterministic():
-    ring = MatrixRing(2)
-    a = ring.sample_element(random.Random(5))
-    b = ring.sample_element(random.Random(5))
-    assert a.equals(b)

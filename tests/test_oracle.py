@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -145,12 +146,9 @@ def test_family_agreement_positive():
 
 
 def test_family_agreement_detects_perturbed_particular():
-    from starsolve.solvers import SolutionFamily
     ring = MatrixRing(1)
     fam = solve(ring, MINUS, scalar(1), scalar(1), scalar(2 * I))
-    bad = SolutionFamily(ring, MINUS, fam.a, fam.b, fam.c,
-                         fam.x0.add(Matrix.exact([[I]])), fam.homogeneous,
-                         fam.report, fam.kind)
+    bad = dataclasses.replace(fam, x0=fam.x0.add(Matrix.exact([[I]])))
     result = oracle_solve(MINUS, scalar(1), scalar(1), scalar(2 * I))
     agreement = verify_family_against_oracle(bad, result, trials=2)
     assert not agreement.ok

@@ -11,7 +11,7 @@ from starsolve.oracle import random_pair, random_sym_instance
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
-                               equation_lhs, particular, phi,
+                               equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
                                solve_sym_right, sym_solvability_conditions)
 
@@ -112,16 +112,18 @@ def test_h_condition_pinned_failure():
     assert sym.ok and not hcond.ok
 
 
-# -- phi and particular ----------------------------------------------------------
+# -- the homogeneous map and particular ------------------------------------------
 
 
-def test_phi_identity_pair_splits_parts():
+def test_homogeneous_identity_pair_splits_parts():
     # a = b = 1: x - x* = 0 has hermitian solutions, x + x* = 0 skew ones,
-    # and phi averages v onto the matching part
-    rep = check_hypotheses(RING2, RING2.one(), RING2.one())
+    # and L averages v onto the matching part
+    one, zero = RING2.one(), RING2.zero()
     v = Matrix.exact([[1, I], [0, 2]])
-    assert phi(MINUS, rep, v).equals(RING2.half_of(RING2.herm_part(v)))
-    assert phi(PLUS, rep, v).equals(RING2.half_of(RING2.skew_part(v)))
+    assert solve(RING2, MINUS, one, one, zero).homogeneous(v).equals(
+        RING2.half_of(RING2.herm_part(v)))
+    assert solve(RING2, PLUS, one, one, zero).homogeneous(v).equals(
+        RING2.half_of(RING2.skew_part(v)))
 
 
 def test_particular_scalar_pinned():
@@ -147,6 +149,45 @@ def test_solve_scalar_family():
     assert fam.is_solution(fam.x0)
     for seed in range(4):
         assert fam.is_solution(fam.sample(seed))
+
+
+def test_family_sample_deterministic():
+    fam = solve(RING2, MINUS, RING2.one(), RING2.one(), RING2.zero())
+    assert fam.sample(5) == fam.sample(5)
+    assert fam.sample(5) != fam.sample(6)
+
+
+def test_solve_stores_the_conditions_it_checked():
+    rng = random.Random(41)
+    for sign in (MINUS, PLUS):
+        a, b = random_pair(rng, 2, "unitary", CONJUGATE_TRANSPOSE)
+        c = equation_lhs(RING2, sign, a, b, random_matrix(rng, 2, 2))
+        fam = solve(RING2, sign, a, b, c)
+        expected = solvability_conditions(sign, check_hypotheses(RING2, a, b), c)
+        assert [(k.name, k.ok, k.residual) for k in fam.conditions] == \
+            [(k.name, k.ok, k.residual) for k in expected]
+    for side, solver in (("right", solve_sym_right), ("left", solve_sym_left)):
+        a, b = random_sym_instance(rng, side, 2, force_solvable=True)
+        fam = solver(RING2, a, b)
+        assert fam.conditions == sym_solvability_conditions(RING2, side, a, b)
+
+
+def test_homogeneous_map_is_idempotent_for_every_kind():
+    rng = random.Random(43)
+    for trial in range(6):
+        sign = (MINUS, PLUS)[trial % 2]
+        a, b = random_pair(rng, 3, ("unitary", "equal", "diagonal")[trial % 3],
+                           CONJUGATE_TRANSPOSE)
+        c = equation_lhs(MatrixRing(3), sign, a, b, random_matrix(rng, 3, 3))
+        families = [solve(MatrixRing(3), sign, a, b, c)]
+        for side, solver in (("right", solve_sym_right), ("left", solve_sym_left)):
+            sa, sb = random_sym_instance(rng, side, 3, force_solvable=True)
+            families.append(solver(MatrixRing(3), sa, sb))
+        for fam in families:
+            v = random_matrix(rng, 3, 3)
+            h = fam.homogeneous(v)
+            assert fam.homogeneous(h).equals(h), fam.kind
+            assert equation_lhs(fam.ring, fam.sign, fam.a, fam.b, h).is_zero(), fam.kind
 
 
 def test_solve_unsolvable_raises_with_names():
@@ -176,7 +217,7 @@ def test_solve_forced_instances_roundtrip(seed, sign, family, involution, size):
     assert fam.is_solution(fam.x0)
     v = random_matrix(rng, size, size, EXACT, involution)
     assert fam.is_solution(fam.at(v))
-    # phi fixes homogeneous solutions: x_hat - x0 solves the zero equation
+    # L fixes homogeneous solutions: x_hat - x0 solves the zero equation
     h = x_hat.sub(fam.x0)
     assert fam.homogeneous(h).equals(h)
 
