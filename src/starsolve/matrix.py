@@ -1,9 +1,11 @@
 """Dense matrices over Gaussian rationals or complex floats, with involution.
 
-This is the shipped realization of the star-ring contract: square matrices
-under conjugate-transpose or plain-transpose involution, together with the
-rank-factorization route to the Moore-Penrose inverse.  Rectangular matrices
-use the same type; only :class:`MatrixRing` insists on squareness.
+Matrices under conjugate-transpose or plain-transpose involution are the
+rings with involution the solvers work in.  This module holds their
+arithmetic, the one Gauss-Jordan elimination (rank factorization, inverse,
+and the oracle's exact solve all reduce through it), the rank-factorization
+route to the Moore-Penrose inverse, and the Penrose checks.  Rectangular
+matrices use the same type; only :class:`MatrixRing` insists on squareness.
 
 Plain-transpose matrices are restricted to real entries at construction so
 that the Gram matrices appearing in the MP-inverse are always invertible.
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ring import NotMpInvertibleError, StarRing
+from .ring import NotMpInvertibleError
 from .scalars import GR_HALF, GR_ONE, GR_ZERO, GaussianRational, finite_complex
 
 EXACT = "exact"
@@ -280,42 +282,41 @@ class Matrix:
 # -- elimination ----------------------------------------------------------
 
 
-def _rref(m: Matrix):
-    """Reduced row echelon form; returns (rows as lists, pivot column list).
+def gauss_jordan(grid: list, ncols: int, tol: Optional[float]) -> list:
+    """Reduce the row grid ``grid`` (a list of row lists) in place over its
+    first ``ncols`` columns; returns the pivot columns.
 
-    Exact backend: first-nonzero column pivoting.  Float backend: partial
-    pivoting with threshold PIVOT_RTOL * max abs entry of ``m``.
+    Every row is scaled and combined over its full length, so columns past
+    ``ncols`` (a right-hand side, an identity block) are carried along.
+    ``tol`` None means an exact grid: pivot on the first nonzero entry.
+    Otherwise partial pivoting, and a column whose largest candidate is at
+    most ``tol`` in absolute value gets no pivot.
     """
-    work = [list(row) for row in m.entries]
     pivots = []
-    if m.backend == FLOAT:
-        thresh = PIVOT_RTOL * m.max_abs()
-    pr = 0
-    for pc in range(m.cols):
-        if pr >= m.rows:
+    nrows = len(grid)
+    for pc in range(ncols):
+        pr = len(pivots)
+        if pr >= nrows:
             break
-        if m.backend == EXACT:
-            sel = next((i for i in range(pr, m.rows) if work[i][pc]), None)
+        if tol is None:
+            sel = next((i for i in range(pr, nrows) if grid[i][pc]), None)
         else:
-            sel = max(range(pr, m.rows), key=lambda i: abs(work[i][pc]))
-            if abs(work[sel][pc]) <= thresh:
+            sel = max(range(pr, nrows), key=lambda i: abs(grid[i][pc]))
+            if abs(grid[sel][pc]) <= tol:
                 sel = None
         if sel is None:
             continue
-        work[pr], work[sel] = work[sel], work[pr]
-        piv = work[pr][pc]
-        work[pr] = [e / piv for e in work[pr]]
-        for i in range(m.rows):
+        grid[pr], grid[sel] = grid[sel], grid[pr]
+        piv = grid[pr][pc]
+        prow = grid[pr] = [e / piv for e in grid[pr]]
+        for i in range(nrows):
             if i == pr:
                 continue
-            f = work[i][pc]
-            if not f:
-                continue
-            prow = work[pr]
-            work[i] = [e - f * p for e, p in zip(work[i], prow)]
+            f = grid[i][pc]
+            if f:
+                grid[i] = [e - f * p for e, p in zip(grid[i], prow)]
         pivots.append(pc)
-        pr += 1
-    return work, pivots
+    return pivots
 
 
 def rank_factorization(m: Matrix):
@@ -323,9 +324,12 @@ def rank_factorization(m: Matrix):
 
     F (rows x r) collects the pivot columns of ``m``; G (r x cols) is the
     nonzero part of the reduced row echelon form; r is the rank.  Rank zero
-    yields empty factors.
+    yields empty factors.  Float pivots must exceed PIVOT_RTOL * max abs
+    entry of ``m``.
     """
-    red, pivots = _rref(m)
+    red = [list(row) for row in m.entries]
+    tol = None if m.backend == EXACT else PIVOT_RTOL * m.max_abs()
+    pivots = gauss_jordan(red, m.cols, tol)
     r = len(pivots)
     f_grid = tuple(tuple(m.entries[i][c] for c in pivots) for i in range(m.rows))
     g_grid = tuple(tuple(red[i]) for i in range(r))
@@ -335,37 +339,20 @@ def rank_factorization(m: Matrix):
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Ordinary inverse of a square matrix; NotMpInvertibleError if singular."""
+    """Ordinary inverse of a square matrix; NotMpInvertibleError if singular.
+
+    The float pivot threshold comes from the entries of ``m`` alone, not
+    from the identity block reduced alongside it.
+    """
     if not m.is_square:
         raise ShapeMismatchError("inverse needs a square matrix")
     n = m.rows
-    if n == 0:
-        return m
-    aug = [list(row) + [_one_scalar(m.backend) if i == j else _zero_scalar(m.backend)
-                        for j in range(n)]
+    one, zero = _one_scalar(m.backend), _zero_scalar(m.backend)
+    aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(m.entries)]
-    if m.backend == FLOAT:
-        thresh = PIVOT_RTOL * max(m.max_abs(), 1e-300)
-    for col in range(n):
-        if m.backend == EXACT:
-            sel = next((i for i in range(col, n) if aug[i][col]), None)
-        else:
-            sel = max(range(col, n), key=lambda i: abs(aug[i][col]))
-            if abs(aug[sel][col]) <= thresh:
-                sel = None
-        if sel is None:
-            raise NotMpInvertibleError("singular matrix")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = aug[col][col]
-        aug[col] = [e / piv for e in aug[col]]
-        for i in range(n):
-            if i == col:
-                continue
-            f = aug[i][col]
-            if not f:
-                continue
-            prow = aug[col]
-            aug[i] = [e - f * p for e, p in zip(aug[i], prow)]
+    tol = None if m.backend == EXACT else PIVOT_RTOL * max(m.max_abs(), 1e-300)
+    if len(gauss_jordan(aug, n, tol)) < n:
+        raise NotMpInvertibleError("singular matrix")
     grid = tuple(tuple(row[n:]) for row in aug)
     return Matrix(n, n, grid, m.involution, m.backend)
 
@@ -400,6 +387,19 @@ def mp_inverse(m: Matrix) -> Matrix:
     return dagger
 
 
+def penrose_defects(a: Matrix, b: Matrix) -> list:
+    """Differences ``aba - a``, ``bab - b``, ``(ab)* - ab``, ``(ba)* - ba``."""
+    ab = a @ b
+    ba = b @ a
+    return [ab @ a - a, ba @ b - b, ab.star() - ab, ba.star() - ba]
+
+
+def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
+    """True iff the pair ``(a, b)`` satisfies all four Penrose equations
+    (within the default float tolerance of Matrix.is_zero)."""
+    return all(d.is_zero() for d in penrose_defects(a, b))
+
+
 # -- random draws -----------------------------------------------------------
 
 
@@ -429,8 +429,11 @@ def random_matrix(rng: random.Random, rows: int, cols: int,
 # -- the ring -----------------------------------------------------------------
 
 
-class MatrixRing(StarRing):
-    """Square matrices of a fixed size as a ring with involution."""
+class MatrixRing:
+    """The ring of square matrices of one size, backend and involution.
+
+    The solvers take it as the ring of c and use it for its unit.
+    """
 
     def __init__(self, size: int, backend: str = EXACT,
                  involution: str = CONJUGATE_TRANSPOSE):
@@ -449,48 +452,8 @@ class MatrixRing(StarRing):
     def __repr__(self):
         return f"MatrixRing(size={self.size}, backend={self.backend!r}, involution={self.involution!r})"
 
-    def add(self, a: Matrix, b: Matrix) -> Matrix:
-        return a.add(b)
-
-    def negate(self, a: Matrix) -> Matrix:
-        return a.neg()
-
-    def multiply(self, a: Matrix, b: Matrix) -> Matrix:
-        return a.mul(b)
-
-    def star(self, a: Matrix) -> Matrix:
-        return a.star()
-
     def zero(self) -> Matrix:
         return self._zero
 
     def one(self) -> Matrix:
         return self._one
-
-    def half_of(self, a: Matrix) -> Matrix:
-        return a.half()
-
-    def equals(self, a: Matrix, b: Matrix, tol: Optional[float] = None) -> bool:
-        return a.equals(b, tol)
-
-    def is_zero(self, a: Matrix, tol: Optional[float] = None) -> bool:
-        # Shape-agnostic on purpose: solver condition checks route defects of
-        # rectangular shape through the ring that provides the operations.
-        return a.is_zero(tol)
-
-    def mp_inverse(self, a: Matrix) -> Matrix:
-        return mp_inverse(a)
-
-    def max_abs(self, a: Matrix) -> Optional[float]:
-        return None if self.backend == EXACT else a.max_abs()
-
-    def element_of(self, m: Matrix) -> bool:
-        return (m.rows == m.cols == self.size and m.backend == self.backend
-                and m.involution == self.involution)
-
-
-def ring_of(m: Matrix) -> MatrixRing:
-    """The square matrix ring a given square matrix lives in."""
-    if not m.is_square:
-        raise ShapeMismatchError("only square matrices generate a matrix ring")
-    return MatrixRing(m.rows, m.backend, m.involution)

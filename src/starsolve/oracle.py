@@ -4,8 +4,9 @@ The map X -> A X B* -/+ B X* A* is additive but only real-linear (the star
 conjugates scalars), so it is represented as an exact rational matrix over
 the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under the transpose
 involution, where entries are real.  Solving that system by fraction
-arithmetic gives an independent verdict, a particular solution, and a kernel
-basis against which the closed-form solver families are checked.
+arithmetic (matrix.gauss_jordan on the exact grid) gives an independent
+verdict, a particular solution, and a kernel basis against which the
+closed-form solver families are checked.
 
 The generators down the bottom produce exact instances that satisfy the
 solvers' standing hypotheses by construction; random pairs almost never do
@@ -20,10 +21,10 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
-                     random_matrix, random_rational)
+                     gauss_jordan, random_matrix, random_rational)
 from .rect import RectProblem
 from .scalars import GaussianRational
-from .solvers import MINUS, SolutionFamily, _check_sign, check_hypotheses
+from .solvers import MINUS, SolutionFamily, _check_sign, check_hypotheses, equation_lhs
 
 RE = "re"
 IM = "im"
@@ -92,12 +93,6 @@ class RealLinearSystem:
                             self.involution)
 
 
-def _map_value(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
-    left = a @ x @ b.star()
-    right = b @ x.star() @ a.star()
-    return left.sub(right) if sign == MINUS else left.add(right)
-
-
 def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> RealLinearSystem:
     """Real-linear system for A X B* -/+ B X* A* (= C when given).
 
@@ -119,7 +114,7 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
         basis = Matrix(n, p, tuple(
             tuple(unit if (r, s) == (i, j) else GaussianRational(0) for s in range(p))
             for r in range(n)), a.involution, EXACT)
-        value = _map_value(sign, a, b, basis)
+        value = equation_lhs(sign, a, b, basis)
         columns.append(tuple(value.entries[r][s].re if vpart == RE else value.entries[r][s].im
                              for (r, s, vpart) in row_index))
     matrix = tuple(tuple(col[r] for col in columns) for r in range(len(row_index)))
@@ -135,47 +130,6 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
                     for (r, s, vpart) in row_index)
     return RealLinearSystem(matrix, rhs, row_index, col_index, sign,
                             (n, p), (m, m), a.involution)
-
-
-def _solve_rational(matrix, rhs):
-    """Exact Gaussian elimination; returns (consistent, particular, kernel, rank)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(row) + [rhs[r]] for r, row in enumerate(matrix)]
-    pivots = []  # (row, col)
-    pr = 0
-    for pc in range(ncols):
-        sel = next((i for i in range(pr, nrows) if aug[i][pc]), None)
-        if sel is None:
-            continue
-        aug[pr], aug[sel] = aug[sel], aug[pr]
-        piv = aug[pr][pc]
-        aug[pr] = [e / piv for e in aug[pr]]
-        for i in range(nrows):
-            if i != pr and aug[i][pc]:
-                f = aug[i][pc]
-                prow = aug[pr]
-                aug[i] = [e - f * q for e, q in zip(aug[i], prow)]
-        pivots.append((pr, pc))
-        pr += 1
-    consistent = all(not aug[i][ncols] for i in range(pr, nrows))
-    if not consistent:
-        return False, None, [], len(pivots)
-
-    particular = [Fraction(0)] * ncols
-    for (r, pc) in pivots:
-        particular[pc] = aug[r][ncols]
-    pivot_cols = {pc for (_, pc) in pivots}
-    kernel = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for (r, pc) in pivots:
-            vec[pc] = -aug[r][free]
-        kernel.append(tuple(vec))
-    return True, tuple(particular), kernel, len(pivots)
 
 
 @dataclass(frozen=True)
@@ -199,12 +153,26 @@ class OracleResult:
 def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
     """Exact verdict, particular solution (free variables zero), kernel basis."""
     system = linearize(sign, a, b, c)
-    consistent, part_vec, kernel_vecs, rank = _solve_rational(system.matrix, system.rhs)
-    if not consistent:
-        return OracleResult(False, None, (), len(system.col_index) - rank, system)
-    part = system.matrix_from_coords(part_vec)
-    kernel = tuple(system.matrix_from_coords(v) for v in kernel_vecs)
-    return OracleResult(True, part, kernel, len(kernel), system)
+    ncols = len(system.col_index)
+    aug = [list(row) + [value] for row, value in zip(system.matrix, system.rhs)]
+    pivots = gauss_jordan(aug, ncols, None)
+    rank = len(pivots)
+    if any(row[ncols] for row in aug[rank:]):
+        return OracleResult(False, None, (), ncols - rank, system)
+
+    part = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        part[pc] = aug[r][ncols]
+    pivot_cols = set(pivots)
+    kernel = []
+    for free in (j for j in range(ncols) if j not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -aug[r][free]
+        kernel.append(system.matrix_from_coords(vec))
+    return OracleResult(True, system.matrix_from_coords(part), tuple(kernel),
+                        len(kernel), system)
 
 
 @dataclass(frozen=True)
@@ -375,7 +343,7 @@ def random_square_instance(rng: random.Random, sign: str, size: int, family: str
     a, b = random_pair(rng, size, family, involution)
     if force_solvable:
         x_hat = random_matrix(rng, size, size, EXACT, involution)
-        c = _map_value(sign, a, b, x_hat)
+        c = equation_lhs(sign, a, b, x_hat)
     else:
         h = random_matrix(rng, size, size, EXACT, involution)
         c = h.sub(h.star()) if sign == MINUS else h.add(h.star())
@@ -464,7 +432,7 @@ def random_rect_instance(rng: random.Random, dims, family: str,
     a, b = random_rect_pair(rng, dims, family, involution)
     if force_solvable:
         x_hat = random_matrix(rng, n, p, EXACT, involution)
-        c = _map_value(sign, a, b, x_hat)
+        c = equation_lhs(sign, a, b, x_hat)
     else:
         h = random_matrix(rng, m, m, EXACT, involution)
         c = h.sub(h.star()) if sign == MINUS else h.add(h.star())

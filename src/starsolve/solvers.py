@@ -1,8 +1,10 @@
 """Closed-form solution families for a x b* -/+ b x* a* = c.
 
-Everything here works over an abstract :class:`~starsolve.ring.StarRing`,
-except that families draw their random parameters as matrices.  The
-standing hypotheses on the pair (a, b) are
+The paper states the theory for any ring with involution in which 2 is
+invertible; this package realizes it with matrices, so everything here
+works on :class:`~starsolve.matrix.Matrix` directly.  The ``ring`` argument
+of the entry points is the ring of c and supplies its unit.  The standing
+hypotheses on the pair (a, b) are
 
     range condition:      a a' b = b
     hermitian condition:  (a' b b' a)* = a' b b' a
@@ -26,8 +28,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix import random_matrix
-from .ring import Element, StarRing
+from . import matrix
+from .matrix import EXACT, Matrix, MatrixRing, random_matrix
 
 MINUS = "minus"
 PLUS = "plus"
@@ -43,29 +45,27 @@ def _check_sign(sign: str):
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
 
 
-def _tol_for(ring: StarRing, rtol: Optional[float], *elems) -> Optional[float]:
-    """Absolute tolerance for zero tests, or None on exact rings."""
-    scales = [ring.max_abs(e) for e in elems]
-    if any(s is None for s in scales):
+def _tol_for(rtol: Optional[float], *elems: Matrix) -> Optional[float]:
+    """Absolute tolerance for zero tests, or None on the exact backend."""
+    if elems[0].backend == EXACT:
         return None
-    return (CONDITION_RTOL if rtol is None else rtol) * (1.0 + max(scales, default=0.0))
+    return (CONDITION_RTOL if rtol is None else rtol) * (1.0 + max(e.max_abs() for e in elems))
 
 
 @dataclass(frozen=True)
 class HypothesisReport:
     """Checked hypotheses for a pair (a, b) plus the derived d, d'."""
 
-    ring: StarRing
-    a: Element
-    b: Element
-    a_dagger: Element
-    b_dagger: Element
-    d: Element
-    d_dagger: Element
+    a: Matrix
+    b: Matrix
+    a_dagger: Matrix
+    b_dagger: Matrix
+    d: Matrix
+    d_dagger: Matrix
     range_ok: bool
     hermitian_ok: bool
-    range_defect: Element      # a a' b - b
-    hermitian_defect: Element  # (a' b b' a)* - a' b b' a
+    range_defect: Matrix      # a a' b - b
+    hermitian_defect: Matrix  # (a' b b' a)* - a' b b' a
     tol: Optional[float] = None  # absolute tolerance the checks used (None = exact)
 
     @property
@@ -83,11 +83,11 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class Condition:
-    """One named solvability check; ``residual`` is the element that must vanish."""
+    """One named solvability check; ``residual`` is the matrix that must vanish."""
 
     name: str
     ok: bool
-    residual: Element
+    residual: Matrix
     tol: Optional[float] = None  # absolute tolerance the check used (None = exact)
 
 
@@ -109,32 +109,26 @@ class UnsolvableError(Exception):
         super().__init__(f"unsolvable: {', '.join(self.failed)}")
 
 
-def check_hypotheses(ring: StarRing, a: Element, b: Element,
+def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
                      rtol: Optional[float] = None) -> HypothesisReport:
     """Evaluate the range and hermitian conditions for the pair (a, b).
 
-    ``ring`` supplies the operations and must be the ring of c: for
-    rectangular a (m x n) and b (m x p), the m x m matrix ring.
-    NotMpInvertibleError propagates.  Exact rings compare strictly; float
-    rings within rtol * (1 + max abs).
+    ``ring`` is the ring of c: for rectangular a (m x n) and b (m x p), the
+    m x m matrix ring.  NotMpInvertibleError propagates.  The exact backend
+    compares strictly; floats within rtol * (1 + max abs).
     """
-    a_dagger = ring.mp_inverse(a)
-    b_dagger = ring.mp_inverse(b)
-    tol = _tol_for(ring, rtol, a, b, a_dagger, b_dagger)
+    a_dagger = matrix.mp_inverse(a)
+    b_dagger = matrix.mp_inverse(b)
+    tol = _tol_for(rtol, a, b, a_dagger, b_dagger)
 
-    aad = ring.multiply(a, a_dagger)
-    range_defect = ring.subtract(ring.multiply(aad, b), b)
-    range_ok = ring.is_zero(range_defect, tol)
+    range_defect = a @ a_dagger @ b - b
+    h = (a_dagger @ b) @ (b_dagger @ a)
+    hermitian_defect = h.star() - h
 
-    h = ring.multiply(ring.multiply(a_dagger, b), ring.multiply(b_dagger, a))
-    hermitian_defect = ring.subtract(ring.star(h), h)
-    hermitian_ok = ring.is_zero(hermitian_defect, tol)
-
-    e_b = ring.proj_complement_left(b, b_dagger)
-    d = ring.multiply(e_b, a)
-    d_dagger = ring.multiply(a_dagger, e_b)
-    return HypothesisReport(ring, a, b, a_dagger, b_dagger, d, d_dagger,
-                            range_ok, hermitian_ok, range_defect, hermitian_defect, tol)
+    e_b = ring.one() - b @ b_dagger
+    return HypothesisReport(a, b, a_dagger, b_dagger, e_b @ a, a_dagger @ e_b,
+                            range_defect.is_zero(tol), hermitian_defect.is_zero(tol),
+                            range_defect, hermitian_defect, tol)
 
 
 def _require_ok(report: HypothesisReport):
@@ -142,7 +136,7 @@ def _require_ok(report: HypothesisReport):
         raise HypothesesFailError(report)
 
 
-def particular(sign: str, report: HypothesisReport, c: Element) -> Element:
+def particular(sign: str, report: HypothesisReport, c: Matrix) -> Matrix:
     """One solution of a x b* -/+ b x* a* = c, valid under the solvability
     conditions for the given sign.
 
@@ -153,22 +147,17 @@ def particular(sign: str, report: HypothesisReport, c: Element) -> Element:
     """
     _check_sign(sign)
     _require_ok(report)
-    r = report.ring
     a, b = report.a, report.b
     ad, bd, dd = report.a_dagger, report.b_dagger, report.d_dagger
-    bd_star = r.star(bd)
+    bd_star = bd.star()
 
-    t1 = r.multiply(r.multiply(ad, c), bd_star)
-    abb = r.multiply(r.multiply(ad, b), bd)
-    inner = r.multiply(r.multiply(bd, a), dd)
-    t2 = r.multiply(r.multiply(abb, c), r.star(inner))
-    t3 = r.multiply(r.multiply(dd, c), bd_star)
-
-    out = r.subtract(r.half_of(t1), r.half_of(t2))
-    return r.add(out, r.half_of(t3))
+    t1 = ad @ c @ bd_star
+    t2 = ad @ b @ bd @ c @ (bd @ a @ dd).star()
+    t3 = dd @ c @ bd_star
+    return t1.half() - t2.half() + t3.half()
 
 
-def solvability_conditions(sign: str, report: HypothesisReport, c: Element,
+def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
                            rtol: Optional[float] = None) -> tuple:
     """The sign-appropriate pair of named conditions on c.
 
@@ -177,34 +166,28 @@ def solvability_conditions(sign: str, report: HypothesisReport, c: Element,
     """
     _check_sign(sign)
     _require_ok(report)
-    r = report.ring
-    tol = _tol_for(r, rtol, report.a, report.b, report.a_dagger, report.b_dagger, c)
-    c_star = r.star(c)
+    tol = _tol_for(rtol, report.a, report.b, report.a_dagger, report.b_dagger, c)
 
     if sign == MINUS:
-        sym_name, sym_defect = "c_star_neq_minus_c", r.add(c_star, c)
+        sym_name, sym_defect = "c_star_neq_minus_c", c.star() + c
     else:
-        sym_name, sym_defect = "c_star_neq_c", r.subtract(c_star, c)
-    sym = Condition(sym_name, r.is_zero(sym_defect, tol), sym_defect, tol)
+        sym_name, sym_defect = "c_star_neq_c", c.star() - c
+    sym = Condition(sym_name, sym_defect.is_zero(tol), sym_defect, tol)
 
-    proj = r.add(r.multiply(report.a, report.a_dagger),
-                 r.multiply(report.d, report.d_dagger))
-    m = r.multiply(r.multiply(proj, c), r.multiply(report.b, report.b_dagger))
-    if sign == MINUS:
-        h = r.subtract(m, r.star(m))
-    else:
-        h = r.add(m, r.star(m))
-    h_defect = r.subtract(h, r.add(c, c))
-    hcond = Condition("H_condition", r.is_zero(h_defect, tol), h_defect, tol)
+    proj = report.a @ report.a_dagger + report.d @ report.d_dagger
+    m = proj @ c @ (report.b @ report.b_dagger)
+    h = m - m.star() if sign == MINUS else m + m.star()
+    h_defect = h - (c + c)
+    hcond = Condition("H_condition", h_defect.is_zero(tol), h_defect, tol)
     return (sym, hcond)
 
 
-def equation_lhs(ring: StarRing, sign: str, a: Element, b: Element, x: Element) -> Element:
+def equation_lhs(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
     """a x b* -/+ b x* a* evaluated at x."""
     _check_sign(sign)
-    left = ring.multiply(ring.multiply(a, x), ring.star(b))
-    right = ring.multiply(ring.multiply(b, ring.star(x)), ring.star(a))
-    return ring.subtract(left, right) if sign == MINUS else ring.add(left, right)
+    left = a @ x @ b.star()
+    right = b @ x.star() @ a.star()
+    return left - right if sign == MINUS else left + right
 
 
 @dataclass
@@ -221,71 +204,69 @@ class SolutionFamily:
         sym_right   plus   1 + E_a      a'a        a        (a')*
         sym_left    plus   a a'         1 + F_a    (a')*    a
 
-    Rectangular instances are the general kind on rectangular operands; the
-    ring is then the m x m ring of c and v ranges over n x p matrices.  The
-    symmetric rows use the symmetric equation's own a; those families store
-    the equivalent general-form triple (a, b, c) -- (1, a, b) for sym_right,
-    (a*, 1, b) for sym_left -- so residuals are uniform.  ``report`` is the
-    hypothesis report (None for the symmetric kinds) and ``conditions`` the
+    Rectangular instances are the general kind on rectangular operands; c
+    is then m x m and v ranges over n x p matrices.  The symmetric rows use
+    the symmetric equation's own a; those families store the equivalent
+    general-form triple (a, b, c) -- (1, a, b) for sym_right, (a*, 1, b)
+    for sym_left -- so residuals are uniform.  ``report`` is the hypothesis
+    report (None for the symmetric kinds) and ``conditions`` the
     solvability conditions the solver checked.
     """
 
-    ring: StarRing
     sign: str
-    a: Element
-    b: Element
-    c: Element
-    x0: Element
-    p: Element
-    q: Element
-    r: Element
-    s: Element
+    a: Matrix
+    b: Matrix
+    c: Matrix
+    x0: Matrix
+    p: Matrix
+    q: Matrix
+    r: Matrix
+    s: Matrix
     kind: str
     report: Optional[HypothesisReport]
     conditions: tuple
 
-    def homogeneous(self, v: Element) -> Element:
+    def homogeneous(self, v: Matrix) -> Matrix:
         """L(v): a solution of the homogeneous equation."""
-        ring = self.ring
-        t = ring.half_of(ring.multiply(ring.multiply(self.p, v), self.q))
-        u = ring.half_of(ring.multiply(ring.multiply(self.r, ring.star(v)), self.s))
-        out = ring.subtract(v, t)
-        return ring.add(out, u) if self.sign == MINUS else ring.subtract(out, u)
+        t = (self.p @ v @ self.q).half()
+        u = (self.r @ v.star() @ self.s).half()
+        return v - t + u if self.sign == MINUS else v - t - u
 
-    def at(self, v: Element) -> Element:
+    def at(self, v: Matrix) -> Matrix:
         """x0 + L(v)."""
-        return self.ring.add(self.x0, self.homogeneous(v))
+        return self.x0 + self.homogeneous(v)
 
-    def residual(self, x: Element) -> Element:
+    def residual(self, x: Matrix) -> Matrix:
         """a x b* -/+ b x* a* - c; zero iff x solves the equation."""
-        return self.ring.subtract(equation_lhs(self.ring, self.sign, self.a, self.b, x), self.c)
+        return equation_lhs(self.sign, self.a, self.b, x) - self.c
 
-    def is_solution(self, x: Element, rtol: Optional[float] = None) -> bool:
-        tol = _tol_for(self.ring, rtol, self.a, self.b, self.c, x)
-        return self.ring.is_zero(self.residual(x), tol)
+    def residual_ok(self, x: Matrix, residual: Matrix) -> bool:
+        """Whether ``residual`` (the residual at x) vanishes: exactly on the
+        exact backend, else within CONDITION_RTOL of the scale of a, b, c, x."""
+        return residual.is_zero(_tol_for(None, self.a, self.b, self.c, x))
 
-    def draw_parameter(self, rng: random.Random) -> Element:
+    def is_solution(self, x: Matrix) -> bool:
+        return self.residual_ok(x, self.residual(x))
+
+    def draw_parameter(self, rng: random.Random) -> Matrix:
         """A small pseudorandom parameter v, shaped like x0."""
         return random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution)
 
-    def sample(self, seed: int) -> Element:
+    def sample(self, seed: int) -> Matrix:
         """Deterministic family member for a seed."""
         return self.at(self.draw_parameter(random.Random(seed)))
 
 
 def _general_coefficients(report: HypothesisReport) -> tuple:
     """(p, q, r, s) of the general family; see SolutionFamily."""
-    ring = report.ring
     a, b = report.a, report.b
-    bda = ring.multiply(report.b_dagger, a)
-    dda = ring.multiply(report.d_dagger, a)
-    return (ring.add(ring.multiply(report.a_dagger, a), dda),
-            ring.multiply(report.b_dagger, b),
-            ring.multiply(report.a_dagger, b),
-            ring.star(ring.subtract(bda, ring.multiply(bda, dda))))
+    bda = report.b_dagger @ a
+    dda = report.d_dagger @ a
+    return (report.a_dagger @ a + dda, report.b_dagger @ b, report.a_dagger @ b,
+            (bda - bda @ dda).star())
 
 
-def solve(ring: StarRing, sign: str, a: Element, b: Element, c: Element,
+def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
           rtol: Optional[float] = None) -> SolutionFamily:
     """Solve a x b* -/+ b x* a* = c.
 
@@ -301,60 +282,54 @@ def solve(ring: StarRing, sign: str, a: Element, b: Element, c: Element,
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions, report)
     x0 = particular(sign, report, c)
-    return SolutionFamily(ring, sign, a, b, c, x0, *_general_coefficients(report),
+    return SolutionFamily(sign, a, b, c, x0, *_general_coefficients(report),
                           "general", report, conditions)
 
 
-def _sym_conditions(ring: StarRing, b: Element, proj: Element, proj_name: str,
-                    rtol: Optional[float], *scale_elems) -> tuple:
-    tol = _tol_for(ring, rtol, b, *scale_elems)
-    sym_defect = ring.subtract(ring.star(b), b)
-    sym = Condition("b_star_neq_b", ring.is_zero(sym_defect, tol), sym_defect, tol)
-    squeeze = ring.multiply(ring.multiply(proj, b), proj)
-    cond = Condition(proj_name, ring.is_zero(squeeze, tol), squeeze, tol)
-    return (sym, cond)
-
-
-def _sym_setup(ring: StarRing, side: str, a: Element, b: Element,
+def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
                rtol: Optional[float]):
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    a_dagger = ring.mp_inverse(a)
+    a_dagger = matrix.mp_inverse(a)
     if side == "right":
-        proj = ring.proj_complement_left(a, a_dagger)
+        proj = ring.one() - a @ a_dagger
         name = "E_condition"
     else:
-        proj = ring.proj_complement_right(a, a_dagger)
+        proj = ring.one() - a_dagger @ a
         name = "F_condition"
-    conditions = _sym_conditions(ring, b, proj, name, rtol, a, a_dagger)
+    tol = _tol_for(rtol, b, a, a_dagger)
+    sym_defect = b.star() - b
+    squeeze = proj @ b @ proj
+    conditions = (Condition("b_star_neq_b", sym_defect.is_zero(tol), sym_defect, tol),
+                  Condition(name, squeeze.is_zero(tol), squeeze, tol))
     return conditions, a_dagger, proj
 
 
-def sym_solvability_conditions(ring: StarRing, side: str, a: Element, b: Element,
+def sym_solvability_conditions(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
                                rtol: Optional[float] = None) -> tuple:
     """Named conditions for x a* + a x* = b ("right") or a* x + x* a = b ("left")."""
     return _sym_setup(ring, side, a, b, rtol)[0]
 
 
-def _solve_sym(ring: StarRing, side: str, a: Element, b: Element,
+def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
                rtol: Optional[float]) -> SolutionFamily:
     conditions, a_dagger, proj = _sym_setup(ring, side, a, b, rtol)
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions)
-    one_plus_proj = ring.add(ring.one(), proj)
-    ad_star = ring.star(a_dagger)
+    one_plus_proj = ring.one() + proj
+    ad_star = a_dagger.star()
     if side == "right":
-        x0 = ring.half_of(ring.multiply(one_plus_proj, ring.multiply(b, ad_star)))
-        return SolutionFamily(ring, PLUS, ring.one(), a, b, x0,
-                              one_plus_proj, ring.multiply(a_dagger, a), a, ad_star,
+        x0 = (one_plus_proj @ (b @ ad_star)).half()
+        return SolutionFamily(PLUS, ring.one(), a, b, x0,
+                              one_plus_proj, a_dagger @ a, a, ad_star,
                               "sym_right", None, conditions)
-    x0 = ring.half_of(ring.multiply(ring.multiply(ad_star, b), one_plus_proj))
-    return SolutionFamily(ring, PLUS, ring.star(a), ring.one(), b, x0,
-                          ring.multiply(a, a_dagger), one_plus_proj, ad_star, a,
+    x0 = (ad_star @ b @ one_plus_proj).half()
+    return SolutionFamily(PLUS, a.star(), ring.one(), b, x0,
+                          a @ a_dagger, one_plus_proj, ad_star, a,
                           "sym_left", None, conditions)
 
 
-def solve_sym_right(ring: StarRing, a: Element, b: Element,
+def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,
                     rtol: Optional[float] = None) -> SolutionFamily:
     """Solve x a* + a x* = b.
 
@@ -367,7 +342,7 @@ def solve_sym_right(ring: StarRing, a: Element, b: Element,
     return _solve_sym(ring, "right", a, b, rtol)
 
 
-def solve_sym_left(ring: StarRing, a: Element, b: Element,
+def solve_sym_left(ring: MatrixRing, a: Matrix, b: Matrix,
                    rtol: Optional[float] = None) -> SolutionFamily:
     """Solve a* x + x* a = b.
 

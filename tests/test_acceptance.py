@@ -14,7 +14,8 @@ import pytest
 
 from starsolve.cli import _in_band, main
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, mp_inverse, random_matrix)
+                              Matrix, MatrixRing, is_mp_inverse, mp_inverse,
+                              penrose_defects, random_matrix)
 from starsolve.oracle import (GenerationError, PAIR_FAMILIES, oracle_solve,
                               random_pair, random_rect_instance,
                               random_sym_instance, random_square_instance,
@@ -58,7 +59,6 @@ def test_criterion_1_penrose_suite():
     for backend in (EXACT, FLOAT):
         for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE):
             rng = random.Random(f"penrose-{backend}-{involution}")
-            ring = MatrixRing(4, backend, involution)
             for _ in range(PENROSE_COUNT):
                 m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4),
                                   backend, involution)
@@ -67,7 +67,7 @@ def test_criterion_1_penrose_suite():
                 except NotMpInvertibleError:
                     failures += 1
                     continue
-                defects = ring.penrose_defects(m, d)
+                defects = penrose_defects(m, d)
                 if backend == EXACT:
                     if not all(defect.is_zero() for defect in defects):
                         failures += 1
@@ -100,13 +100,11 @@ def test_criterion_2_derived_element_identities():
         rep = check_hypotheses(ring, a, b)
         identities = (
             rep.ok,
-            ring.is_mp_inverse(rep.d, rep.d_dagger),
-            ring.multiply(rep.d_dagger, b).is_zero(),
-            ring.multiply(ring.star(b),
-                          ring.multiply(rep.d, rep.d_dagger)).is_zero(),
-            ring.multiply(ring.multiply(rep.d, rep.d_dagger), a).equals(rep.d),
-            ring.multiply(rep.d_dagger, a).equals(
-                ring.multiply(rep.d_dagger, rep.d)),
+            is_mp_inverse(rep.d, rep.d_dagger),
+            (rep.d_dagger @ b).is_zero(),
+            (b.star() @ (rep.d @ rep.d_dagger)).is_zero(),
+            (rep.d @ rep.d_dagger @ a).equals(rep.d),
+            (rep.d_dagger @ a).equals(rep.d_dagger @ rep.d),
         )
         if not all(identities):
             bad += 1
@@ -153,7 +151,7 @@ def test_criterion_3_solvability_iff(iff_suite):
             continue
         if fam is not None:
             solvable += 1
-            if not equation_lhs(ring, sign, a, b, fam.x0).equals(c):
+            if not equation_lhs(sign, a, b, fam.x0).equals(c):
                 substitution_failures += 1
     ok = mismatches == 0 and substitution_failures == 0
     _report(3, "solvability iff oracle", ok,
@@ -246,10 +244,8 @@ def test_criterion_6_embedding():
                                         CONJUGATE_TRANSPOSE, sign)
 
         triple = embed(prob)
-        ring = triple.ring()
         da, db = embed_mp(mp_inverse(prob.a), mp_inverse(prob.b), prob.dims)
-        if not (ring.is_mp_inverse(triple.a, da)
-                and ring.is_mp_inverse(triple.b, db)):
+        if not (is_mp_inverse(triple.a, da) and is_mp_inverse(triple.b, db)):
             bad_penrose += 1
 
         try:
@@ -269,7 +265,7 @@ def test_criterion_6_embedding():
         if not extracted.equals(fam.x0):
             bad_coincide += 1
         direct_ok = fam.residual(fam.x0).is_zero()
-        embedded_ok = equation_lhs(ring, sign, triple.a, triple.b,
+        embedded_ok = equation_lhs(sign, triple.a, triple.b,
                                    sq_fam.x0).equals(triple.c)
         if not (direct_ok and embedded_ok):
             bad_verify += 1

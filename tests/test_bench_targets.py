@@ -1,8 +1,9 @@
 """The package surface the benchmark reaches must exist.
 
-perfbench/spans.py patches the names in its TARGETS and perfbench/workloads.py
-calls package attributes through ``lib.<module>.<name>``; a deleted or renamed
-name would only break a traced benchmark run.  These tests resolve both lists
+perfbench/run.py imports a fixed list of package modules, perfbench/spans.py
+patches the names in its TARGETS and perfbench/workloads.py calls package
+attributes through ``lib.<module>.<name>``; a deleted or renamed module or
+name would only break a benchmark run.  These tests resolve all three lists
 against the package instead.
 """
 
@@ -81,6 +82,32 @@ def _workload_names():
             if hit is not None:
                 found.add(hit)
     return sorted(found)
+
+
+def _imported_modules():
+    """The starsolve modules perfbench/run.py's import_lib loads: the names in
+    its string tuples, plus every literal "starsolve.<module>" it imports."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "import_lib")
+    found = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Tuple) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            found.update(e.value for e in node.elts)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("starsolve.")):
+            found.add(node.value[len("starsolve."):])
+    return sorted(found - {""})  # "" from the f"starsolve.{m}" template
+
+
+def test_import_lib_list_is_read():
+    assert {"ring", "solvers", "cli"} <= set(_imported_modules())
+
+
+@pytest.mark.parametrize("module", _imported_modules())
+def test_benchmark_module_imports(module):
+    importlib.import_module(f"starsolve.{module}")
 
 
 @pytest.mark.parametrize("module_name,attr", [t[:2] for t in _load_spans().TARGETS])

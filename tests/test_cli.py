@@ -250,7 +250,7 @@ def test_exit_2_negative_samples(capsys):
 
 
 def test_exit_7_self_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(SolutionFamily, "is_solution", lambda self, x, rtol=None: False)
+    monkeypatch.setattr(SolutionFamily, "residual_ok", lambda self, x, residual: False)
     assert run_main("solve", "--input", str(GOLDEN / "scalar_minus.json")) == 7
     err = capsys.readouterr().err
     assert err.startswith("error: internal self-check failed")
@@ -271,6 +271,20 @@ def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
         assert run_main("solve", "--input", str(GOLDEN / name),
                         "--output", str(tmp_path / "r.json")) == 0
         assert len(calls) == 2, name  # a' and b', once each
+
+
+def test_solve_computes_each_residual_once(monkeypatch, tmp_path):
+    calls = []
+    real = SolutionFamily.residual
+
+    def counting(self, x):
+        calls.append(x.shape)
+        return real(self, x)
+
+    monkeypatch.setattr(SolutionFamily, "residual", counting)
+    assert run_main("solve", "--input", str(GOLDEN / "diag_solvable.json"),
+                    "--samples", "3", "--output", str(tmp_path / "r.json")) == 0
+    assert len(calls) == 4  # x0 and three samples, once each
 
 
 def test_argparse_rejects_unknown_subcommand():
