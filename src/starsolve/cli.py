@@ -26,16 +26,16 @@ from . import formats
 from .formats import (FormatError, Instance, KINDS, RECT_KINDS, SQUARE_KINDS,
                       SYM_KINDS)
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
-                     Matrix, MatrixRing, mp_inverse, penrose_defects)
+                     RTOL, Matrix, MatrixRing, mp_inverse, penrose_defects)
 from .oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                      oracle_solve, random_rect_instance, random_sym_instance,
                      random_square_instance, verify_family_against_oracle)
 from .ring import NotMpInvertibleError
 from .solvers import (HypothesesFailError, UnsolvableError, check_hypotheses,
-                      equation_lhs, solvability_conditions, solve, solve_sym_left,
-                      solve_sym_right, sym_solvability_conditions)
+                      equation_lhs, residual_tolerance, solvability_conditions,
+                      solve, solve_sym_left, solve_sym_right,
+                      sym_solvability_conditions)
 
-DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "STAR_SOLVE_TOL"
 # float residuals within [tol/BAND, tol*BAND] are too close to call
 INDETERMINATE_BAND = 1e3
@@ -70,14 +70,14 @@ def _resolve_tol(args) -> float:
             except ValueError:
                 raise FormatError(f"{TOL_ENV_VAR} must be a float, got {env!r}")
     if raw is None:
-        return DEFAULT_TOL
+        return RTOL
     if not raw > 0:
         raise FormatError(f"tolerance must be positive, got {raw}")
     return raw
 
 
 def _in_band(residual_max: float, tol: Optional[float]) -> bool:
-    if tol is None:
+    if not tol:  # exact, or terms that are all zero: nothing to call
         return False
     return tol / INDETERMINATE_BAND <= residual_max <= tol * INDETERMINATE_BAND
 
@@ -104,21 +104,32 @@ def _condition_entries(conditions) -> list:
 
 
 def _hypotheses_section(report) -> dict:
+    rc, hc = report.range_condition, report.hermitian_condition
     return {
-        "range_ok": report.range_ok,
-        "hermitian_ok": report.hermitian_ok,
-        "range_defect_max_abs": float(report.range_defect.max_abs()),
-        "hermitian_defect_max_abs": float(report.hermitian_defect.max_abs()),
-        "tolerance": report.tol,
+        "range_ok": rc.ok,
+        "hermitian_ok": hc.ok,
+        "range_defect_max_abs": float(rc.residual.max_abs()),
+        "hermitian_defect_max_abs": float(hc.residual.max_abs()),
+        "tolerance": None if rc.tol is None else max(rc.tol, hc.tol),
     }
 
 
-def _indeterminate(report, conditions) -> bool:
-    pairs = [(c.residual.max_abs(), c.tol) for c in conditions]
-    if report is not None:
-        pairs.append((report.range_defect.max_abs(), report.tol))
-        pairs.append((report.hermitian_defect.max_abs(), report.tol))
-    return any(_in_band(res, tol) for res, tol in pairs)
+def _verdict_fields(report, conditions) -> dict:
+    """The verdict part of a check or solve report; ``report`` is the
+    hypothesis report (None for sym kinds), ``conditions`` those on c."""
+    if report is not None and not report.ok:
+        verdict, failed = "hypotheses_failed", list(report.failed_names())
+    else:
+        failed = [c.name for c in conditions if not c.ok]
+        verdict = "unsolvable" if failed else "solvable"
+    checked = tuple(conditions) + (report.conditions if report is not None else ())
+    return {
+        "hypotheses": _hypotheses_section(report) if report is not None else None,
+        "verdict": verdict,
+        "failed_conditions": failed,
+        "conditions": _condition_entries(conditions),
+        "indeterminate": any(_in_band(c.residual.max_abs(), c.tol) for c in checked),
+    }
 
 
 def _emit(doc: dict, args, summary_lines) -> None:
@@ -207,26 +218,12 @@ def cmd_mp(args) -> int:
 # -- check ---------------------------------------------------------------
 
 
-def _verdict(report, conditions) -> tuple:
-    if report is not None and not report.ok:
-        return "hypotheses_failed", list(report.failed_names())
-    failed = [c.name for c in conditions if not c.ok]
-    return ("unsolvable", failed) if failed else ("solvable", [])
-
-
 def cmd_check(args) -> int:
     rtol = _resolve_tol(args)
     inst = formats.load_instance(args.input)
-    report, conditions = _conditions_for(inst, rtol)
-    verdict, failed = _verdict(report, conditions)
     doc = _base_report("check", inst, rtol)
-    doc.update({
-        "hypotheses": _hypotheses_section(report) if report is not None else None,
-        "verdict": verdict,
-        "failed_conditions": failed,
-        "conditions": _condition_entries(conditions),
-        "indeterminate": inst.backend == FLOAT and _indeterminate(report, conditions),
-    })
+    doc.update(_verdict_fields(*_conditions_for(inst, rtol)))
+    verdict, failed = doc["verdict"], doc["failed_conditions"]
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
              f"verdict: {verdict}" + (f" ({', '.join(failed)})" if failed else "")]
     if doc["indeterminate"]:
@@ -255,11 +252,8 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
     return samples
 
 
-def _oracle_section(inst: Instance, fam) -> dict:
-    if inst.backend != EXACT:
-        raise FormatError("--oracle needs the exact backend")
-    sign, oa, ob, rhs = _oracle_triple(inst)
-    result = oracle_solve(sign, oa, ob, rhs)
+def _oracle_section(fam) -> dict:
+    result = oracle_solve(fam.sign, fam.a, fam.b, fam.c)
     agreement = verify_family_against_oracle(fam, result, trials=ORACLE_TRIALS)
     if not (result.solvable and agreement.ok):
         raise SelfCheckError("oracle cross-check failed on a solved instance")
@@ -282,26 +276,12 @@ def cmd_solve(args) -> int:
     try:
         fam = _solve_instance(inst, rtol)
     except HypothesesFailError as exc:
-        doc.update({
-            "hypotheses": _hypotheses_section(exc.report),
-            "verdict": "hypotheses_failed",
-            "failed_conditions": list(exc.report.failed_names()),
-            "conditions": [],
-            "indeterminate": inst.backend == FLOAT and _indeterminate(exc.report, ()),
-        })
+        doc.update(_verdict_fields(exc.report, ()))
         _emit(doc, args, [f"{inst.kind} instance: hypotheses failed "
                           f"({', '.join(doc['failed_conditions'])})"])
         return EXIT_HYPOTHESES_FAIL
     except UnsolvableError as exc:
-        doc.update({
-            "hypotheses": (_hypotheses_section(exc.report)
-                           if exc.report is not None else None),
-            "verdict": "unsolvable",
-            "failed_conditions": list(exc.failed),
-            "conditions": _condition_entries(exc.conditions),
-            "indeterminate": inst.backend == FLOAT and
-                             _indeterminate(exc.report, exc.conditions),
-        })
+        doc.update(_verdict_fields(exc.report, exc.conditions))
         _emit(doc, args, [f"{inst.kind} instance: unsolvable "
                           f"({', '.join(exc.failed)})"])
         return EXIT_UNSOLVABLE
@@ -310,14 +290,8 @@ def cmd_solve(args) -> int:
     if not fam.residual_ok(fam.x0, residual):
         raise SelfCheckError("particular solution failed re-verification")
     base_seed = args.seed if args.seed is not None else 0
+    doc.update(_verdict_fields(fam.report, fam.conditions))
     doc.update({
-        "hypotheses": (_hypotheses_section(fam.report)
-                       if fam.report is not None else None),
-        "verdict": "solvable",
-        "failed_conditions": [],
-        "conditions": _condition_entries(fam.conditions),
-        "indeterminate": inst.backend == FLOAT and
-                         _indeterminate(fam.report, fam.conditions),
         "x0": formats.encode_matrix(fam.x0),
         "residual_max_abs": float(residual.max_abs()),
         "samples": _sample_section(fam, base_seed, args.samples),
@@ -327,7 +301,7 @@ def cmd_solve(args) -> int:
              f"x0 residual max |entry| = {doc['residual_max_abs']:.3e}",
              f"{args.samples} sample solutions verified"]
     if args.oracle:
-        doc["oracle"] = _oracle_section(inst, fam)
+        doc["oracle"] = _oracle_section(fam)
         lines.append(f"oracle agreement: ok "
                      f"(real dimension {doc['oracle']['real_dimension']})")
     _emit(doc, args, lines)
@@ -365,12 +339,6 @@ def _parse_dims(kind: str, raw: Optional[str]):
 def cmd_gen(args) -> int:
     import random as _random
     kind = args.kind
-    if kind not in KINDS:
-        raise FormatError(f"--kind must be one of {KINDS}, got {kind!r}")
-    if args.backend not in BACKENDS:
-        raise FormatError(f"--backend must be one of {BACKENDS}")
-    if args.involution not in INVOLUTIONS:
-        raise FormatError(f"--involution must be one of {INVOLUTIONS}")
     dims = _parse_dims(kind, args.dims)
     rng = _random.Random(args.seed)
     sign = formats.sign_of(kind)
@@ -432,14 +400,8 @@ def cmd_verify(args) -> int:
     sign, a, b, rhs = _oracle_triple(inst)
     residual = equation_lhs(sign, a, b, x).sub(rhs)
     residual_max = float(residual.max_abs())
-    if inst.backend == EXACT:
-        verified = residual.is_zero()
-        tol_abs = None
-    else:
-        scale = max([residual_max] + [m.max_abs() for m in inst.operands.values()]
-                    + [x.max_abs()])
-        tol_abs = rtol * (1.0 + scale)
-        verified = residual_max <= tol_abs
+    tol_abs = residual_tolerance(rtol, a, b, rhs, x)
+    verified = residual.is_zero(tol_abs)
 
     doc = {
         "version": formats.FORMAT_VERSION,
@@ -473,8 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", help="write the JSON report here "
                            "(summary goes to stdout); default prints JSON")
         p.add_argument("--tol", type=float, default=None,
-                       help=f"relative float tolerance (default {DEFAULT_TOL}, "
-                            f"or {TOL_ENV_VAR})")
+                       help=f"relative float tolerance: each float zero test "
+                            f"allows this times the scale of its residual's "
+                            f"terms (default {RTOL}, or {TOL_ENV_VAR})")
 
     p_mp = sub.add_parser("mp", help="Moore-Penrose inverse of one matrix")
     p_mp.add_argument("--input", required=True, help="matrix file (JSON)")

@@ -14,12 +14,11 @@ unknown keys, wrong shapes, and out-of-enum values all raise FormatError.
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple
 
-from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
-                     TRANSPOSE, Matrix)
+from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix
 from .scalars import GaussianRational
 
 FORMAT_VERSION = "1"

@@ -13,6 +13,7 @@ that the Gram matrices appearing in the MP-inverse are always invertible.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,9 +30,8 @@ CONJUGATE_TRANSPOSE = "conjugate_transpose"
 TRANSPOSE = "transpose"
 INVOLUTIONS = (CONJUGATE_TRANSPOSE, TRANSPOSE)
 
-# Default tolerance policies on the float backend.  Everything exact compares
-# structurally; these never apply there.
-EQUALS_RTOL = 1e-10          # default entrywise equality: tol = EQUALS_RTOL * (1 + max abs)
+# Float tolerances; everything exact compares structurally and never uses them.
+RTOL = 1e-9                  # zero tests of residuals, relative to their terms (see tolerance)
 PIVOT_RTOL = 1e-12           # elimination pivot threshold: PIVOT_RTOL * max abs entry
 _FLOAT_REFINE_STEPS = 2      # Newton polish of the float MP-inverse
 
@@ -228,8 +228,8 @@ class Matrix:
     def equals(self, other: "Matrix", tol: Optional[float] = None) -> bool:
         """Entrywise equality; exact backend structural, float within ``tol``.
 
-        ``tol`` is absolute; ``None`` selects EQUALS_RTOL * (1 + max abs of
-        the operands) on the float backend and is ignored on the exact one.
+        ``tol`` is absolute; ``None`` selects ``tolerance(RTOL, self, other)``
+        on the float backend and is ignored on the exact one.
         """
         self._check_tags(other)
         if self.shape != other.shape:
@@ -237,15 +237,15 @@ class Matrix:
         if self.backend == EXACT:
             return self.entries == other.entries
         if tol is None:
-            tol = EQUALS_RTOL * (1.0 + max(self.max_abs(), other.max_abs()))
+            tol = tolerance(RTOL, self, other)
         return all(abs(a - b) <= tol for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
 
     def is_zero(self, tol: Optional[float] = None) -> bool:
-        if self.backend == EXACT:
-            return all(not e for row in self.entries for e in row)
+        """Every entry is zero: exactly when ``tol`` is None (what
+        :func:`tolerance` gives on the exact backend), else within ``tol``."""
         if tol is None:
-            tol = EQUALS_RTOL * (1.0 + self.max_abs())
+            return all(not e for row in self.entries for e in row)
         return self.max_abs() <= tol
 
     # -- blocks and conversion ----------------------------------------------
@@ -277,6 +277,22 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
+
+
+def tolerance(rtol: float, *terms) -> Optional[float]:
+    """Absolute tolerance for the zero test of a residual made of ``terms``.
+
+    The one float zero-test rule: ``rtol`` times the largest scale among the
+    terms the residual is the difference of.  A term is a Matrix, scaled by
+    its max abs entry, or a tuple of the factors of a product, scaled by the
+    product of theirs.  Every identity checked here is homogeneous in its
+    terms, so rescaling an instance does not change a verdict.  None on the
+    exact backend, where zero means zero.
+    """
+    factors = [term if isinstance(term, tuple) else (term,) for term in terms]
+    if factors[0][0].backend == EXACT:
+        return None
+    return rtol * max(math.prod(f.max_abs() for f in term) for term in factors)
 
 
 # -- elimination ----------------------------------------------------------
@@ -395,9 +411,11 @@ def penrose_defects(a: Matrix, b: Matrix) -> list:
 
 
 def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
-    """True iff the pair ``(a, b)`` satisfies all four Penrose equations
-    (within the default float tolerance of Matrix.is_zero)."""
-    return all(d.is_zero() for d in penrose_defects(a, b))
+    """True iff the pair ``(a, b)`` satisfies all four Penrose equations,
+    each judged by :func:`tolerance` over its own terms on floats."""
+    tols = (tolerance(RTOL, (a, b, a), a), tolerance(RTOL, (b, a, b), b),
+            tolerance(RTOL, (a, b)), tolerance(RTOL, (b, a)))
+    return all(d.is_zero(tol) for d, tol in zip(penrose_defects(a, b), tols))
 
 
 # -- random draws -----------------------------------------------------------

@@ -19,9 +19,9 @@ p x m convention seen elsewhere refers to B*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .matrix import Matrix, MatrixRing
+from .matrix import RTOL, Matrix, MatrixRing
 from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, solve
 
 Dims = Tuple[int, int, int]
@@ -127,14 +127,14 @@ def embed_solution(x: Matrix, dims: Dims) -> Matrix:
 
 
 def check_rect_hypotheses(problem: RectProblem,
-                          rtol: Optional[float] = None) -> HypothesisReport:
+                          rtol: float = RTOL) -> HypothesisReport:
     """Range and hermitian conditions for the rectangular pair (A, B),
     checked in the m x m ring of C."""
     return check_hypotheses(problem.ring(), problem.a, problem.b, rtol)
 
 
 def solve_rect(problem: RectProblem, sign: str = MINUS,
-               rtol: Optional[float] = None) -> SolutionFamily:
+               rtol: float = RTOL) -> SolutionFamily:
     """Solve A X B* - B X* A* = C (or the plus variant) in rectangular shapes.
 
     The square solver run in the m x m ring of C, with the same contract:
@@ -147,7 +147,7 @@ def solve_rect(problem: RectProblem, sign: str = MINUS,
 
 
 def solve_rect_via_embedding(problem: RectProblem, sign: str = MINUS,
-                             rtol: Optional[float] = None):
+                             rtol: float = RTOL):
     """Cross-check route: embed, solve in the square ring, keep the square family.
 
     Returns (square SolutionFamily, EmbeddedTriple); extract_solution maps its

@@ -20,6 +20,10 @@ Failed conditions are reported under stable names:
     "c_star_neq_minus_c", "c_star_neq_c"       symmetry of c (minus/plus)
     "H_condition"                              the averaged projection identity
     "b_star_neq_b", "E_condition", "F_condition"  symmetric special cases
+
+On the float backend every check is a zero test of its residual against
+``matrix.tolerance(rtol, ...)`` over that residual's own terms, so verdicts
+do not change when an instance is rescaled.
 """
 
 from __future__ import annotations
@@ -29,15 +33,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import matrix
-from .matrix import EXACT, Matrix, MatrixRing, random_matrix
+from .matrix import RTOL, Matrix, MatrixRing, random_matrix
 
 MINUS = "minus"
 PLUS = "plus"
 SIGNS = (MINUS, PLUS)
-
-# Condition and hypothesis checks on the float backend compare within
-# CONDITION_RTOL * (1 + max abs over the participating elements).
-CONDITION_RTOL = 1e-9
 
 
 def _check_sign(sign: str):
@@ -45,11 +45,20 @@ def _check_sign(sign: str):
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
 
 
-def _tol_for(rtol: Optional[float], *elems: Matrix) -> Optional[float]:
-    """Absolute tolerance for zero tests, or None on the exact backend."""
-    if elems[0].backend == EXACT:
-        return None
-    return (CONDITION_RTOL if rtol is None else rtol) * (1.0 + max(e.max_abs() for e in elems))
+@dataclass(frozen=True)
+class Condition:
+    """One named check; ``residual`` is the matrix that must vanish."""
+
+    name: str
+    ok: bool
+    residual: Matrix
+    tol: Optional[float]  # absolute tolerance the check used (None = exact)
+
+
+def _condition(name: str, residual: Matrix, rtol: float, *terms) -> Condition:
+    """Zero-test ``residual`` against the tolerance of its ``terms``."""
+    tol = matrix.tolerance(rtol, *terms)
+    return Condition(name, residual.is_zero(tol), residual, tol)
 
 
 @dataclass(frozen=True)
@@ -62,33 +71,19 @@ class HypothesisReport:
     b_dagger: Matrix
     d: Matrix
     d_dagger: Matrix
-    range_ok: bool
-    hermitian_ok: bool
-    range_defect: Matrix      # a a' b - b
-    hermitian_defect: Matrix  # (a' b b' a)* - a' b b' a
-    tol: Optional[float] = None  # absolute tolerance the checks used (None = exact)
+    range_condition: Condition      # residual a a' b - b
+    hermitian_condition: Condition  # residual (a' b b' a)* - a' b b' a
+
+    @property
+    def conditions(self) -> tuple:
+        return (self.range_condition, self.hermitian_condition)
 
     @property
     def ok(self) -> bool:
-        return self.range_ok and self.hermitian_ok
+        return all(cond.ok for cond in self.conditions)
 
     def failed_names(self) -> tuple:
-        names = []
-        if not self.range_ok:
-            names.append("range_condition")
-        if not self.hermitian_ok:
-            names.append("hermitian_condition")
-        return tuple(names)
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One named solvability check; ``residual`` is the matrix that must vanish."""
-
-    name: str
-    ok: bool
-    residual: Matrix
-    tol: Optional[float] = None  # absolute tolerance the check used (None = exact)
+        return tuple(cond.name for cond in self.conditions if not cond.ok)
 
 
 class HypothesesFailError(Exception):
@@ -110,25 +105,22 @@ class UnsolvableError(Exception):
 
 
 def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
-                     rtol: Optional[float] = None) -> HypothesisReport:
+                     rtol: float = RTOL) -> HypothesisReport:
     """Evaluate the range and hermitian conditions for the pair (a, b).
 
     ``ring`` is the ring of c: for rectangular a (m x n) and b (m x p), the
     m x m matrix ring.  NotMpInvertibleError propagates.  The exact backend
-    compares strictly; floats within rtol * (1 + max abs).
+    compares strictly; floats judge the range residual against a a' b and b,
+    the hermitian one against a' b b' a (see matrix.tolerance).
     """
     a_dagger = matrix.mp_inverse(a)
     b_dagger = matrix.mp_inverse(b)
-    tol = _tol_for(rtol, a, b, a_dagger, b_dagger)
-
-    range_defect = a @ a_dagger @ b - b
+    aab = a @ a_dagger @ b
     h = (a_dagger @ b) @ (b_dagger @ a)
-    hermitian_defect = h.star() - h
-
     e_b = ring.one() - b @ b_dagger
     return HypothesisReport(a, b, a_dagger, b_dagger, e_b @ a, a_dagger @ e_b,
-                            range_defect.is_zero(tol), hermitian_defect.is_zero(tol),
-                            range_defect, hermitian_defect, tol)
+                            _condition("range_condition", aab - b, rtol, aab, b),
+                            _condition("hermitian_condition", h.star() - h, rtol, h))
 
 
 def _require_ok(report: HypothesisReport):
@@ -158,28 +150,24 @@ def particular(sign: str, report: HypothesisReport, c: Matrix) -> Matrix:
 
 
 def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
-                           rtol: Optional[float] = None) -> tuple:
+                           rtol: float = RTOL) -> tuple:
     """The sign-appropriate pair of named conditions on c.
 
     With m = (a a' + d d') c b b':  minus requires c* = -c and m - m* = 2c;
-    plus requires c* = c and m + m* = 2c.
+    plus requires c* = c and m + m* = 2c.  Floats judge the first against c,
+    the second against m and c.
     """
     _check_sign(sign)
     _require_ok(report)
-    tol = _tol_for(rtol, report.a, report.b, report.a_dagger, report.b_dagger, c)
-
     if sign == MINUS:
-        sym_name, sym_defect = "c_star_neq_minus_c", c.star() + c
+        sym = _condition("c_star_neq_minus_c", c.star() + c, rtol, c)
     else:
-        sym_name, sym_defect = "c_star_neq_c", c.star() - c
-    sym = Condition(sym_name, sym_defect.is_zero(tol), sym_defect, tol)
+        sym = _condition("c_star_neq_c", c.star() - c, rtol, c)
 
     proj = report.a @ report.a_dagger + report.d @ report.d_dagger
     m = proj @ c @ (report.b @ report.b_dagger)
     h = m - m.star() if sign == MINUS else m + m.star()
-    h_defect = h - (c + c)
-    hcond = Condition("H_condition", h_defect.is_zero(tol), h_defect, tol)
-    return (sym, hcond)
+    return (sym, _condition("H_condition", h - (c + c), rtol, m, c))
 
 
 def equation_lhs(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
@@ -188,6 +176,17 @@ def equation_lhs(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
     left = a @ x @ b.star()
     right = b @ x.star() @ a.star()
     return left - right if sign == MINUS else left + right
+
+
+def residual_tolerance(rtol: float, a: Matrix, b: Matrix, c: Matrix,
+                       x: Matrix) -> Optional[float]:
+    """Absolute tolerance for the residual a x b* -/+ b x* a* - c at x.
+
+    The one rule for judging a claimed solution, shared by SolutionFamily
+    and the CLI's ``verify``: the residual's terms are the products a x b*,
+    b x* a* and c, so it is judged against |a| |x| |b| and |c| (max abs).
+    """
+    return matrix.tolerance(rtol, (a, x, b), c)
 
 
 @dataclass
@@ -209,8 +208,9 @@ class SolutionFamily:
     the symmetric equation's own a; those families store the equivalent
     general-form triple (a, b, c) -- (1, a, b) for sym_right, (a*, 1, b)
     for sym_left -- so residuals are uniform.  ``report`` is the hypothesis
-    report (None for the symmetric kinds) and ``conditions`` the
-    solvability conditions the solver checked.
+    report (None for the symmetric kinds), ``conditions`` the
+    solvability conditions the solver checked, and ``rtol`` the relative
+    float tolerance it checked them with.
     """
 
     sign: str
@@ -225,6 +225,7 @@ class SolutionFamily:
     kind: str
     report: Optional[HypothesisReport]
     conditions: tuple
+    rtol: float = RTOL
 
     def homogeneous(self, v: Matrix) -> Matrix:
         """L(v): a solution of the homogeneous equation."""
@@ -242,8 +243,8 @@ class SolutionFamily:
 
     def residual_ok(self, x: Matrix, residual: Matrix) -> bool:
         """Whether ``residual`` (the residual at x) vanishes: exactly on the
-        exact backend, else within CONDITION_RTOL of the scale of a, b, c, x."""
-        return residual.is_zero(_tol_for(None, self.a, self.b, self.c, x))
+        exact backend, else within ``residual_tolerance`` at ``rtol``."""
+        return residual.is_zero(residual_tolerance(self.rtol, self.a, self.b, self.c, x))
 
     def is_solution(self, x: Matrix) -> bool:
         return self.residual_ok(x, self.residual(x))
@@ -267,7 +268,7 @@ def _general_coefficients(report: HypothesisReport) -> tuple:
 
 
 def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
-          rtol: Optional[float] = None) -> SolutionFamily:
+          rtol: float = RTOL) -> SolutionFamily:
     """Solve a x b* -/+ b x* a* = c.
 
     ``ring`` is the ring of c, as for check_hypotheses.  Raises
@@ -283,11 +284,10 @@ def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
         raise UnsolvableError(conditions, report)
     x0 = particular(sign, report, c)
     return SolutionFamily(sign, a, b, c, x0, *_general_coefficients(report),
-                          "general", report, conditions)
+                          "general", report, conditions, rtol)
 
 
-def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
-               rtol: Optional[float]):
+def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix, rtol: float):
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     a_dagger = matrix.mp_inverse(a)
@@ -297,22 +297,19 @@ def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
     else:
         proj = ring.one() - a_dagger @ a
         name = "F_condition"
-    tol = _tol_for(rtol, b, a, a_dagger)
-    sym_defect = b.star() - b
-    squeeze = proj @ b @ proj
-    conditions = (Condition("b_star_neq_b", sym_defect.is_zero(tol), sym_defect, tol),
-                  Condition(name, squeeze.is_zero(tol), squeeze, tol))
+    conditions = (_condition("b_star_neq_b", b.star() - b, rtol, b),
+                  _condition(name, proj @ b @ proj, rtol, b))
     return conditions, a_dagger, proj
 
 
 def sym_solvability_conditions(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
-                               rtol: Optional[float] = None) -> tuple:
+                               rtol: float = RTOL) -> tuple:
     """Named conditions for x a* + a x* = b ("right") or a* x + x* a = b ("left")."""
     return _sym_setup(ring, side, a, b, rtol)[0]
 
 
 def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
-               rtol: Optional[float]) -> SolutionFamily:
+               rtol: float) -> SolutionFamily:
     conditions, a_dagger, proj = _sym_setup(ring, side, a, b, rtol)
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions)
@@ -322,15 +319,15 @@ def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
         x0 = (one_plus_proj @ (b @ ad_star)).half()
         return SolutionFamily(PLUS, ring.one(), a, b, x0,
                               one_plus_proj, a_dagger @ a, a, ad_star,
-                              "sym_right", None, conditions)
+                              "sym_right", None, conditions, rtol)
     x0 = (ad_star @ b @ one_plus_proj).half()
     return SolutionFamily(PLUS, a.star(), ring.one(), b, x0,
                           a @ a_dagger, one_plus_proj, ad_star, a,
-                          "sym_left", None, conditions)
+                          "sym_left", None, conditions, rtol)
 
 
 def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,
-                    rtol: Optional[float] = None) -> SolutionFamily:
+                    rtol: float = RTOL) -> SolutionFamily:
     """Solve x a* + a x* = b.
 
     Solvable iff b* = b and E_a b E_a = 0 with E_a = 1 - a a'.  The family is
@@ -343,7 +340,7 @@ def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,
 
 
 def solve_sym_left(ring: MatrixRing, a: Matrix, b: Matrix,
-                   rtol: Optional[float] = None) -> SolutionFamily:
+                   rtol: float = RTOL) -> SolutionFamily:
     """Solve a* x + x* a = b.
 
     Solvable iff b* = b and F_a b F_a = 0 with F_a = 1 - a'a.  The family is

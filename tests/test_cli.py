@@ -1,5 +1,5 @@
 import json
-import os
+import random
 import re
 import subprocess
 import sys
@@ -9,7 +9,8 @@ import pytest
 
 from starsolve import formats, matrix
 from starsolve.cli import main
-from starsolve.solvers import SolutionFamily
+from starsolve.oracle import random_square_instance
+from starsolve.solvers import MINUS, PLUS, SolutionFamily
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -382,6 +383,72 @@ def test_exact_reports_are_never_indeterminate(tmp_path):
     run_main("check", "--input", str(GOLDEN / "scalar_minus.json"),
              "--output", str(out))
     assert json.loads(out.read_text())["indeterminate"] is False
+
+
+def write_scaled_float(path, inst, scale):
+    """Save ``inst`` on the float backend with every operand times ``scale``."""
+    operands = {name: m.to_float().scale(scale) for name, m in inst.operands.items()}
+    formats.save_instance(formats.make_instance(inst.kind, matrix.FLOAT, inst.involution,
+                                                operands, inst.dims), str(path))
+
+
+def check_report(path, *extra):
+    out = path.parent / "check.json"
+    assert run_main("check", "--input", str(path), "--output", str(out), *extra) == 0
+    return json.loads(out.read_text())
+
+
+def test_float_verdicts_are_scale_invariant(tmp_path):
+    # Exact square instances through to_float and scaled by 10^k: every float
+    # verdict equals the exact one or the report says it is too close to call.
+    rng = random.Random(8)
+    exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
+    for i in range(32):
+        sign = (MINUS, PLUS)[i % 2]
+        family = ("unitary", "equal", "diagonal", "diagonal")[i % 4]
+        involution = (matrix.CONJUGATE_TRANSPOSE, matrix.TRANSPOSE)[i // 16]
+        force = (i // 4) % 2 == 0  # else a random c of the sign's symmetry
+        a, b, c = random_square_instance(rng, sign, 3, family, force, involution)
+        inst = formats.make_instance(sign, matrix.EXACT, involution,
+                                     {"a": a, "b": b, "c": c})
+        formats.save_instance(inst, str(exact_path))
+        exact = check_report(exact_path)["verdict"]
+        for k in (-12, -6, 0, 6, 12):
+            write_scaled_float(float_path, inst, 10.0 ** k)
+            report = check_report(float_path)
+            assert report["verdict"] == exact or report["indeterminate"], (i, k)
+
+
+def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
+    # One equation-residual rule for solve's self-check and for verify: the x0
+    # that solve prints at --tol T passes verify at --tol T, and check agrees
+    # with solve on the verdict, also on an instance scaled by 1e-6.
+    tol = ("--tol", "1e-12")
+    exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
+    sol_path, out = tmp_path / "x0.json", tmp_path / "solve.json"
+    solved = 0
+    for kind in ("minus", "plus", "sym_right", "sym_left", "rect_minus"):
+        for seed, force in ((0, True), (1, True), (2, False)):
+            argv = ["gen", "--kind", kind, "--seed", str(seed), "--dims",
+                    "2,3,2" if kind.startswith("rect") else "3",
+                    "--output", str(exact_path)]
+            assert run_main(*argv, *(["--force-solvable"] if force else [])) == 0
+            write_scaled_float(float_path, formats.load_instance(str(exact_path)), 1e-6)
+            code = run_main("solve", "--input", str(float_path), "--samples", "1",
+                            "--output", str(out), *tol)
+            doc = json.loads(out.read_text())
+            assert check_report(float_path, *tol)["verdict"] == doc["verdict"]
+            if force:
+                assert code == 0, (kind, seed)
+            if code != 0:
+                continue
+            solved += 1
+            x0 = formats.decode_matrix(doc["x0"], matrix.FLOAT,
+                                       doc["instance"]["involution"])
+            formats.save_matrix(x0, str(sol_path))
+            assert run_main("verify", "--input", str(float_path),
+                            "--solution", str(sol_path), *tol) == 0, (kind, seed)
+    assert solved >= 10
 
 
 # -- round trips through the console entry point -----------------------------------

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 from fractions import Fraction
@@ -8,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsolve import formats
-from starsolve.formats import (FormatError, Instance, instance_from_doc,
-                               instance_to_doc, matrix_from_doc,
-                               matrix_to_doc)
+from starsolve.formats import (FormatError, instance_from_doc, instance_to_doc,
+                               matrix_from_doc, matrix_to_doc)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               Matrix, random_matrix)
 from starsolve.oracle import (random_rect_instance, random_sym_instance,

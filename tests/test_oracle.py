@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, random_matrix)
+from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix,
+                              MatrixRing, random_matrix)
 from starsolve.oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                               linearize, oracle_solve, random_coisometry,
                               random_pair, random_rect_instance,
                               random_sym_instance, random_square_instance,
                               random_unitary, verify_family_against_oracle)
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import (MINUS, PLUS, check_hypotheses, equation_lhs,
-                               solve)
+from starsolve.solvers import MINUS, PLUS, check_hypotheses, solve
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

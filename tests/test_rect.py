@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, is_mp_inverse, mp_inverse,
+from starsolve.matrix import (TRANSPOSE, Matrix, is_mp_inverse, mp_inverse,
                               random_matrix)
 from starsolve.oracle import random_rect_instance
-from starsolve.rect import (EmbeddedTriple, RectProblem, check_rect_hypotheses,
-                            embed, embed_mp, embed_solution, extract_solution,
-                            solve_rect, solve_rect_via_embedding)
+from starsolve.rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
+                            embed_solution, extract_solution, solve_rect,
+                            solve_rect_via_embedding)
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs, solve
+from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               Matrix, MatrixRing, is_mp_inverse, random_matrix)
-from starsolve.oracle import random_pair, random_sym_instance
+from starsolve.oracle import random_pair, random_square_instance, random_sym_instance
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
@@ -34,16 +34,16 @@ def scalar(value):
 
 def test_check_hypotheses_scalar_ones():
     rep = check_hypotheses(RING1, scalar(1), scalar(1))
-    assert rep.ok and rep.range_ok and rep.hermitian_ok
+    assert rep.ok and rep.range_condition.ok and rep.hermitian_condition.ok
     assert rep.d.is_zero()
-    assert rep.tol is None
+    assert all(cond.tol is None for cond in rep.conditions)
 
 
 def test_check_hypotheses_failure_names():
     a = Matrix.exact([[1, 0], [0, 0]])
     b = Matrix.exact([[0, 0], [0, 1]])
     rep = check_hypotheses(RING2, a, b)
-    assert not rep.range_ok
+    assert not rep.range_condition.ok
     assert "range_condition" in rep.failed_names()
 
 
@@ -76,7 +76,7 @@ def test_float_hypotheses_record_tolerance():
     ring = MatrixRing(2, backend=FLOAT)
     rep = check_hypotheses(ring, a, b)
     assert rep.ok
-    assert rep.tol is not None and rep.tol > 0
+    assert all(cond.tol is not None and cond.tol > 0 for cond in rep.conditions)
 
 
 # -- solvability conditions -----------------------------------------------------
@@ -322,3 +322,28 @@ def test_condition_tolerance_recorded_for_float():
     b = Matrix.floating([[1.0, 0.0], [0.0, 1.0]])
     conds = sym_solvability_conditions(ring, "right", a, b)
     assert all(c.tol is not None for c in conds)
+
+
+# -- float verdicts under rescaling --------------------------------------------
+
+
+def test_scaled_unsolvable_diagonal_instances_stay_unsolvable():
+    # Exactly unsolvable 3x3 minus instances (diagonal pairs, random skew c)
+    # scaled by 1e-6: the float conditions are judged against their own
+    # terms, so the verdict does not drift to "solvable" as the scale falls.
+    rng = random.Random(41)
+    exact_ring, float_ring = MatrixRing(3), MatrixRing(3, backend=FLOAT)
+    found = 0
+    for _ in range(200):
+        a, b, c = random_square_instance(rng, MINUS, 3, "diagonal",
+                                         force_solvable=False)
+        if all(cond.ok for cond in solvability_conditions(
+                MINUS, check_hypotheses(exact_ring, a, b), c)):
+            continue
+        af, bf, cf = (m.to_float().scale(1e-6) for m in (a, b, c))
+        with pytest.raises(UnsolvableError):
+            solve(float_ring, MINUS, af, bf, cf)
+        found += 1
+        if found == 20:
+            break
+    assert found == 20
