@@ -18,7 +18,6 @@ Exit codes are a stable contract:
 
 import argparse
 import datetime
-import os
 import sys
 from typing import Optional
 
@@ -26,17 +25,16 @@ from . import formats
 from .formats import (FormatError, Instance, KINDS, RECT_KINDS, SQUARE_KINDS,
                       SYM_KINDS)
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
-                     RTOL, Matrix, MatrixRing, mp_inverse, penrose_defects)
+                     RTOL, MatrixRing, mp_inverse, penrose_defects)
 from .oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                      oracle_solve, random_rect_instance, random_sym_instance,
                      random_square_instance, verify_family_against_oracle)
 from .ring import NotMpInvertibleError
 from .solvers import (HypothesesFailError, UnsolvableError, check_hypotheses,
                       equation_lhs, residual_tolerance, solvability_conditions,
-                      solve, solve_sym_left, solve_sym_right,
+                      solve, solve_sym_left, solve_sym_right, sym_general_form,
                       sym_solvability_conditions)
 
-TOL_ENV_VAR = "STAR_SOLVE_TOL"
 # float residuals within [tol/BAND, tol*BAND] are too close to call
 INDETERMINATE_BAND = 1e3
 
@@ -49,7 +47,6 @@ EXIT_VERIFY_FAIL = 6
 EXIT_SELF_CHECK = 7
 
 DEFAULT_SAMPLES = 3
-ORACLE_TRIALS = 5
 
 
 class SelfCheckError(Exception):
@@ -61,19 +58,9 @@ def _utc_now() -> str:
 
 
 def _resolve_tol(args) -> float:
-    raw = args.tol
-    if raw is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        if env is not None:
-            try:
-                raw = float(env)
-            except ValueError:
-                raise FormatError(f"{TOL_ENV_VAR} must be a float, got {env!r}")
-    if raw is None:
-        return RTOL
-    if not raw > 0:
-        raise FormatError(f"tolerance must be positive, got {raw}")
-    return raw
+    if not args.tol > 0:
+        raise FormatError(f"tolerance must be positive, got {args.tol}")
+    return args.tol
 
 
 def _in_band(residual_max: float, tol: Optional[float]) -> bool:
@@ -84,6 +71,10 @@ def _in_band(residual_max: float, tol: Optional[float]) -> bool:
 
 def _ring_for(inst: Instance) -> MatrixRing:
     return MatrixRing(inst.size, inst.backend, inst.involution)
+
+
+def _sym_side(kind: str) -> str:
+    return "right" if kind == "sym_right" else "left"
 
 
 def _instance_summary(inst: Instance) -> dict:
@@ -147,8 +138,7 @@ def _conditions_for(inst: Instance, rtol: float):
     ring = _ring_for(inst)
     a, b = inst.operand("a"), inst.operand("b")
     if inst.kind in SYM_KINDS:
-        side = "right" if inst.kind == "sym_right" else "left"
-        return None, sym_solvability_conditions(ring, side, a, b, rtol=rtol)
+        return None, sym_solvability_conditions(ring, _sym_side(inst.kind), a, b, rtol=rtol)
     report = check_hypotheses(ring, a, b, rtol=rtol)
     if not report.ok:
         return report, ()
@@ -163,17 +153,6 @@ def _solve_instance(inst: Instance, rtol: float):
     if inst.kind == "sym_left":
         return solve_sym_left(ring, a, b, rtol=rtol)
     return solve(ring, inst.sign, a, b, inst.operand("c"), rtol=rtol)
-
-
-def _oracle_triple(inst: Instance):
-    """(sign, A, B, rhs) of the instance's equation in general form."""
-    a = inst.operand("a")
-    if inst.kind not in SYM_KINDS:
-        return inst.sign, a, inst.operand("b"), inst.operand("c")
-    eye = Matrix.identity(a.rows, inst.involution, inst.backend)
-    if inst.kind == "sym_right":
-        return inst.sign, eye, a, inst.operand("b")
-    return inst.sign, a.star(), eye, inst.operand("b")
 
 
 def _base_report(command: str, inst: Instance, tol_rtol: float) -> dict:
@@ -254,7 +233,7 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
 
 def _oracle_section(fam) -> dict:
     result = oracle_solve(fam.sign, fam.a, fam.b, fam.c)
-    agreement = verify_family_against_oracle(fam, result, trials=ORACLE_TRIALS)
+    agreement = verify_family_against_oracle(fam, result)
     if not (result.solvable and agreement.ok):
         raise SelfCheckError("oracle cross-check failed on a solved instance")
     return {
@@ -353,8 +332,7 @@ def cmd_gen(args) -> int:
     elif kind in SYM_KINDS:
         if args.family is not None:
             raise FormatError("--family does not apply to sym kinds")
-        side = "right" if kind == "sym_right" else "left"
-        a, b = random_sym_instance(rng, side, dims, args.force_solvable,
+        a, b = random_sym_instance(rng, _sym_side(kind), dims, args.force_solvable,
                                    args.involution)
         operands, inst_dims = {"a": a, "b": b}, None
     else:
@@ -389,16 +367,14 @@ def cmd_verify(args) -> int:
     x = formats.load_matrix(args.solution)
     if x.backend != inst.backend or x.involution != inst.involution:
         raise FormatError("solution tags do not match the instance")
-    if inst.kind in RECT_KINDS:
-        m, n, p = inst.dims
-        expected = (n, p)
-    else:
-        expected = inst.operand("a").shape
-    if x.shape != expected:
-        raise FormatError(f"solution must have shape {expected}, got {x.shape}")
+    # the equation in general form, A x B* -/+ B x* A* = C, with x: A.cols x B.cols
+    a, b = inst.operand("a"), inst.operand("b")
+    a, b, rhs = (sym_general_form(_sym_side(inst.kind), a, b) if inst.kind in SYM_KINDS
+                 else (a, b, inst.operand("c")))
+    if x.shape != (a.cols, b.cols):
+        raise FormatError(f"solution must have shape {(a.cols, b.cols)}, got {x.shape}")
 
-    sign, a, b, rhs = _oracle_triple(inst)
-    residual = equation_lhs(sign, a, b, x).sub(rhs)
+    residual = equation_lhs(inst.sign, a, b, x).sub(rhs)
     residual_max = float(residual.max_abs())
     tol_abs = residual_tolerance(rtol, a, b, rhs, x)
     verified = residual.is_zero(tol_abs)
@@ -434,10 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--output", help="write the JSON report here "
                            "(summary goes to stdout); default prints JSON")
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=float, default=RTOL,
                        help=f"relative float tolerance: each float zero test "
                             f"allows this times the scale of its residual's "
-                            f"terms (default {RTOL}, or {TOL_ENV_VAR})")
+                            f"terms (default {RTOL})")
 
     p_mp = sub.add_parser("mp", help="Moore-Penrose inverse of one matrix")
     p_mp.add_argument("--input", required=True, help="matrix file (JSON)")

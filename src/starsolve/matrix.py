@@ -8,7 +8,7 @@ route to the Moore-Penrose inverse, and the Penrose checks.  Rectangular
 matrices use the same type; only :class:`MatrixRing` insists on squareness.
 
 Plain-transpose matrices are restricted to real entries at construction so
-that the Gram matrices appearing in the MP-inverse are always invertible.
+that the core ``F* m G*`` of the MP-inverse is always invertible.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ INVOLUTIONS = (CONJUGATE_TRANSPOSE, TRANSPOSE)
 
 # Float tolerances; everything exact compares structurally and never uses them.
 RTOL = 1e-9                  # zero tests of residuals, relative to their terms (see tolerance)
-PIVOT_RTOL = 1e-12           # elimination pivot threshold: PIVOT_RTOL * max abs entry
+PIVOT_RTOL = 1e-12           # elimination pivot threshold: tolerance(PIVOT_RTOL, m)
 _FLOAT_REFINE_STEPS = 2      # Newton polish of the float MP-inverse
 
 
@@ -340,12 +340,10 @@ def rank_factorization(m: Matrix):
 
     F (rows x r) collects the pivot columns of ``m``; G (r x cols) is the
     nonzero part of the reduced row echelon form; r is the rank.  Rank zero
-    yields empty factors.  Float pivots must exceed PIVOT_RTOL * max abs
-    entry of ``m``.
+    yields empty factors.  Float pivots must exceed tolerance(PIVOT_RTOL, m).
     """
     red = [list(row) for row in m.entries]
-    tol = None if m.backend == EXACT else PIVOT_RTOL * m.max_abs()
-    pivots = gauss_jordan(red, m.cols, tol)
+    pivots = gauss_jordan(red, m.cols, tolerance(PIVOT_RTOL, m))
     r = len(pivots)
     f_grid = tuple(tuple(m.entries[i][c] for c in pivots) for i in range(m.rows))
     g_grid = tuple(tuple(red[i]) for i in range(r))
@@ -357,8 +355,8 @@ def rank_factorization(m: Matrix):
 def inverse(m: Matrix) -> Matrix:
     """Ordinary inverse of a square matrix; NotMpInvertibleError if singular.
 
-    The float pivot threshold comes from the entries of ``m`` alone, not
-    from the identity block reduced alongside it.
+    Float pivots must exceed tolerance(PIVOT_RTOL, m), taken from ``m``
+    alone, not from the identity block reduced alongside it.
     """
     if not m.is_square:
         raise ShapeMismatchError("inverse needs a square matrix")
@@ -366,41 +364,54 @@ def inverse(m: Matrix) -> Matrix:
     one, zero = _one_scalar(m.backend), _zero_scalar(m.backend)
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(m.entries)]
-    tol = None if m.backend == EXACT else PIVOT_RTOL * max(m.max_abs(), 1e-300)
-    if len(gauss_jordan(aug, n, tol)) < n:
+    if len(gauss_jordan(aug, n, tolerance(PIVOT_RTOL, m))) < n:
         raise NotMpInvertibleError("singular matrix")
     grid = tuple(tuple(row[n:]) for row in aug)
     return Matrix(n, n, grid, m.involution, m.backend)
 
 
+def _ldexp(m: Matrix, k: int) -> Matrix:
+    """Float ``m`` times 2**k, scaled part by part with math.ldexp, which is
+    exact inside the normal range and raises OverflowError past its top."""
+    grid = tuple(tuple(complex(math.ldexp(e.real, k), math.ldexp(e.imag, k)) for e in row)
+                 for row in m.entries)
+    return Matrix(m.rows, m.cols, grid, m.involution, m.backend)
+
+
 def mp_inverse(m: Matrix) -> Matrix:
     """Moore-Penrose inverse via rank factorization.
 
-    With ``m = F G`` of rank r, returns ``G* (G G*)^-1 (F* F)^-1 F*``.  The
-    Gram matrices are positive definite for every shipped backend/involution
-    combination; a singular Gram raises NotMpInvertibleError (a guard that is
-    unreachable on shipped configurations).
+    With ``m = F G`` of rank r, returns ``G* (F* m G*)^-1 F*`` (Ben-Israel &
+    Greville, 2003): one inverse, of the r x r core.  A float ``m`` is first
+    scaled by 2**-k so that its largest entry lies in [0.5, 1), which keeps
+    the core near unit scale; the Newton-polished result is scaled back by
+    2**-k, as mp(s m) = mp(m) / s.  NotMpInvertibleError if the float rank
+    is ambiguous (the core is singular) or the result leaves the float range.
     """
+    shift = 0
+    if m.backend == FLOAT:
+        shift = math.frexp(m.max_abs())[1]
+        m = _ldexp(m, -shift)
     factor_f, factor_g, r = rank_factorization(m)
     if r == 0:
         return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
-    gram_g = factor_g @ factor_g.star()
-    gram_f = factor_f.star() @ factor_f
     try:
-        dagger = factor_g.star() @ inverse(gram_g) @ inverse(gram_f) @ factor_f.star()
+        core_inverse = inverse(factor_f.star() @ m @ factor_g.star())
     except NotMpInvertibleError:
-        if m.backend == FLOAT:
-            raise NotMpInvertibleError(
-                "numerical rank is ambiguous at working precision; "
-                "MP-inverse not computed") from None
         raise NotMpInvertibleError(
-            "Gram matrix singular; no MP-inverse on this involution/scalar combination")
-    if m.backend == FLOAT:
-        # Newton polish: quadratically shrinks the m x m - m defects without
-        # leaving the rank-factorization route.
-        for _ in range(_FLOAT_REFINE_STEPS):
-            dagger = dagger.add(dagger).sub(dagger @ m @ dagger)
-    return dagger
+            "numerical rank is ambiguous at working precision; "
+            "MP-inverse not computed") from None
+    dagger = factor_g.star() @ core_inverse @ factor_f.star()
+    if m.backend == EXACT:
+        return dagger
+    # Newton polish: quadratically shrinks the m x m - m defects without
+    # leaving the rank-factorization route.
+    for _ in range(_FLOAT_REFINE_STEPS):
+        dagger = dagger.add(dagger).sub(dagger @ m @ dagger)
+    try:
+        return _ldexp(dagger, -shift)
+    except OverflowError:
+        raise NotMpInvertibleError("MP-inverse exceeds the float range") from None
 
 
 def penrose_defects(a: Matrix, b: Matrix) -> list:
@@ -457,10 +468,6 @@ class MatrixRing:
                  involution: str = CONJUGATE_TRANSPOSE):
         if size < 1:
             raise ValueError("matrix ring needs size >= 1")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        if involution not in INVOLUTIONS:
-            raise ValueError(f"unknown involution {involution!r}")
         self.size = size
         self.backend = backend
         self.involution = involution

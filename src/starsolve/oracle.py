@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Tuple
 
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
@@ -108,16 +109,24 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
     col_index = _coordinate_index(n, p, a.involution)
     row_index = _coordinate_index(m, m, a.involution)
 
-    columns = []
-    for (i, j, part) in col_index:
-        unit = GaussianRational(1) if part == RE else GaussianRational(0, 1)
-        basis = Matrix(n, p, tuple(
-            tuple(unit if (r, s) == (i, j) else GaussianRational(0) for s in range(p))
-            for r in range(n)), a.involution, EXACT)
-        value = equation_lhs(sign, a, b, basis)
-        columns.append(tuple(value.entries[r][s].re if vpart == RE else value.entries[r][s].im
-                             for (r, s, vpart) in row_index))
-    matrix = tuple(tuple(col[r] for col in columns) for r in range(len(row_index)))
+    # L(u E_ij)[r, s] = u a[r][i] b*[j][s] -/+ conj(u) b[r][j] a*[i][s], so with
+    # both products formed once, u = 1 gives first -/+ second, u = i gives
+    # i (first +/- second); k coordinates per entry, re before im.
+    k = 1 if a.involution == TRANSPOSE else 2
+    a_star, b_star = a.star().entries, b.star().entries
+    grid = [[None] * len(col_index) for _ in row_index]
+    for r, s, i, j in product(range(m), range(m), range(n), range(p)):
+        first = a.entries[r][i] * b_star[j][s]
+        second = b.entries[r][j] * a_star[i][s]
+        real_u, imag_u = ((first - second, first + second) if sign == MINUS
+                          else (first + second, first - second))
+        row, col = (r * m + s) * k, (i * p + j) * k
+        grid[row][col] = real_u.re
+        if k == 2:
+            grid[row + 1][col] = real_u.im
+            grid[row][col + 1] = -imag_u.im
+            grid[row + 1][col + 1] = imag_u.re
+    matrix = tuple(map(tuple, grid))
 
     if c is None:
         rhs = tuple(Fraction(0) for _ in row_index)

@@ -206,11 +206,10 @@ class SolutionFamily:
     Rectangular instances are the general kind on rectangular operands; c
     is then m x m and v ranges over n x p matrices.  The symmetric rows use
     the symmetric equation's own a; those families store the equivalent
-    general-form triple (a, b, c) -- (1, a, b) for sym_right, (a*, 1, b)
-    for sym_left -- so residuals are uniform.  ``report`` is the hypothesis
-    report (None for the symmetric kinds), ``conditions`` the
-    solvability conditions the solver checked, and ``rtol`` the relative
-    float tolerance it checked them with.
+    general-form triple (a, b, c) of sym_general_form, so residuals are
+    uniform.  ``report`` is the hypothesis report (None for the symmetric
+    kinds), ``conditions`` the solvability conditions the solver checked,
+    and ``rtol`` the relative float tolerance it checked them with.
     """
 
     sign: str
@@ -302,6 +301,14 @@ def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix, rtol: float):
     return conditions, a_dagger, proj
 
 
+def sym_general_form(side: str, a: Matrix, b: Matrix) -> tuple:
+    """(A, B, C) with the symmetric equation written as A x B* + B x* A* = C:
+    (1, a, b) for x a* + a x* = b ("right"), (a*, 1, b) for a* x + x* a = b
+    ("left")."""
+    one = Matrix.identity(a.rows, a.involution, a.backend)
+    return (one, a, b) if side == "right" else (a.star(), one, b)
+
+
 def sym_solvability_conditions(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
                                rtol: float = RTOL) -> tuple:
     """Named conditions for x a* + a x* = b ("right") or a* x + x* a = b ("left")."""
@@ -317,13 +324,12 @@ def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
     ad_star = a_dagger.star()
     if side == "right":
         x0 = (one_plus_proj @ (b @ ad_star)).half()
-        return SolutionFamily(PLUS, ring.one(), a, b, x0,
-                              one_plus_proj, a_dagger @ a, a, ad_star,
-                              "sym_right", None, conditions, rtol)
-    x0 = (ad_star @ b @ one_plus_proj).half()
-    return SolutionFamily(PLUS, a.star(), ring.one(), b, x0,
-                          a @ a_dagger, one_plus_proj, ad_star, a,
-                          "sym_left", None, conditions, rtol)
+        coefficients = (one_plus_proj, a_dagger @ a, a, ad_star)
+    else:
+        x0 = (ad_star @ b @ one_plus_proj).half()
+        coefficients = (a @ a_dagger, one_plus_proj, ad_star, a)
+    return SolutionFamily(PLUS, *sym_general_form(side, a, b), x0, *coefficients,
+                          "sym_" + side, None, conditions, rtol)
 
 
 def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,

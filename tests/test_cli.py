@@ -171,11 +171,6 @@ def test_exit_2_oracle_on_float(tmp_path):
                     "--oracle") == 2
 
 
-def test_exit_2_bad_env_tolerance(tmp_path, monkeypatch):
-    monkeypatch.setenv("STAR_SOLVE_TOL", "not-a-float")
-    assert run_main("check", "--input", str(GOLDEN / "scalar_minus.json")) == 2
-
-
 def test_exit_2_gen_family_on_sym_kind():
     assert run_main("gen", "--kind", "sym_right", "--family", "unitary") == 2
 
@@ -193,6 +188,16 @@ def test_exit_3_not_mp_invertible(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert run_main("mp", "--input", str(path)) == 3
+
+
+def test_exit_3_mp_inverse_beyond_float_range(tmp_path, capsys):
+    # mp([[1e-310]]) = 1e310 is not a float: refused, not inf, NaN or a traceback
+    doc = {"version": "1", "type": "matrix", "backend": "float",
+           "involution": "conjugate_transpose", "matrix": [[[1e-310, 0.0]]]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run_main("mp", "--input", str(path)) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_4_unsolvable_writes_report(tmp_path):
@@ -343,22 +348,11 @@ def test_gen_seed_recorded():
 # -- tolerance handling -----------------------------------------------------------
 
 
-def test_env_tolerance_is_used(tmp_path, monkeypatch):
+def test_flag_tolerance_is_used(tmp_path):
     inst = tmp_path / "f.json"
     run_main("gen", "--kind", "minus", "--backend", "float", "--seed", "2",
              "--force-solvable", "--output", str(inst))
     out = tmp_path / "r.json"
-    monkeypatch.setenv("STAR_SOLVE_TOL", "1e-6")
-    assert run_main("solve", "--input", str(inst), "--output", str(out)) == 0
-    assert json.loads(out.read_text())["tolerance"] == pytest.approx(1e-6)
-
-
-def test_flag_tolerance_beats_env(tmp_path, monkeypatch):
-    inst = tmp_path / "f.json"
-    run_main("gen", "--kind", "minus", "--backend", "float", "--seed", "2",
-             "--force-solvable", "--output", str(inst))
-    out = tmp_path / "r.json"
-    monkeypatch.setenv("STAR_SOLVE_TOL", "1e-2")
     assert run_main("solve", "--input", str(inst), "--tol", "1e-7",
                     "--output", str(out)) == 0
     assert json.loads(out.read_text())["tolerance"] == pytest.approx(1e-7)

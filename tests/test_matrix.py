@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsolve import matrix
 from starsolve.ring import NotMpInvertibleError
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               Matrix, MatrixRing, ShapeMismatchError,
@@ -205,6 +206,40 @@ def test_float_tiny_scalar_inverts():
     assert mp_inverse(m).equals(expected)
 
 
+@pytest.mark.parametrize("value", [1e-200, 1e200])
+def test_float_mp_inverse_at_extreme_scales(value):
+    # the core F* m G* of [[1e-200]] would be 1e-600, not a float; the
+    # power-of-two pre-scaling keeps it near unit scale
+    m = Matrix.floating([[value]])
+    assert is_mp_inverse(m, mp_inverse(m))
+
+
+def test_float_mp_inverse_beyond_float_range_raises():
+    # mp([[1e-310]]) = 1e310 overflows: refused, never inf or NaN
+    with pytest.raises(NotMpInvertibleError):
+        mp_inverse(Matrix.floating([[1e-310]]))
+
+
+def test_mp_inverse_inverts_once(monkeypatch):
+    # one inverse, of the r x r core F* m G*, per MP-inverse
+    calls = []
+    real = matrix.inverse
+
+    def counting(m):
+        calls.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(matrix, "inverse", counting)
+    for m in (Matrix.exact([[1, 2], [2, 4]]), Matrix.exact([[1, 2, 3], [0, 1, 1]]),
+              Matrix.exact([[I]])):
+        calls.clear()
+        mp_inverse(m)
+        assert len(calls) == 1
+    calls.clear()
+    mp_inverse(Matrix.zeros(2, 3))
+    assert calls == []
+
+
 # -- MatrixRing ----------------------------------------------------------------
 
 
@@ -217,6 +252,13 @@ def test_ring_ops_and_constants():
     assert ring.one().half().entry(0, 0) == GaussianRational(Fraction(1, 2))
     assert (a + a.star()).star().equals(a + a.star())
     assert (a - a.star()).star().equals((a - a.star()).neg())
+
+
+def test_ring_rejects_unknown_tags():
+    with pytest.raises(ValueError, match="unknown backend"):
+        MatrixRing(2, backend="quad")
+    with pytest.raises(ValueError, match="unknown involution"):
+        MatrixRing(2, involution="adjoint")
 
 
 def test_ring_is_zero_accepts_rectangular():

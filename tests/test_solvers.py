@@ -347,3 +347,17 @@ def test_scaled_unsolvable_diagonal_instances_stay_unsolvable():
         if found == 20:
             break
     assert found == 20
+
+
+def test_extreme_scale_unitary_instances_solve():
+    # Solvable unitary 3x3 minus instances scaled by 1e-160 and 1e160: the
+    # float MP-inverse pre-scales by a power of two, so its core F* m G*
+    # (of scale |m|^3) stays inside the float range and every x0 verifies.
+    float_ring = MatrixRing(3, backend=FLOAT)
+    for scale in (1e-160, 1e160):
+        rng = random.Random(7)
+        for _ in range(20):
+            a, b, c = random_square_instance(rng, MINUS, 3, "unitary")
+            af, bf, cf = (m.to_float().scale(scale) for m in (a, b, c))
+            fam = solve(float_ring, MINUS, af, bf, cf)
+            assert fam.is_solution(fam.x0)
