@@ -18,6 +18,7 @@ Exit codes are a stable contract:
 
 import argparse
 import datetime
+import math
 import sys
 from typing import Optional
 
@@ -58,8 +59,8 @@ def _utc_now() -> str:
 
 
 def _resolve_tol(args) -> float:
-    if not args.tol > 0:
-        raise FormatError(f"tolerance must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise FormatError(f"tolerance must be finite and positive, got {args.tol}")
     return args.tol
 
 

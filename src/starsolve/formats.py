@@ -75,7 +75,10 @@ def _parse_int_string(raw, what: str) -> int:
     # int() tolerates "1_000" and whitespace; the format does not
     if not isinstance(raw, str) or not _INT_RE.match(raw):
         _fail(f"{what} must be a decimal integer string, got {raw!r}")
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 # -- scalars ----------------------------------------------------------------
@@ -103,9 +106,13 @@ def decode_scalar(raw, backend: str, what: str = "entry"):
     for part in raw:
         if isinstance(part, bool) or not isinstance(part, (int, float)):
             _fail(f"{what} must hold numbers, got {part!r}")
-        if not math.isfinite(part):
+        try:
+            value = float(part)
+        except OverflowError:  # a JSON integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
             _fail(f"{what} must be finite")
-        parts.append(float(part))
+        parts.append(value)
     return complex(parts[0], parts[1])
 
 
@@ -312,6 +319,8 @@ def read_doc(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def load_instance(path: str) -> Instance:

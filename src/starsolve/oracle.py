@@ -18,7 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import add
 from typing import Optional, Tuple
 
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
@@ -60,9 +62,7 @@ class RealLinearSystem:
     rhs: tuple           # Fractions, one per row
     row_index: tuple     # (i, j, "re"/"im") per row
     col_index: tuple     # (i, j, "re"/"im") per column
-    sign: str
     in_shape: Tuple[int, int]
-    out_shape: Tuple[int, int]
     involution: str
 
     def coords_of(self, x: Matrix) -> tuple:
@@ -72,13 +72,6 @@ class RealLinearSystem:
             raise ValueError(f"expected X of shape {self.in_shape}, got {x.shape}")
         return tuple(x.entries[i][j].re if part == RE else x.entries[i][j].im
                      for (i, j, part) in self.col_index)
-
-    def out_coords_of(self, y: Matrix) -> tuple:
-        _require_exact(y)
-        if y.shape != self.out_shape:
-            raise ValueError(f"expected rhs of shape {self.out_shape}, got {y.shape}")
-        return tuple(y.entries[i][j].re if part == RE else y.entries[i][j].im
-                     for (i, j, part) in self.row_index)
 
     def apply(self, x: Matrix) -> tuple:
         """System matrix times coords_of(x); equals the coords of the map's value."""
@@ -92,6 +85,18 @@ class RealLinearSystem:
             grid[i][j][0 if part == RE else 1] = Fraction(value)
         return Matrix.exact([[GaussianRational(re, im) for re, im in row] for row in grid],
                             self.involution)
+
+
+def _coefficients(linear, starred):
+    """Coefficients of v -> sum X v Y + sum X' v* Y', given the exact (X, Y)
+    pairs (non-empty) and (X', Y') pairs: each (r, s, i, j, alpha, beta)
+    adds alpha v[i][j] + beta conj(v[i][j]) to out[r][s]."""
+    lin = [(x.entries, y.entries) for x, y in linear]
+    star = [(x.entries, y.entries) for x, y in starred]
+    x, y = linear[0]
+    for r, s, i, j in product(range(x.rows), range(y.cols), range(x.cols), range(y.rows)):
+        yield (r, s, i, j, reduce(add, (xe[r][i] * ye[j][s] for xe, ye in lin)),
+               reduce(add, (xe[r][j] * ye[i][s] for xe, ye in star)))
 
 
 def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> RealLinearSystem:
@@ -109,17 +114,13 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
     col_index = _coordinate_index(n, p, a.involution)
     row_index = _coordinate_index(m, m, a.involution)
 
-    # L(u E_ij)[r, s] = u a[r][i] b*[j][s] -/+ conj(u) b[r][j] a*[i][s], so with
-    # both products formed once, u = 1 gives first -/+ second, u = i gives
-    # i (first +/- second); k coordinates per entry, re before im.
+    # X[i][j] = x + iy adds (alpha + beta) x + i (alpha - beta) y to out[r][s];
+    # k coordinates per entry, re before im.
     k = 1 if a.involution == TRANSPOSE else 2
-    a_star, b_star = a.star().entries, b.star().entries
     grid = [[None] * len(col_index) for _ in row_index]
-    for r, s, i, j in product(range(m), range(m), range(n), range(p)):
-        first = a.entries[r][i] * b_star[j][s]
-        second = b.entries[r][j] * a_star[i][s]
-        real_u, imag_u = ((first - second, first + second) if sign == MINUS
-                          else (first + second, first - second))
+    starred = b.neg() if sign == MINUS else b
+    for r, s, i, j, alpha, beta in _coefficients([(a, b.star())], [(starred, a.star())]):
+        real_u, imag_u = alpha + beta, alpha - beta
         row, col = (r * m + s) * k, (i * p + j) * k
         grid[row][col] = real_u.re
         if k == 2:
@@ -137,8 +138,7 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
             raise ValueError(f"C must be {m}x{m}, got {c.shape}")
         rhs = tuple(c.entries[r][s].re if vpart == RE else c.entries[r][s].im
                     for (r, s, vpart) in row_index)
-    return RealLinearSystem(matrix, rhs, row_index, col_index, sign,
-                            (n, p), (m, m), a.involution)
+    return RealLinearSystem(matrix, rhs, row_index, col_index, (n, p), a.involution)
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,6 @@ class OracleResult:
     def contains(self, x: Matrix) -> bool:
         """Whether x lies in the oracle's full solution set (exact)."""
         return self.system.apply(x) == self.system.rhs
-
-    def kernel_contains(self, x: Matrix) -> bool:
-        return not any(self.system.apply(x))
 
 
 def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
@@ -186,12 +183,12 @@ def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
 
 @dataclass(frozen=True)
 class OracleAgreement:
-    """Cross-check of a closed-form family against the oracle's solution set."""
+    """Cross-check of a closed-form family against the oracle's solution set:
+    together the three flags prove that x0 + image(L) is exactly that set."""
 
     x0_ok: bool
     kernel_fixed_ok: bool
     homogeneous_in_kernel_ok: bool
-    trials: int
     witnesses: tuple
 
     @property
@@ -202,17 +199,16 @@ class OracleAgreement:
         return {"x0_in_oracle_set": self.x0_ok,
                 "kernel_elements_fixed": self.kernel_fixed_ok,
                 "homogeneous_images_in_kernel": self.homogeneous_in_kernel_ok,
-                "trials": self.trials,
                 "witnesses": list(self.witnesses)}
 
 
-def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult,
-                                 trials: int = 5) -> OracleAgreement:
-    """Check the family's three completeness claims against the oracle.
-
-    (i) x0 satisfies the linear system; (ii) seeded homogeneous images lie
-    in the oracle kernel; (iii) every oracle kernel basis element is a fixed
-    point of the homogeneous map (so the family misses no solutions).
+def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> OracleAgreement:
+    """Check, for every v and with no random draw, that x0 + image(L) is the
+    oracle's solution set: (i) x0 solves the linear system; (ii) L fixes each
+    oracle kernel basis element, so image(L) holds the kernel; (iii) each
+    coefficient pair (alpha, beta) of eq(L(v)) = B(v) + eps B(v)* vanishes
+    (their sum under the transpose, where v is real), with eps = -1 (minus)
+    or +1 (plus) and B(v) = a v b* - (1/2)(a p) v (q b*) - (1/2)(b s*) v (r* a*).
     """
     witnesses = []
     x0_ok = oracle.contains(fam.x0)
@@ -225,14 +221,20 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult,
             kernel_fixed_ok = False
             witnesses.append(f"kernel basis element {idx} is not a fixed point")
 
+    a, b = fam.a, fam.b
+    linear = [(a, b.star()), ((a @ fam.p).half().neg(), fam.q @ b.star()),
+              ((b @ fam.s.star()).half().neg(), fam.r.star() @ a.star())]
+    # (X v Y)* = Y* v* X*
+    starred = [(y.star().neg() if fam.sign == MINUS else y.star(), x.star())
+               for x, y in linear]
+    real = oracle.system.involution == TRANSPOSE
     homogeneous_ok = True
-    for t in range(trials):
-        v = fam.draw_parameter(random.Random(t))
-        image = fam.homogeneous(v)
-        if not oracle.kernel_contains(image):
+    for r, s, i, j, alpha, beta in _coefficients(linear, starred):
+        if alpha + beta if real else alpha or beta:
             homogeneous_ok = False
-            witnesses.append(f"homogeneous image for seed {t} leaves the kernel")
-    return OracleAgreement(x0_ok, kernel_fixed_ok, homogeneous_ok, trials, tuple(witnesses))
+            witnesses.append(f"eq(L(v))[{r}][{s}] depends on v[{i}][{j}]")
+            break
+    return OracleAgreement(x0_ok, kernel_fixed_ok, homogeneous_ok, tuple(witnesses))
 
 
 # -- generators ---------------------------------------------------------------

@@ -146,8 +146,9 @@ GR_HALF = GaussianRational(Fraction(1, 2))
 
 
 def finite_complex(value) -> complex:
-    """Coerce a number to ``complex``, rejecting NaN and infinities."""
+    """Coerce a number to ``complex``, rejecting NaN, infinities and a
+    modulus beyond the float range (which ``abs`` could not return)."""
     z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite float entry: {value!r}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError(f"non-finite float entry or modulus: {value!r}")
     return z

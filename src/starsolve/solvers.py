@@ -248,13 +248,10 @@ class SolutionFamily:
     def is_solution(self, x: Matrix) -> bool:
         return self.residual_ok(x, self.residual(x))
 
-    def draw_parameter(self, rng: random.Random) -> Matrix:
-        """A small pseudorandom parameter v, shaped like x0."""
-        return random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution)
-
     def sample(self, seed: int) -> Matrix:
-        """Deterministic family member for a seed."""
-        return self.at(self.draw_parameter(random.Random(seed)))
+        """Deterministic family member x0 + L(v), v small and drawn from the seed."""
+        rng = random.Random(seed)
+        return self.at(random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution))
 
 
 def _general_coefficients(report: HypothesisReport) -> tuple:

@@ -160,6 +160,43 @@ def test_exit_2_malformed_json(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def float_matrix_doc(entry):
+    return {"version": "1", "type": "matrix", "backend": "float",
+            "involution": "conjugate_transpose", "matrix": [[entry]]}
+
+
+UNREADABLE_INPUTS = {
+    # modulus of 1.7e308+1.7e308i overflows the float range
+    "modulus_overflow": ("mp", json.dumps(float_matrix_doc([1.7e308, 1.7e308])).encode()),
+    "float_int_too_large": ("mp", json.dumps(float_matrix_doc([10 ** 400, 0])).encode()),
+    "exact_int_too_long": ("check", json.dumps(
+        {"version": "1", "kind": "minus", "backend": "exact",
+         "involution": "conjugate_transpose",
+         "operands": {"a": [[["1", "1", "0", "1"]]], "b": [[["1", "1", "0", "1"]]],
+                      "c": [[["1" + "0" * 5000, "1", "0", "1"]]]}}).encode()),
+    "not_utf8": ("check", b"\xff\xfe{}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_exit_2_unreadable_input(case, tmp_path, capsys):
+    command, content = UNREADABLE_INPUTS[case]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert run_main(command, "--input", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1e-9"))
+def test_exit_2_tolerance_not_finite_and_positive(tol, tmp_path, capsys):
+    inst = str(tmp_path / "f.json")
+    run_main("gen", "--kind", "minus", "--backend", "float", "--output", inst)
+    assert run_main("check", "--input", inst, f"--tol={tol}") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance") and err.count("\n") == 1
+
+
 def test_exit_2_missing_file():
     assert run_main("check", "--input", "/nonexistent/inst.json") == 2
 

@@ -1,6 +1,9 @@
-"""Every imported name in src/ and tests/ is used (no linter runs in tier-1)."""
+"""Every imported name in src/ and tests/ is used, and every function and
+class defined in src/ has a caller (no linter runs in tier-1)."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +40,53 @@ def test_no_unused_imports():
             if names:
                 found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+_DOTTED = re.compile(r"^[A-Za-z_][\w.]*$")
+
+
+def names_in(node) -> Counter:
+    """Names a subtree reads: identifiers, attributes, imported names, and
+    strings that are a dotted path (as patch targets are written)."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.split(".")[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.match(n.value):
+            names.update(n.value.split("."))
+    return names
+
+
+def unreferenced_definitions(defining: dict, others: dict) -> list:
+    """(module, name) of each function or class defined in a ``defining``
+    source that no source names outside the definition itself; dunder
+    methods are called implicitly and are skipped."""
+    trees = {key: ast.parse(text) for key, text in {**others, **defining}.items()}
+    total = sum((names_in(tree) for tree in trees.values()), Counter())
+    found = []
+    for key in defining:
+        for node in ast.walk(trees[key]):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and total[node.name] <= names_in(node)[node.name]):
+                found.append((key, node.name))
+    return found
+
+
+def test_scanner_sees_unreferenced_definitions():
+    lib = ("def used(): pass\ndef dead(): return dead()\n"
+           "class C:\n    def __eq__(self, o): pass\n    def patched(self): pass\n")
+    callers = {"t": "from lib import used\nused()\nTARGET = 'C.patched'\n"}
+    assert unreferenced_definitions({"lib": lib}, callers) == [("lib", "dead")]
+
+
+def test_every_src_definition_has_a_caller():
+    sources = {top: {str(path.relative_to(ROOT)): path.read_text()
+                     for path in sorted((ROOT / top).rglob("*.py"))}
+               for top in ("src", "tests", "perfbench")}
+    others = {**sources["tests"], **sources["perfbench"]}
+    assert unreferenced_definitions(sources["src"], others) == []
