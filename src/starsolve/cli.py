@@ -7,7 +7,8 @@ short human summary on stdout whenever --output redirects the machine copy.
 Exit codes are a stable contract:
 
     0  success (for `check`, any verdict; the verdict is in the report)
-    2  parse or parameter error
+    2  parse or parameter error, or a reported residual whose largest
+       |entry| does not fit a float (an exact entry beyond about 1.8e308)
     3  an operand is not MP-invertible
     4  the instance is unsolvable (report still written)
     5  the standing hypotheses fail (report still written)
@@ -70,6 +71,19 @@ def _in_band(residual_max: float, tol: Optional[float]) -> bool:
     return tol / INDETERMINATE_BAND <= residual_max <= tol * INDETERMINATE_BAND
 
 
+def _max_abs(m) -> float:
+    """``m.max_abs()`` for a report field, which is a JSON float; FormatError
+    when the largest modulus does not fit one."""
+    try:
+        value = m.max_abs()
+    except OverflowError:  # an exact part beyond the float range
+        value = math.inf
+    if value == math.inf:
+        raise FormatError("a residual's largest |entry| is beyond the float "
+                          "range and cannot be reported")
+    return value
+
+
 def _ring_for(inst: Instance) -> MatrixRing:
     return MatrixRing(inst.size, inst.backend, inst.involution)
 
@@ -91,7 +105,7 @@ def _instance_summary(inst: Instance) -> dict:
 def _condition_entries(conditions) -> list:
     return [{"name": c.name,
              "ok": c.ok,
-             "residual_max_abs": float(c.residual.max_abs())}
+             "residual_max_abs": _max_abs(c.residual)}
             for c in conditions]
 
 
@@ -100,8 +114,8 @@ def _hypotheses_section(report) -> dict:
     return {
         "range_ok": rc.ok,
         "hermitian_ok": hc.ok,
-        "range_defect_max_abs": float(rc.residual.max_abs()),
-        "hermitian_defect_max_abs": float(hc.residual.max_abs()),
+        "range_defect_max_abs": _max_abs(rc.residual),
+        "hermitian_defect_max_abs": _max_abs(hc.residual),
         "tolerance": None if rc.tol is None else max(rc.tol, hc.tol),
     }
 
@@ -120,7 +134,7 @@ def _verdict_fields(report, conditions) -> dict:
         "verdict": verdict,
         "failed_conditions": failed,
         "conditions": _condition_entries(conditions),
-        "indeterminate": any(_in_band(c.residual.max_abs(), c.tol) for c in checked),
+        "indeterminate": any(_in_band(_max_abs(c.residual), c.tol) for c in checked),
     }
 
 
@@ -183,7 +197,7 @@ def cmd_mp(args) -> int:
         "involution": m.involution,
         "shape": list(m.shape),
         "mp_inverse": formats.encode_matrix(dagger),
-        "penrose_residuals": {name: float(d.max_abs())
+        "penrose_residuals": {name: _max_abs(d)
                               for name, d in zip(names, defects)},
         "tolerance": rtol if m.backend == FLOAT else None,
     }
@@ -226,7 +240,7 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
         samples.append({
             "seed": seed,
             "solution": formats.encode_matrix(x),
-            "residual_max_abs": float(residual.max_abs()),
+            "residual_max_abs": _max_abs(residual),
             "verified": True,
         })
     return samples
@@ -273,7 +287,7 @@ def cmd_solve(args) -> int:
     doc.update(_verdict_fields(fam.report, fam.conditions))
     doc.update({
         "x0": formats.encode_matrix(fam.x0),
-        "residual_max_abs": float(residual.max_abs()),
+        "residual_max_abs": _max_abs(residual),
         "samples": _sample_section(fam, base_seed, args.samples),
     })
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
@@ -376,7 +390,7 @@ def cmd_verify(args) -> int:
         raise FormatError(f"solution must have shape {(a.cols, b.cols)}, got {x.shape}")
 
     residual = equation_lhs(inst.sign, a, b, x).sub(rhs)
-    residual_max = float(residual.max_abs())
+    residual_max = _max_abs(residual)
     tol_abs = residual_tolerance(rtol, a, b, rhs, x)
     verified = residual.is_zero(tol_abs)
 

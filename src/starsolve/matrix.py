@@ -53,14 +53,14 @@ def _one_scalar(backend):
 
 
 def _coerce_entry(value, backend):
+    if isinstance(value, bool):
+        raise TypeError(f"bool is not a {backend} matrix entry")
     if backend == EXACT:
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
             return GaussianRational(value)
         raise TypeError(f"exact matrices take GaussianRational/int/Fraction entries, got {value!r}")
-    if isinstance(value, bool):
-        raise TypeError("bool is not a float matrix entry")
     if isinstance(value, (int, float, complex)):
         return finite_complex(value)
     raise TypeError(f"float matrices take int/float/complex entries, got {value!r}")
@@ -174,6 +174,9 @@ class Matrix:
         self._check_tags(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"mul: {self.shape} @ {other.shape}")
+        if self.backend == EXACT:
+            return Matrix(self.rows, other.cols, _exact_product(self, other),
+                          self.involution, EXACT)
         zero = _zero_scalar(self.backend)
         ocols = other.cols
         out = []
@@ -277,6 +280,39 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
+
+
+def _integer_grids(m: Matrix):
+    """``(re, im, d)``: exact ``m`` as Gaussian-integer grids over one
+    positive denominator, ``m[i][j] = (re[i][j] + im[i][j] i) / d``, with
+    ``d`` the lcm of the denominators of all its parts."""
+    d = math.lcm(*{p.denominator for row in m.entries for e in row for p in (e.re, e.im)})
+    re = [[e.re.numerator * (d // e.re.denominator) for e in row] for row in m.entries]
+    im = [[e.im.numerator * (d // e.im.denominator) for e in row] for row in m.entries]
+    return re, im, d
+
+
+def _exact_product(left: Matrix, right: Matrix) -> tuple:
+    """Entry grid of the exact product ``left @ right``.
+
+    Multiply-accumulates the operands' integer grids with plain ints,
+    skipping zero left entries, then builds each output entry once over the
+    shared denominator: one gcd per part instead of one per product and sum.
+    """
+    lre, lim, dl = _integer_grids(left)
+    rre, rim, dr = _integer_grids(right)
+    d = dl * dr
+    zeros = [0] * right.cols
+    out = []
+    for lre_row, lim_row in zip(lre, lim):
+        sre, sim = zeros, zeros
+        for x, y, rre_row, rim_row in zip(lre_row, lim_row, rre, rim):
+            if x or y:
+                sre = [s + x * u - y * v for s, u, v in zip(sre, rre_row, rim_row)]
+                sim = [s + x * v + y * u for s, u, v in zip(sim, rre_row, rim_row)]
+        out.append(tuple(GaussianRational(Fraction(p, d), Fraction(q, d))
+                         for p, q in zip(sre, sim)))
+    return tuple(out)
 
 
 def tolerance(rtol: float, *terms) -> Optional[float]:

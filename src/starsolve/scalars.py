@@ -2,8 +2,11 @@
 
 The exact backend stores complex numbers as a pair of ``fractions.Fraction``
 components, so every arithmetic result is reduced and comparison is
-structural.  The float backend is the built-in ``complex``; construction-time
-validation (no NaN/Inf) lives in :func:`finite_complex`.
+structural.  Matrix products skip this per-operation reduction:
+``Matrix.mul`` accumulates Gaussian integers over one shared denominator and
+reduces once per output entry.  The float backend is the built-in
+``complex``; construction-time validation (no NaN/Inf) lives in
+:func:`finite_complex`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ RationalLike = Union[int, str, Fraction]
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise TypeError(f"bool is not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -29,7 +34,8 @@ class GaussianRational:
     """Complex number with rational real and imaginary parts.
 
     Immutable and hashable; all arithmetic is exact.  Integers, strings and
-    ``Fraction`` values coerce in mixed expressions, floats never do.
+    ``Fraction`` values coerce in mixed expressions, floats and bools never
+    do.
     """
 
     __slots__ = ("re", "im")
@@ -48,7 +54,7 @@ class GaussianRational:
     def _coerce(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return GaussianRational(value)
         return NotImplemented
 

@@ -188,6 +188,22 @@ def test_exit_2_unreadable_input(case, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ("check", "solve"))
+def test_exit_2_residual_beyond_float_range(command, tmp_path, capsys):
+    # c = 10^400 is not skew: its condition residual has no float modulus
+    inst = write_scalar_instance(tmp_path, [str(10 ** 400), "1", "0", "1"])
+    assert run_main(command, "--input", inst) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ("check", "solve"))
+def test_huge_skew_instance_still_solvable(command, tmp_path, capsys):
+    inst = write_scalar_instance(tmp_path, ["0", "1", str(10 ** 400), "1"])
+    assert run_main(command, "--input", inst) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "solvable"
+
+
 @pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1e-9"))
 def test_exit_2_tolerance_not_finite_and_positive(tol, tmp_path, capsys):
     inst = str(tmp_path / "f.json")

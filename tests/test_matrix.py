@@ -37,6 +37,14 @@ def test_transpose_involution_rejects_complex_entries():
         Matrix.floating([[1j]], involution=TRANSPOSE)
 
 
+def test_bool_entries_are_refused_on_both_backends():
+    for build in (Matrix.exact, Matrix.floating):
+        with pytest.raises(TypeError, match="bool"):
+            build([[True, 2]])
+    with pytest.raises(TypeError, match="bool"):
+        Matrix.exact([[1]]).scale(False)
+
+
 def test_float_construction_rejects_nan():
     with pytest.raises(ValueError):
         Matrix.floating([[float("nan")]])
@@ -102,6 +110,73 @@ def test_to_float_matches_entries():
     assert f.backend == FLOAT
     assert f.entry(0, 0) == 0.25 + 0j
     assert f.entry(0, 1) == 1j
+
+
+# -- exact products ------------------------------------------------------------
+
+PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+def schoolbook_product(a, b):
+    """Entry grid of a @ b by per-entry GaussianRational sums of products."""
+    return tuple(tuple(sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
+                           GaussianRational(0))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+
+
+def drawn_matrix(rng, rows, cols, involution, big):
+    """Random exact matrix whose nonzero parts have distinct prime
+    denominators, with numerators near +-10^400 when ``big``, and one row
+    and one column zeroed when there are any."""
+    dens = iter(rng.sample(PRIMES, 2 * rows * cols))
+
+    def part():
+        num, den = rng.randint(-9, 9), next(dens)
+        if big:
+            num += rng.choice((-1, 1)) * 10 ** 400
+        return Fraction(num, den) if rng.random() < 0.8 else Fraction(0)
+
+    real = involution == TRANSPOSE
+    grid = [[GaussianRational(part(), 0 if real else part()) for _ in range(cols)]
+            for _ in range(rows)]
+    if rows and cols:
+        zero_row, zero_col = rng.randrange(rows), rng.randrange(cols)
+        grid[zero_row] = [0] * cols
+        for row in grid:
+            row[zero_col] = 0
+    return Matrix.exact(grid, involution) if rows else Matrix(0, cols, (), involution)
+
+
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+@pytest.mark.parametrize("big", (False, True))
+def test_exact_product_matches_schoolbook_sum(involution, big):
+    rng = random.Random(f"{involution}-{big}")
+    for _ in range(60):
+        rows, inner, cols = (rng.randint(0, 4) for _ in range(3))
+        a = drawn_matrix(rng, rows, inner, involution, big)
+        b = drawn_matrix(rng, inner, cols, involution, big)
+        product = a @ b
+        assert product.shape == (rows, cols)
+        assert product.entries == schoolbook_product(a, b)
+
+
+def test_exact_product_makes_no_per_entry_products(monkeypatch):
+    rng = random.Random(8)
+    a, b = random_matrix(rng, 8, 8), random_matrix(rng, 8, 8)
+    calls = []
+    real_mul = GaussianRational.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(GaussianRational, "__mul__", counting)
+    monkeypatch.setattr(GaussianRational, "__rmul__", counting)
+    a @ b
+    assert calls == []
+    a.entry(0, 0) * b.entry(0, 0)  # the patch does count
+    assert len(calls) == 1
 
 
 # -- inverse and MP-inverse ---------------------------------------------------

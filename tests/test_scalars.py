@@ -47,6 +47,16 @@ def test_as_fraction():
     assert as_fraction(Fraction(2, 6)) == Fraction(1, 3)
 
 
+def test_bool_is_not_an_exact_rational():
+    with pytest.raises(TypeError, match="bool"):
+        as_fraction(True)
+    with pytest.raises(TypeError, match="bool"):
+        GaussianRational(False)
+    with pytest.raises(TypeError):
+        GR_ONE * True
+    assert GR_ONE != True  # noqa: E712
+
+
 @given(gaussians, gaussians, gaussians)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
