@@ -15,8 +15,8 @@ from .oracle import (GenerationError, OracleAgreement, OracleResult,
                      linearize, oracle_solve, random_rect_instance,
                      random_sym_instance, random_square_instance,
                      verify_family_against_oracle)
-from .rect import (EmbeddedTriple, RectProblem, check_rect_hypotheses, embed,
-                   embed_mp, embed_solution, extract_solution, solve_rect,
+from .rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
+                   embed_solution, extract_solution, solve_rect,
                    solve_rect_via_embedding)
 from .ring import NotMpInvertibleError
 from .scalars import GaussianRational
@@ -34,8 +34,8 @@ __all__ = [
     "GenerationError", "OracleAgreement", "OracleResult", "linearize",
     "oracle_solve", "random_rect_instance", "random_sym_instance",
     "random_square_instance", "verify_family_against_oracle",
-    "EmbeddedTriple", "RectProblem", "check_rect_hypotheses", "embed",
-    "embed_mp", "embed_solution", "extract_solution", "solve_rect",
+    "RectProblem", "check_rect_hypotheses", "embed", "embed_mp",
+    "embed_solution", "extract_solution", "solve_rect",
     "solve_rect_via_embedding",
     "NotMpInvertibleError",
     "GaussianRational",

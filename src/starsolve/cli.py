@@ -71,17 +71,23 @@ def _in_band(residual_max: float, tol: Optional[float]) -> bool:
     return tol / INDETERMINATE_BAND <= residual_max <= tol * INDETERMINATE_BAND
 
 
+def _finite(value: Optional[float], what: str) -> Optional[float]:
+    """A residual or tolerance (None on the exact backend) for a report
+    field, which is a JSON float; FormatError when it is not finite (an
+    overflow, or a NaN from inf * 0), since a verdict judged by it means
+    nothing."""
+    if value is not None and not math.isfinite(value):
+        raise FormatError(f"{what} is {value}, not a finite float, and cannot be reported")
+    return value
+
+
 def _max_abs(m) -> float:
-    """``m.max_abs()`` for a report field, which is a JSON float; FormatError
-    when the largest modulus does not fit one."""
+    """``m.max_abs()`` through :func:`_finite`."""
     try:
         value = m.max_abs()
     except OverflowError:  # an exact part beyond the float range
         value = math.inf
-    if value == math.inf:
-        raise FormatError("a residual's largest |entry| is beyond the float "
-                          "range and cannot be reported")
-    return value
+    return _finite(value, "a residual's largest |entry|")
 
 
 def _ring_for(inst: Instance) -> MatrixRing:
@@ -116,7 +122,8 @@ def _hypotheses_section(report) -> dict:
         "hermitian_ok": hc.ok,
         "range_defect_max_abs": _max_abs(rc.residual),
         "hermitian_defect_max_abs": _max_abs(hc.residual),
-        "tolerance": None if rc.tol is None else max(rc.tol, hc.tol),
+        "tolerance": None if rc.tol is None else max(_finite(rc.tol, "a tolerance"),
+                                                     _finite(hc.tol, "a tolerance")),
     }
 
 
@@ -129,12 +136,14 @@ def _verdict_fields(report, conditions) -> dict:
         failed = [c.name for c in conditions if not c.ok]
         verdict = "unsolvable" if failed else "solvable"
     checked = tuple(conditions) + (report.conditions if report is not None else ())
+    in_band = [_in_band(_max_abs(c.residual), _finite(c.tol, "a tolerance"))
+               for c in checked]
     return {
         "hypotheses": _hypotheses_section(report) if report is not None else None,
         "verdict": verdict,
         "failed_conditions": failed,
         "conditions": _condition_entries(conditions),
-        "indeterminate": any(_in_band(_max_abs(c.residual), c.tol) for c in checked),
+        "indeterminate": any(in_band),
     }
 
 
@@ -306,28 +315,20 @@ def cmd_solve(args) -> int:
 
 
 def _parse_dims(kind: str, raw: Optional[str]):
-    if kind in RECT_KINDS:
-        if raw is None:
-            return (2, 2, 2)
-        parts = raw.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"rect kinds need --dims m,n,p, got {raw!r}")
-        try:
-            dims = tuple(int(p) for p in parts)
-        except ValueError:
-            raise FormatError(f"--dims must be integers, got {raw!r}")
-        if any(d < 1 for d in dims):
-            raise FormatError(f"--dims must be positive, got {raw!r}")
-        return dims
-    if raw is None:
-        return 2
+    """--dims: "m,n,p" as a tuple for rect kinds, else "n" as an int (default 2)."""
+    rect = kind in RECT_KINDS
+    count = 3 if rect else 1
+    parts = ["2"] * count if raw is None else raw.split(",")
+    if len(parts) != count:
+        raise FormatError(f"--dims must be {'m,n,p' if rect else 'n'} for {kind!r}, "
+                          f"got {raw!r}")
     try:
-        size = int(raw)
+        dims = tuple(int(p) for p in parts)
     except ValueError:
-        raise FormatError(f"--dims must be a single integer for {kind!r}, got {raw!r}")
-    if size < 1:
+        raise FormatError(f"--dims must be integers, got {raw!r}")
+    if any(d < 1 for d in dims):
         raise FormatError(f"--dims must be positive, got {raw!r}")
-    return size
+    return dims if rect else dims[0]
 
 
 def cmd_gen(args) -> int:
@@ -391,7 +392,7 @@ def cmd_verify(args) -> int:
 
     residual = equation_lhs(inst.sign, a, b, x).sub(rhs)
     residual_max = _max_abs(residual)
-    tol_abs = residual_tolerance(rtol, a, b, rhs, x)
+    tol_abs = _finite(residual_tolerance(rtol, a, b, rhs, x), "the tolerance")
     verified = residual.is_zero(tol_abs)
 
     doc = {

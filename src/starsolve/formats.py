@@ -212,24 +212,20 @@ def _validate_instance(inst: Instance) -> None:
         if m.backend != inst.backend or m.involution != inst.involution:
             _fail(f"operand {name!r} tags do not match the instance header")
 
-    shapes = {name: inst.operands[name].shape for name in names}
-    if inst.kind in RECT_KINDS:
-        if inst.dims is None:
-            _fail(f"kind {inst.kind!r} requires dims [m, n, p]")
-        m, n, p = inst.dims
-        expected = {"a": (m, n), "b": (m, p), "c": (m, m)}
-        for name in names:
-            if shapes[name] != expected[name]:
-                _fail(f"operand {name!r} must have shape {expected[name]} for "
-                      f"dims {inst.dims}, got {shapes[name]}")
-    else:
-        if inst.dims is not None:
-            _fail(f"dims are only valid for rect kinds, not {inst.kind!r}")
-        n = shapes["a"][0]
-        for name in names:
-            if shapes[name] != (n, n):
-                _fail(f"operand {name!r} must be square of size {n}, got "
-                      f"{shapes[name]}")
+    rect = inst.kind in RECT_KINDS
+    if rect and inst.dims is None:
+        _fail(f"kind {inst.kind!r} requires dims [m, n, p]")
+    if not rect and inst.dims is not None:
+        _fail(f"dims are only valid for rect kinds, not {inst.kind!r}")
+    # square and sym kinds take the rect rule at m = n = p
+    dims = inst.dims or (inst.operands["a"].rows,) * 3
+    m, n, p = dims
+    expected = {"a": (m, n), "b": (m, p), "c": (m, m)}
+    for name in names:
+        shape = inst.operands[name].shape
+        if shape != expected[name]:
+            _fail(f"operand {name!r} must have shape {expected[name]} for "
+                  f"dims {dims}, got {shape}")
 
 
 def make_instance(kind: str, backend: str, involution: str,
@@ -309,8 +305,11 @@ def dumps_doc(doc) -> str:
 
 
 def write_doc(doc, path: str) -> None:
+    """Write ``dumps_doc(doc)`` to ``path``; a doc that fails to serialize
+    leaves an existing file untouched."""
+    text = dumps_doc(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_doc(doc))
+        fh.write(text)
 
 
 def read_doc(path: str):

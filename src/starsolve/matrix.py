@@ -226,21 +226,22 @@ class Matrix:
     # -- comparison and measures -------------------------------------------
 
     def max_abs(self) -> float:
-        return max((abs(e) for row in self.entries for e in row), default=0.0)
+        """The largest |entry| (0.0 when empty); NaN when any entry is NaN,
+        which ``max`` alone would skip unless it came first."""
+        values = [abs(e) for row in self.entries for e in row]
+        if any(map(math.isnan, values)):
+            return math.nan
+        return max(values, default=0.0)
 
-    def equals(self, other: "Matrix", tol: Optional[float] = None) -> bool:
-        """Entrywise equality; exact backend structural, float within ``tol``.
-
-        ``tol`` is absolute; ``None`` selects ``tolerance(RTOL, self, other)``
-        on the float backend and is ignored on the exact one.
-        """
+    def equals(self, other: "Matrix") -> bool:
+        """Entrywise equality: structural on the exact backend; on the float
+        one, each entry within ``tolerance(RTOL, self, other)``."""
         self._check_tags(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"equals: {self.shape} vs {other.shape}")
         if self.backend == EXACT:
             return self.entries == other.entries
-        if tol is None:
-            tol = tolerance(RTOL, self, other)
+        tol = tolerance(RTOL, self, other)
         return all(abs(a - b) <= tol for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
 

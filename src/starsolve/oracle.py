@@ -244,6 +244,7 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> O
 #   equal     b = a
 #   diagonal  commuting real/complex diagonals with support(b) inside support(a)
 #   rejection bounded rejection sampling of dense pairs
+# unitary and rejection are the rect coisometry and rejection pairs at (n, n, n).
 PAIR_FAMILIES = ("unitary", "equal", "diagonal", "rejection")
 RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 
@@ -319,8 +320,10 @@ def _random_diagonal_support(rng: random.Random, size: int, involution: str):
 def random_pair(rng: random.Random, size: int, family: str,
                 involution: str = CONJUGATE_TRANSPOSE):
     """A square (a, b) satisfying the range and hermitian conditions."""
-    if family == "unitary":
-        return random_unitary(rng, size, involution), random_matrix(rng, size, size, EXACT, involution)
+    if family in ("unitary", "rejection"):
+        # an n x n coisometry is unitary
+        rect_family = "coisometry" if family == "unitary" else family
+        return random_rect_pair(rng, (size, size, size), rect_family, involution)
     if family == "equal":
         a = random_matrix(rng, size, size, EXACT, involution)
         return a, a
@@ -333,15 +336,6 @@ def random_pair(rng: random.Random, size: int, family: str,
                 im = random_rational(rng) if involution == CONJUGATE_TRANSPOSE else 0
                 grid[i][i] = GaussianRational(re, im)
         return a, Matrix.exact(grid, involution)
-    if family == "rejection":
-        ring = MatrixRing(size, EXACT, involution)
-        for _ in range(_MAX_TRIES):
-            a = random_matrix(rng, size, size, EXACT, involution)
-            b = random_matrix(rng, size, size, EXACT, involution)
-            if check_hypotheses(ring, a, b).ok:
-                return a, b
-        raise GenerationError(
-            f"no hypothesis-satisfying pair in {_MAX_TRIES} draws at size {size}")
     raise ValueError(f"unknown pair family {family!r}; choose from {PAIR_FAMILIES}")
 
 
@@ -352,13 +346,17 @@ def random_square_instance(rng: random.Random, sign: str, size: int, family: str
     with the matching symmetry (so the interesting condition stays in play)."""
     _check_sign(sign)
     a, b = random_pair(rng, size, family, involution)
+    return a, b, _random_c(rng, sign, a, b, force_solvable)
+
+
+def _random_c(rng: random.Random, sign: str, a: Matrix, b: Matrix,
+              force_solvable: bool) -> Matrix:
+    """c for the pair (a, b): the image of a random x (solvable by
+    construction), or a random matrix with the sign's symmetry."""
     if force_solvable:
-        x_hat = random_matrix(rng, size, size, EXACT, involution)
-        c = equation_lhs(sign, a, b, x_hat)
-    else:
-        h = random_matrix(rng, size, size, EXACT, involution)
-        c = h.sub(h.star()) if sign == MINUS else h.add(h.star())
-    return a, b, c
+        return equation_lhs(sign, a, b, random_matrix(rng, a.cols, b.cols, EXACT, a.involution))
+    h = random_matrix(rng, a.rows, a.rows, EXACT, a.involution)
+    return h.sub(h.star()) if sign == MINUS else h.add(h.star())
 
 
 def random_sym_instance(rng: random.Random, side: str, size: int,
@@ -439,12 +437,5 @@ def random_rect_instance(rng: random.Random, dims, family: str,
                          involution: str = CONJUGATE_TRANSPOSE,
                          sign: str = MINUS) -> RectProblem:
     _check_sign(sign)
-    m, n, p = dims
     a, b = random_rect_pair(rng, dims, family, involution)
-    if force_solvable:
-        x_hat = random_matrix(rng, n, p, EXACT, involution)
-        c = equation_lhs(sign, a, b, x_hat)
-    else:
-        h = random_matrix(rng, m, m, EXACT, involution)
-        c = h.sub(h.star()) if sign == MINUS else h.add(h.star())
-    return RectProblem(a, b, c)
+    return RectProblem(a, b, _random_c(rng, sign, a, b, force_solvable))

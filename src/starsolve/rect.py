@@ -1,13 +1,14 @@
 """Rectangular A X B* - B X* A* = C via embedding into a square matrix ring.
 
 With A: m x n, B: m x p, C: m x m over a common backend/involution, the
-triple embeds into the order-k ring, k = m + n + p, as
+problem embeds into the order-k ring, k = m + n + p, as the square problem
 
     a = [0 A 0; 0 0 0; 0 0 0],  b = [0 0 B; 0 0 0; 0 0 0],
     c = [C 0 0; 0 0 0; 0 0 0],
 
-block rows/columns sized (m, n, p).  The square equation a x b* - b x* a* = c
-holds iff the (2,3) block X of x solves the rectangular equation.  The
+block rows/columns sized (m, n, p): a RectProblem with dims (k, k, k), as
+is every square problem.  The square equation a x b* - b x* a* = c holds
+iff the (2,3) block X of x solves the rectangular equation.  The
 square solver's formulas also evaluate verbatim on the rectangular operands
 (every product conforms) in the m x m ring of C, which is how
 :func:`solve_rect` computes directly; the embedding is the cross-check.
@@ -50,48 +51,22 @@ class RectProblem:
     def dims(self) -> Dims:
         return (self.a.rows, self.a.cols, self.b.cols)
 
-    @property
-    def backend(self) -> str:
-        return self.a.backend
-
-    @property
-    def involution(self) -> str:
-        return self.a.involution
-
     def ring(self) -> MatrixRing:
         """The m x m ring of C; it supplies the operations on A, B and X."""
-        return MatrixRing(self.a.rows, self.backend, self.involution)
+        return MatrixRing(self.a.rows, self.a.backend, self.a.involution)
 
     def to_float(self) -> "RectProblem":
         return RectProblem(self.a.to_float(), self.b.to_float(), self.c.to_float())
 
 
-@dataclass(frozen=True)
-class EmbeddedTriple:
-    """The square images a, b, c of a RectProblem, with the block sizes."""
-
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    dims: Dims
-
-    @property
-    def k(self) -> int:
-        return sum(self.dims)
-
-    def ring(self) -> MatrixRing:
-        return MatrixRing(self.k, self.a.backend, self.a.involution)
-
-
-def embed(problem: RectProblem) -> EmbeddedTriple:
-    """Place A at block (1,2), B at block (1,3), C at block (1,1)."""
+def embed(problem: RectProblem) -> RectProblem:
+    """The square problem of order k = m + n + p (dims (k, k, k)): A at block
+    (1,2), B at block (1,3), C at block (1,1)."""
     m, n, p = problem.dims
     k = m + n + p
-    base = Matrix.zeros(k, k, problem.involution, problem.backend)
-    a = base.paste(0, m, problem.a)
-    b = base.paste(0, m + n, problem.b)
-    c = base.paste(0, 0, problem.c)
-    return EmbeddedTriple(a, b, c, problem.dims)
+    base = Matrix.zeros(k, k, problem.a.involution, problem.a.backend)
+    return RectProblem(base.paste(0, m, problem.a), base.paste(0, m + n, problem.b),
+                       base.paste(0, 0, problem.c))
 
 
 def embed_mp(a_dagger: Matrix, b_dagger: Matrix, dims: Dims) -> Tuple[Matrix, Matrix]:
@@ -150,9 +125,9 @@ def solve_rect_via_embedding(problem: RectProblem, sign: str = MINUS,
                              rtol: float = RTOL):
     """Cross-check route: embed, solve in the square ring, keep the square family.
 
-    Returns (square SolutionFamily, EmbeddedTriple); extract_solution maps its
-    members to rectangular solutions.  Raises exactly as solve_rect does.
+    Returns (square SolutionFamily, the embedded square RectProblem);
+    extract_solution maps the family's members to rectangular solutions.
+    Raises exactly as solve_rect does.
     """
-    triple = embed(problem)
-    fam = solve(triple.ring(), sign, triple.a, triple.b, triple.c, rtol)
-    return fam, triple
+    square = embed(problem)
+    return solve_rect(square, sign, rtol), square

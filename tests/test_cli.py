@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -197,6 +198,43 @@ def test_exit_2_residual_beyond_float_range(command, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def float_instance(tmp_path, kind, **ops):
+    doc = {"version": "1", "kind": kind, "backend": "float",
+           "involution": "conjugate_transpose",
+           "operands": {name: [[[x, 0.0] for x in row] for row in rows]
+                        for name, rows in ops.items()}}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("check", "solve"))
+def test_exit_2_nan_residual_keeps_output_file(command, tmp_path, capsys):
+    # the hermitian residual of this pair is inf * 0 = nan
+    inst = float_instance(tmp_path, "minus", a=[[1e-200]], b=[[1e200]], c=[[0.0]])
+    out = tmp_path / "report.json"
+    out.write_text("previous report\n")
+    assert run_main(command, "--input", inst, "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out.read_text() == "previous report\n"
+
+
+def test_exit_2_verify_tolerance_overflow(tmp_path, capsys):
+    # |a| |x| |b| = 1e600 overflows, and an inf tolerance would pass the
+    # residual diag(2e100, 2e200)
+    inst = float_instance(tmp_path, "plus", a=[[1e200, 0.0], [0.0, 1.0]],
+                          b=[[1e200, 0.0], [0.0, 1.0]], c=[[0.0, 0.0], [0.0, 0.0]])
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"version": "1", "type": "matrix", "backend": "float",
+                             "involution": "conjugate_transpose",
+                             "matrix": [[[1e-300, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [1e200, 0.0]]]}))
+    assert run_main("verify", "--input", inst, "--solution", str(x)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ("check", "solve"))
 def test_huge_skew_instance_still_solvable(command, tmp_path, capsys):
     inst = write_scalar_instance(tmp_path, ["0", "1", str(10 ** 400), "1"])
@@ -360,6 +398,89 @@ def test_gen_repeat_is_byte_identical(capsys):
     first = capsys.readouterr().out
     run_main("gen", "--kind", "sym_left", "--seed", "12")
     assert capsys.readouterr().out == first
+
+
+# sha256 of `gen` stdout at seed 7, dims 2 or 2,3,2, keyed by (kind, family,
+# involution, force_solvable): a generator refactor that changes a drawn byte
+# fails here
+GEN_SHA256 = {
+    ("minus", "unitary", "conjugate_transpose", False): "83597119ba8f5c859fa3cb3021adcfa7504bd48a31b177c9d1794f8699b6c3b9",
+    ("minus", "unitary", "conjugate_transpose", True): "1c10ff476858496a8506b949851eab3407feb67639c8e539374c9c22206a1fcb",
+    ("minus", "unitary", "transpose", False): "a04ccc92c2de4681253eff586858e052db0042e1bca17dd1c7ec96b28169659d",
+    ("minus", "unitary", "transpose", True): "3b26c165bbc911d5d276cddfee1244467f35a5e30b7ea3c50625df849b7c41c1",
+    ("minus", "equal", "conjugate_transpose", False): "55dca85199030c83f590cbd691e066d5f5d024090d4b1ee73861bd7e31a72671",
+    ("minus", "equal", "conjugate_transpose", True): "f489f195ed6e1ebfc64c684695867f20c8abfe106a63c137a92e65cc18584f84",
+    ("minus", "equal", "transpose", False): "e42bdd536a8b91f1d0af3804d7f3e0b6f66ca019bc966644768c429aafb65312",
+    ("minus", "equal", "transpose", True): "5708cdb8a6d475a2c9e9f11db514cc6a58ac45c3c2d14dd502d17b9e49a0dcc3",
+    ("minus", "diagonal", "conjugate_transpose", False): "5daa7f0aa66a6dd6d9857c769f695faf476e661711cbce3170fc088f12237342",
+    ("minus", "diagonal", "conjugate_transpose", True): "76f826c1c4330e454c96f844a8ac010137dc0516fa591d4e722e14ec12650dd4",
+    ("minus", "diagonal", "transpose", False): "4f2d6cd875e4f2ef28748c6fa2cad41bbcce6eb0112c0d1595664b496b72c3b8",
+    ("minus", "diagonal", "transpose", True): "84da79d2d0874f6e2ae764c9408962d82c2339c5c55a53a9a478ff75b791390b",
+    ("minus", "rejection", "conjugate_transpose", False): "209b36885960673e6e4110f30692fa8b31448d69bd8a8766326236e521a6e3cf",
+    ("minus", "rejection", "conjugate_transpose", True): "9617b34db6e253104af9d465bf799c5221fcdbffaeffc037a4e26d0d7850b578",
+    ("minus", "rejection", "transpose", False): "64613ceeec4faf218d1c4ce16927adc15f5e7ab914ac4756483c4f039b55234f",
+    ("minus", "rejection", "transpose", True): "6f19a7437e9fca7729c0182d5e1357615c1c3e90c5df9265131407b186910500",
+    ("plus", "unitary", "conjugate_transpose", False): "e1ce8db7a93f7ab87f55526c52fa21ee4f0bc43961ea3f6703c8e5d58157b839",
+    ("plus", "unitary", "conjugate_transpose", True): "a2747925f68b5115d7a630cc238ff7479e31c118a8b7f07b5091bfafd5374ca7",
+    ("plus", "unitary", "transpose", False): "f925b8097eddcf82373adc90e7d1fde0c51e3d093e0430da2cf02a4724a1676e",
+    ("plus", "unitary", "transpose", True): "68b3cf802e69367b8146b4d93d497aec4c7cb21316e93ee9613669cacfba0dbd",
+    ("plus", "equal", "conjugate_transpose", False): "ef523e2a30e70959f47ab39468f9b500f01665c92f603c06a9eb8272c3b2cad6",
+    ("plus", "equal", "conjugate_transpose", True): "98eb10b9a43dc262e42815cae60ab95d500026536d54c364c63f1f1a82ef8df5",
+    ("plus", "equal", "transpose", False): "80682f6dbd688f5de99c97a1095a231e6c9f1d588108ab67a10745b7cae670c6",
+    ("plus", "equal", "transpose", True): "3fe5c8574fb4f357ef76a424262c8106c89b4ecc81d241f7c5909908b854688b",
+    ("plus", "diagonal", "conjugate_transpose", False): "60d2dea6988c9105175573cd0b06f4c463f48c381074bbc7fb76280867574225",
+    ("plus", "diagonal", "conjugate_transpose", True): "aebad52a394db020de1162b2eabc98b7f21549eefc06574df655fde678d84547",
+    ("plus", "diagonal", "transpose", False): "6863aeffee6cae1108e2f796796378bf183d3a2167d6918faa4e78b1ff16df33",
+    ("plus", "diagonal", "transpose", True): "6ce39de0d245cbe16c9ff89893269530b5daa919a08ad21cb0decc74332d2bd0",
+    ("plus", "rejection", "conjugate_transpose", False): "6d699119732fef88034c4b26a8a8ce13615daa34c34a4f0e3d97e0aecc25867d",
+    ("plus", "rejection", "conjugate_transpose", True): "af65f5a6666a90f2a82284c54f1d15388b23459f31592f46b8395c9d9f240723",
+    ("plus", "rejection", "transpose", False): "6908b2ae8d1478ce285bf0b4a937f16f74d95ce26fe37a573e6b926a19d4add8",
+    ("plus", "rejection", "transpose", True): "dbb3199477e4151a334e687c4acc76288724839be31b0101d69579682bf08583",
+    ("sym_right", None, "conjugate_transpose", False): "0d80ade81460d8d1b8fa8c3904b3dc5cb35cb39a1c6f2c07c703e2d0bfc96d5b",
+    ("sym_right", None, "conjugate_transpose", True): "695ce6faa74402829fd1ce49a6e85d765c930ff31bde18de2e22a32f08676b1f",
+    ("sym_right", None, "transpose", False): "8075d3aa1b65e9d40a05cf8443afb7d22739830a2bda12e96c2b4c7f598c4ad1",
+    ("sym_right", None, "transpose", True): "7e0a38ba74260e56fc81745f035d1e1642a522e2f1f124a3b4107aa075c18736",
+    ("sym_left", None, "conjugate_transpose", False): "adb82f0460316af4125c8c031da82a78019d8b51994ba74e38546ec5bfc2dd74",
+    ("sym_left", None, "conjugate_transpose", True): "638d2cd2a78c3b1f18d0737208c4d527eb01f71fe8af661e3371189dc260dd66",
+    ("sym_left", None, "transpose", False): "fa6ce00bde2ee4e6c5f1932cb8b0f94f78574481ce4def3cc4a5a3b23b092ea5",
+    ("sym_left", None, "transpose", True): "ed4cc4842428926550d5ffb9300d54a697ea1bf497f277d6ec4bfcdd528664ee",
+    ("rect_minus", "coisometry", "conjugate_transpose", False): "bf2affbfb00200a13265233abb739a21c9f0be26faf44d512d8029184c232a84",
+    ("rect_minus", "coisometry", "conjugate_transpose", True): "0dc6732c24404c6b85269a0416c685d36059fbb3c6405ac21ad45d5d38601bf1",
+    ("rect_minus", "coisometry", "transpose", False): "cedd6fcf3e6d3b5eeeee4d6e30416a534f15fb7cff3b5e4c0f849079206c3217",
+    ("rect_minus", "coisometry", "transpose", True): "557343c73e92515eb15d855f6c8bf89aeb89181577b1a6cbe9dde07e952aee9e",
+    ("rect_minus", "diagonal", "conjugate_transpose", False): "cd96a0a1ccf90233c9189c73de2e7838907ceab6307e82a181d37cfc4605e034",
+    ("rect_minus", "diagonal", "conjugate_transpose", True): "b5a534367d0f47e1b0c9b66ebe94e78a4a3916a10de31fc31484d8ea3ca108a2",
+    ("rect_minus", "diagonal", "transpose", False): "176970292a8482c16340034ec3c8fa383bfe8e9ca160078d3b3903f821ba92ca",
+    ("rect_minus", "diagonal", "transpose", True): "09320d1c1800132d892437a3a05c91a4b355f5e39a9df49b0eea005a9be9bc33",
+    ("rect_minus", "rejection", "conjugate_transpose", False): "201f833ddc91ec143d647f046dcab3e296586fbe45eee3af63a9a627c50aca4b",
+    ("rect_minus", "rejection", "conjugate_transpose", True): "14308516597fa342d1b44360a33c40fbc05dc24d862a68b3e9772afc04c09671",
+    ("rect_minus", "rejection", "transpose", False): "51c5a9234769640e24cd07ab998c820f9abdbcd90980078f8f3d24ee67da3ce0",
+    ("rect_minus", "rejection", "transpose", True): "a5a85a0f7538ceaa276d04dd0aeee0d752f43fd2e825fb9e1bea8712256f88e7",
+    ("rect_plus", "coisometry", "conjugate_transpose", False): "2a9d3e376b2e230d31330bff5129d8b311457b983e8dcc5907df9c4af6b0f596",
+    ("rect_plus", "coisometry", "conjugate_transpose", True): "d8a8acf294963edc21b1ac93e8b49ec4fad86449e76f809f555d5492e57bd1d7",
+    ("rect_plus", "coisometry", "transpose", False): "9ff177469533cff25590c4991d4deaa84b58030cd4818499bc3ac2ab763af3d6",
+    ("rect_plus", "coisometry", "transpose", True): "bf3a83f397b08590033864e94d65bce2b636314c9405eebcf7f44926ff308651",
+    ("rect_plus", "diagonal", "conjugate_transpose", False): "64b2b6504168fc4b5555bc9e0ec5436c4caba9927c84b041db2d07d7601f4a3d",
+    ("rect_plus", "diagonal", "conjugate_transpose", True): "976156223469768387e6853f0abfe8d708fe64ded257061328e6f01440b7afeb",
+    ("rect_plus", "diagonal", "transpose", False): "ec5e6430ef89020cbd8dd330d4bd2b5ddfee8d30105bd06db3059524685f56ce",
+    ("rect_plus", "diagonal", "transpose", True): "31deeb0a0097fc55bebb76d82d518a44cbfcce18699420377faff60be6f7823f",
+    ("rect_plus", "rejection", "conjugate_transpose", False): "571cb622a614ac436a5e19103d52d566a3f8d239bf70f426b345d125b21d06db",
+    ("rect_plus", "rejection", "conjugate_transpose", True): "d4f6d9cb3cf49d7711d76fca98ec56cfb36eb1936c0558c71400d268fd1dd817",
+    ("rect_plus", "rejection", "transpose", False): "898400ddc855fa9531b0dc9925c477e69c8c6d5f4d8defa0f9d5ca9faedff207",
+    ("rect_plus", "rejection", "transpose", True): "a6c89a7fb78abaa9b516229a9c9552edef7cc999899828f801e59dc4ab5d9eb7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GEN_SHA256, key=repr))
+def test_gen_bytes_pinned(case, capsys):
+    kind, family, involution, forced = case
+    argv = ["gen", "--kind", kind, "--dims", "2,3,2" if kind in formats.RECT_KINDS else "2",
+            "--seed", "7", "--involution", involution]
+    argv += ["--family", family] if family else []
+    argv += ["--force-solvable"] if forced else []
+    assert run_main(*argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[case]
 
 
 def test_gen_all_kinds_solve_when_forced(tmp_path):

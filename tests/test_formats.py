@@ -212,3 +212,22 @@ def test_load_instance_bad_json(tmp_path):
     path.write_text("{]")
     with pytest.raises(FormatError):
         formats.load_instance(str(path))
+
+
+@pytest.mark.parametrize("kind", ("minus", "sym_left"))
+def test_square_kinds_take_the_rect_shape_rule(kind):
+    inst = build_instance(3, kind, EXACT, CONJUGATE_TRANSPOSE)
+    n = inst.size
+    doc = instance_to_doc(inst)
+    doc["operands"]["b"] = [row + [["0", "1", "0", "1"]] for row in doc["operands"]["b"]]
+    with pytest.raises(FormatError, match=rf"'b' must have shape \({n}, {n}\) "
+                                          rf"for dims \({n}, {n}, {n}\)"):
+        instance_from_doc(doc)
+
+
+def test_write_doc_keeps_the_file_when_serializing_fails(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("previous report\n")
+    with pytest.raises(ValueError):
+        formats.write_doc({"residual_max_abs": float("nan")}, str(path))
+    assert path.read_text() == "previous report\n"

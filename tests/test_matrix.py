@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,14 @@ def test_float_equality_is_tolerance_scaled():
     assert not a.equals(Matrix.floating([[1.1, 0.0]]))
     with pytest.raises(ShapeMismatchError):
         a.equals(Matrix.floating([[1.0]]))
+
+
+@pytest.mark.parametrize("row", ([0.0, 1e300], [1e300, 0.0]))
+def test_max_abs_sees_nan_in_any_position(row):
+    big = Matrix.floating([row]).scale(1e300)   # [[0, inf]] or [[inf, 0]]
+    nan = big.sub(big)                          # inf - inf = nan
+    assert math.isnan(nan.max_abs())
+    assert not nan.is_zero(1e-9)
 
 
 def test_to_float_matches_entries():

@@ -51,7 +51,7 @@ def test_embedding_block_layout():
     prob = RectProblem(a, b, c)
     triple = embed(prob)
     k = 1 + 2 + 3
-    assert triple.k == k
+    assert isinstance(triple, RectProblem) and triple.dims == (k, k, k)
     assert triple.a.shape == (k, k)
     # a occupies block (1,2), b block (1,3), c block (1,1); all else zero
     assert triple.a.block(0, 1, 1, 2).equals(a)
@@ -148,7 +148,7 @@ def test_embedded_homogeneous_extracts_to_rect_kernel():
     rng = random.Random(17)
     prob = random_rect_instance(rng, (2, 2, 2), "coisometry")
     sq_fam, triple = solve_rect_via_embedding(prob)
-    v = random_matrix(rng, triple.k, triple.k)
+    v = random_matrix(rng, triple.a.rows, triple.a.rows)
     h = extract_solution(sq_fam.homogeneous(v), prob.dims)
     assert rect_map(prob, h).is_zero()
 
