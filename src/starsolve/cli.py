@@ -18,24 +18,25 @@ Exit codes are a stable contract:
 """
 
 import argparse
-import datetime
 import math
+import random
 import sys
+import time
 from typing import Optional
 
 from . import formats
-from .formats import (FormatError, Instance, KINDS, RECT_KINDS, SQUARE_KINDS,
-                      SYM_KINDS)
+from .formats import (FormatError, GenerationError, Instance, KINDS, PAIR_FAMILIES,
+                      RECT_FAMILIES, RECT_KINDS, SQUARE_KINDS, SYM_KINDS)
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
                      RTOL, MatrixRing, mp_inverse, penrose_defects)
-from .oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
-                     oracle_solve, random_rect_instance, random_sym_instance,
-                     random_square_instance, verify_family_against_oracle)
 from .ring import NotMpInvertibleError
 from .solvers import (HypothesesFailError, UnsolvableError, check_hypotheses,
                       equation_lhs, residual_tolerance, solvability_conditions,
                       solve, solve_sym_left, solve_sym_right, sym_general_form,
                       sym_solvability_conditions)
+
+# starsolve.oracle is imported inside cmd_gen and _oracle_section only: no
+# other subcommand runs it, and each CLI process would pay for loading it.
 
 # float residuals within [tol/BAND, tol*BAND] are too close to call
 INDETERMINATE_BAND = 1e3
@@ -56,7 +57,7 @@ class SelfCheckError(Exception):
 
 
 def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _resolve_tol(args) -> float:
@@ -256,6 +257,7 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
 
 
 def _oracle_section(fam) -> dict:
+    from .oracle import oracle_solve, verify_family_against_oracle
     result = oracle_solve(fam.sign, fam.a, fam.b, fam.c)
     agreement = verify_family_against_oracle(fam, result)
     if not (result.solvable and agreement.ok):
@@ -332,10 +334,10 @@ def _parse_dims(kind: str, raw: Optional[str]):
 
 
 def cmd_gen(args) -> int:
-    import random as _random
+    from .oracle import random_rect_instance, random_sym_instance, random_square_instance
     kind = args.kind
     dims = _parse_dims(kind, args.dims)
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     sign = formats.sign_of(kind)
 
     if kind in SQUARE_KINDS:

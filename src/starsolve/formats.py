@@ -9,14 +9,17 @@ Exact scalars serialize as quadruples of decimal strings
 [re_num, re_den, im_num, im_den] so entries never hit integer-width
 limits; float scalars are plain [re, im] pairs.  Parsing is strict:
 unknown keys, wrong shapes, and out-of-enum values all raise FormatError.
+
+The generator family names and GenerationError live here too: the CLI needs
+them for its help text and exit codes at start-up, and loads oracle.py,
+which generates, only for `gen` and `solve --oracle`.
 """
 
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix
 from .scalars import GaussianRational
@@ -27,6 +30,10 @@ SQUARE_KINDS = ("minus", "plus")
 SYM_KINDS = ("sym_right", "sym_left")
 RECT_KINDS = ("rect_minus", "rect_plus")
 KINDS = SQUARE_KINDS + SYM_KINDS + RECT_KINDS
+
+# generator families of `gen --family` (see oracle.py): square pairs, rect triples
+PAIR_FAMILIES = ("unitary", "equal", "diagonal", "rejection")
+RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 
 # operand names, in serialization order, for each kind
 OPERAND_NAMES = {
@@ -48,6 +55,11 @@ def sign_of(kind: str) -> str:
 
 class FormatError(ValueError):
     """Raised for any malformed or out-of-contract document."""
+
+
+class GenerationError(Exception):
+    """A generator cannot honour its parameters: an infeasible shape, or a
+    bounded rejection sampler ran out of attempts."""
 
 
 def _fail(msg: str) -> None:
@@ -176,8 +188,7 @@ def matrix_from_doc(doc) -> Matrix:
 # -- instances ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """One equation instance: which equation, over what ring, with what data."""
 
     kind: str

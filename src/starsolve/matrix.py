@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -70,31 +69,62 @@ def _entry_is_real(value, backend) -> bool:
     return value.im == 0 if backend == EXACT else value.imag == 0.0
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable dense rows x cols matrix with involution and backend tags."""
+    """Immutable dense rows x cols matrix with involution and backend tags.
+
+    Hashable; two matrices are equal when their shapes, entries and tags
+    are.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "involution", "backend")
 
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples, row-major
-    involution: str = CONJUGATE_TRANSPOSE
-    backend: str = EXACT
+    involution: str
+    backend: str
 
-    def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.involution not in INVOLUTIONS:
-            raise ValueError(f"unknown involution {self.involution!r}")
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple,
+                 involution: str = CONJUGATE_TRANSPOSE, backend: str = EXACT):
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
+        if involution not in INVOLUTIONS:
+            raise ValueError(f"unknown involution {involution!r}")
+        if rows < 0 or cols < 0:
             raise ShapeMismatchError("negative dimension")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeMismatchError("entry grid does not match declared shape")
-        if self.involution == TRANSPOSE:
+        if involution == TRANSPOSE:
             # Plain transpose is only a usable involution here on real matrices.
-            for row in self.entries:
+            for row in entries:
                 for e in row:
-                    if not _entry_is_real(e, self.backend):
+                    if not _entry_is_real(e, backend):
                         raise ValueError("transpose involution requires all-real entries")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "involution", involution)
+        object.__setattr__(self, "backend", backend)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Matrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Matrix is immutable")
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries, self.involution, self.backend)
+
+    def __eq__(self, other):
+        if other.__class__ is not Matrix:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle: rebuild through __init__
+        return Matrix, self._key()
 
     # -- construction ---------------------------------------------------
 

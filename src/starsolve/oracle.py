@@ -23,6 +23,7 @@ from itertools import product
 from operator import add
 from typing import Optional, Tuple
 
+from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
                      gauss_jordan, random_matrix, random_rational)
 from .rect import RectProblem
@@ -33,11 +34,6 @@ RE = "re"
 IM = "im"
 
 _MAX_TRIES = 500
-
-
-class GenerationError(Exception):
-    """A generator cannot honour its parameters: an infeasible shape, or a
-    bounded rejection sampler ran out of attempts."""
 
 
 def _coordinate_index(rows: int, cols: int, involution: str) -> tuple:
@@ -245,8 +241,7 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> O
 #   diagonal  commuting real/complex diagonals with support(b) inside support(a)
 #   rejection bounded rejection sampling of dense pairs
 # unitary and rejection are the rect coisometry and rejection pairs at (n, n, n).
-PAIR_FAMILIES = ("unitary", "equal", "diagonal", "rejection")
-RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
+# The family names PAIR_FAMILIES and RECT_FAMILIES live in formats.py.
 
 # Unit-modulus Gaussian rationals (conjugate-transpose involution).
 _UNIT_SCALARS = (

@@ -29,8 +29,7 @@ do not change when an instance is rescaled.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import matrix
 from .matrix import RTOL, Matrix, MatrixRing, random_matrix
@@ -45,8 +44,7 @@ def _check_sign(sign: str):
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One named check; ``residual`` is the matrix that must vanish."""
 
     name: str
@@ -61,8 +59,7 @@ def _condition(name: str, residual: Matrix, rtol: float, *terms) -> Condition:
     return Condition(name, residual.is_zero(tol), residual, tol)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Checked hypotheses for a pair (a, b) plus the derived d, d'."""
 
     a: Matrix
@@ -189,7 +186,6 @@ def residual_tolerance(rtol: float, a: Matrix, b: Matrix, c: Matrix,
     return matrix.tolerance(rtol, (a, x, b), c)
 
 
-@dataclass
 class SolutionFamily:
     """The full solution set of a x b* -/+ b x* a* = c, as x0 + L(v) with
 
@@ -210,21 +206,16 @@ class SolutionFamily:
     uniform.  ``report`` is the hypothesis report (None for the symmetric
     kinds), ``conditions`` the solvability conditions the solver checked,
     and ``rtol`` the relative float tolerance it checked them with.
+    Attributes stay assignable, so a caller can perturb a family.
     """
 
-    sign: str
-    a: Matrix
-    b: Matrix
-    c: Matrix
-    x0: Matrix
-    p: Matrix
-    q: Matrix
-    r: Matrix
-    s: Matrix
-    kind: str
-    report: Optional[HypothesisReport]
-    conditions: tuple
-    rtol: float = RTOL
+    def __init__(self, sign: str, a: Matrix, b: Matrix, c: Matrix, x0: Matrix,
+                 p: Matrix, q: Matrix, r: Matrix, s: Matrix, kind: str,
+                 report: Optional[HypothesisReport], conditions: tuple,
+                 rtol: float = RTOL):
+        self.sign, self.a, self.b, self.c, self.x0 = sign, a, b, c, x0
+        self.p, self.q, self.r, self.s = p, q, r, s
+        self.kind, self.report, self.conditions, self.rtol = kind, report, conditions, rtol
 
     def homogeneous(self, v: Matrix) -> Matrix:
         """L(v): a solution of the homogeneous equation."""

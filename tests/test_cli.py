@@ -619,6 +619,43 @@ def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
     assert solved >= 10
 
 
+# -- start-up imports -----------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# what the CLI loads only for `gen` and `solve --oracle`, or never
+NOT_AT_START_UP = ("starsolve.oracle", "starsolve.rect", "dataclasses", "inspect", "datetime")
+
+STARTUP_CHILD = f"""
+import json, sys
+sys.path.insert(0, {str(SRC)!r})
+import starsolve.cli
+seen = {{"import": [m for m in {NOT_AT_START_UP!r} if m in sys.modules]}}
+golden = {str(GOLDEN / "scalar_minus.json")!r}
+for argv in (["check", "--input", golden], ["solve", "--input", golden]):
+    assert starsolve.cli.main(argv + ["--output", sys.argv[1]]) == 0
+seen["check_solve"] = [m for m in {NOT_AT_START_UP!r} if m in sys.modules]
+assert starsolve.cli.main(["gen", "--kind", "minus", "--output", sys.argv[1]]) == 0
+seen["gen"] = "starsolve.oracle" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
+    # -S: no site hooks, so only what the package itself imports is loaded
+    r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, str(tmp_path / "out.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen == {"import": [], "check_solve": [], "gen": True}
+
+
+def test_generated_at_is_a_utc_timestamp(capsys):
+    assert run_main("check", "--input", str(GOLDEN / "scalar_minus.json")) == 0
+    stamp = json.loads(capsys.readouterr().out)["generated_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+
+
 # -- round trips through the console entry point -----------------------------------
 
 

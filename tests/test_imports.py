@@ -1,10 +1,18 @@
 """Every imported name in src/ and tests/ is used, and every function and
-class defined in src/ has a caller (no linter runs in tier-1)."""
+class defined in src/ has a caller (no linter runs in tier-1).  The package
+surface is lazy: ``import starsolve`` loads no submodule."""
 
 import ast
+import importlib
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import starsolve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -90,3 +98,35 @@ def test_every_src_definition_has_a_caller():
                for top in ("src", "tests", "perfbench")}
     others = {**sources["tests"], **sources["perfbench"]}
     assert unreferenced_definitions(sources["src"], others) == []
+
+
+# -- the lazy package surface -----------------------------------------------------
+
+
+def test_import_starsolve_loads_no_submodule():
+    child = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import starsolve; "
+             "print([m for m in sys.modules if m.startswith('starsolve.')])")
+    r = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    for name in starsolve.__all__:
+        if name == "__version__":
+            continue
+        defining = importlib.import_module(f"starsolve.{starsolve._MODULE_OF[name]}")
+        value = getattr(starsolve, name)
+        assert value is getattr(defining, name), name
+        # classes and functions: the table names the module that defines them
+        assert getattr(value, "__module__", defining.__name__) == defining.__name__, name
+    star = {}
+    exec("from starsolve import *", star)
+    assert set(starsolve.__all__) <= set(star)
+    assert all(star[name] is getattr(starsolve, name) for name in starsolve.__all__)
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'EmbeddedTriple'"):
+        starsolve.EmbeddedTriple
+    assert not hasattr(starsolve, "no_such_name")

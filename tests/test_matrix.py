@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -59,6 +61,41 @@ def test_shape_mismatch_raises():
     with pytest.raises(ShapeMismatchError):
         b.mul(b)
     assert (a @ b).shape == (1, 1)
+
+
+def test_matrix_value_semantics():
+    a = Matrix.exact([[1, 2], [3, 4]])
+    same = Matrix(2, 2, a.entries)
+    assert a == same and hash(a) == hash(same)
+    assert a != Matrix.exact([[1, 2], [3, 5]])
+    assert a != "a matrix"
+    # empty grids differ in their tags alone
+    empty = Matrix(0, 0, ())
+    assert empty == Matrix(0, 0, (), CONJUGATE_TRANSPOSE, EXACT)
+    assert empty != Matrix(0, 0, (), TRANSPOSE)
+    assert empty != Matrix(0, 0, (), backend=FLOAT)
+    assert a != a.to_float()
+    assert copy.copy(a) == a
+    f = a.to_float()
+    assert pickle.loads(pickle.dumps(f)) == f
+    with pytest.raises(AttributeError):
+        a.rows = 3
+    with pytest.raises(AttributeError):
+        del a.entries
+    assert a.rows == 2 and a.entries == same.entries
+
+
+def test_matrix_constructor_errors():
+    with pytest.raises(ShapeMismatchError):
+        Matrix(2, 2, ((GaussianRational(1),) * 2,))
+    with pytest.raises(ShapeMismatchError):
+        Matrix(-1, 0, ())
+    with pytest.raises(ValueError, match="unknown backend"):
+        Matrix(0, 0, (), backend="quad")
+    with pytest.raises(ValueError, match="unknown involution"):
+        Matrix(0, 0, (), involution="adjoint")
+    with pytest.raises(ValueError, match="all-real"):
+        Matrix(1, 1, ((I,),), TRANSPOSE)
 
 
 def test_mixed_tags_raise():
