@@ -7,6 +7,10 @@ and the oracle's exact solve all reduce through it), the rank-factorization
 route to the Moore-Penrose inverse, and the Penrose checks.  Rectangular
 matrices use the same type; only :class:`MatrixRing` insists on squareness.
 
+An exact matrix is held as Gaussian-integer grids over one denominator;
+its arithmetic and its fraction-free elimination live in
+:mod:`starsolve.grids`, which a float-only process never loads.
+
 Plain-transpose matrices are restricted to real entries at construction so
 that the core ``F* m G*`` of the MP-inverse is always invertible.
 """
@@ -19,7 +23,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ring import NotMpInvertibleError
-from .scalars import GR_HALF, GR_ONE, GR_ZERO, GaussianRational, finite_complex
+from .scalars import GR_ONE, GR_ZERO, GaussianRational, finite_complex
 
 EXACT = "exact"
 FLOAT = "float"
@@ -65,6 +69,13 @@ def _coerce_entry(value, backend):
     raise TypeError(f"float matrices take int/float/complex entries, got {value!r}")
 
 
+def _grid_ops():
+    """The exact arithmetic, :mod:`starsolve.grids`, imported on first use,
+    so that a float-only process never compiles it."""
+    from . import grids
+    return grids
+
+
 def _entry_is_real(value, backend) -> bool:
     return value.im == 0 if backend == EXACT else value.imag == 0.0
 
@@ -72,15 +83,17 @@ def _entry_is_real(value, backend) -> bool:
 class Matrix:
     """Immutable dense rows x cols matrix with involution and backend tags.
 
-    Hashable; two matrices are equal when their shapes, entries and tags
-    are.
+    An exact matrix is stored as ``grids = (re, im, d)``, entry
+    ``(re + im i) / d`` in lowest terms (see :mod:`starsolve.grids`), and
+    builds its ``GaussianRational`` entries on first use; a float matrix has
+    ``grids`` None.  Hashable; two matrices are equal when their shapes,
+    values and tags are.
     """
 
-    __slots__ = ("rows", "cols", "entries", "involution", "backend")
+    __slots__ = ("rows", "cols", "involution", "backend", "_entries", "grids")
 
     rows: int
     cols: int
-    entries: tuple  # tuple of row tuples, row-major
     involution: str
     backend: str
 
@@ -100,11 +113,12 @@ class Matrix:
                 for e in row:
                     if not _entry_is_real(e, backend):
                         raise ValueError("transpose involution requires all-real entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "involution", involution)
-        object.__setattr__(self, "backend", backend)
+        self._set(rows, cols, involution, backend, entries,
+                  _grid_ops().from_entries(entries) if backend == EXACT else None)
+
+    def _set(self, *values):
+        for name, value in zip(Matrix.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -112,8 +126,19 @@ class Matrix:
     def __delattr__(self, name):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def entries(self) -> tuple:
+        """Row tuples of the entries, row-major."""
+        if self._entries is None:
+            re, im, d = self.grids
+            object.__setattr__(self, "_entries", tuple(
+                tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(rr, ir))
+                for rr, ir in zip(re, im)))
+        return self._entries
+
     def _key(self) -> tuple:
-        return (self.rows, self.cols, self.entries, self.involution, self.backend)
+        data = self._entries if self.grids is None else self.grids
+        return (self.rows, self.cols, data, self.involution, self.backend)
 
     def __eq__(self, other):
         if other.__class__ is not Matrix:
@@ -124,7 +149,7 @@ class Matrix:
         return hash(self._key())
 
     def __reduce__(self):  # copy and pickle: rebuild through __init__
-        return Matrix, self._key()
+        return Matrix, (self.rows, self.cols, self.entries, self.involution, self.backend)
 
     # -- construction ---------------------------------------------------
 
@@ -185,6 +210,8 @@ class Matrix:
         self._check_tags(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add: {self.shape} vs {other.shape}")
+        if self.backend == EXACT:
+            return _grid_ops().add(self, other, 1)
         grid = tuple(tuple(a + b for a, b in zip(ra, rb))
                      for ra, rb in zip(self.entries, other.entries))
         return self._like(grid)
@@ -193,11 +220,15 @@ class Matrix:
         self._check_tags(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"sub: {self.shape} vs {other.shape}")
+        if self.backend == EXACT:
+            return _grid_ops().add(self, other, -1)
         grid = tuple(tuple(a - b for a, b in zip(ra, rb))
                      for ra, rb in zip(self.entries, other.entries))
         return self._like(grid)
 
     def neg(self) -> "Matrix":
+        if self.backend == EXACT:
+            return _grid_ops().times(self, -1, 0, 1)
         return self._like(tuple(tuple(-a for a in row) for row in self.entries))
 
     def mul(self, other: "Matrix") -> "Matrix":
@@ -205,8 +236,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeMismatchError(f"mul: {self.shape} @ {other.shape}")
         if self.backend == EXACT:
-            return Matrix(self.rows, other.cols, _exact_product(self, other),
-                          self.involution, EXACT)
+            return _grid_ops().mul(self, other)
         zero = _zero_scalar(self.backend)
         ocols = other.cols
         out = []
@@ -224,6 +254,8 @@ class Matrix:
         return Matrix(self.rows, ocols, tuple(out), self.involution, self.backend)
 
     def star(self) -> "Matrix":
+        if self.backend == EXACT:
+            return _grid_ops().star(self)
         if self.involution == CONJUGATE_TRANSPOSE:
             grid = tuple(tuple(self.entries[i][j].conjugate() for i in range(self.rows))
                          for j in range(self.cols))
@@ -234,12 +266,17 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
+        if self.backend == EXACT:
+            ops = _grid_ops()
+            ((u,),), ((v,),), e = ops.from_entries(((s,),))
+            return ops.times(self, u, v, e)
         return self._like(tuple(tuple(s * a for a in row) for row in self.entries))
 
     def half(self) -> "Matrix":
         """Multiply every entry by one half (the central inverse of 2)."""
-        s = GR_HALF if self.backend == EXACT else 0.5
-        return self._like(tuple(tuple(s * a for a in row) for row in self.entries))
+        if self.backend == EXACT:
+            return _grid_ops().times(self, 1, 0, 2)
+        return self._like(tuple(tuple(0.5 * a for a in row) for row in self.entries))
 
     def __add__(self, other):
         return self.add(other)
@@ -258,7 +295,13 @@ class Matrix:
     def max_abs(self) -> float:
         """The largest |entry| (0.0 when empty); NaN when any entry is NaN,
         which ``max`` alone would skip unless it came first."""
-        values = [abs(e) for row in self.entries for e in row]
+        if self.backend == EXACT:
+            # x / d rounds correctly, as float(Fraction) does.
+            re, im, d = self.grids
+            values = [math.hypot(x / d, y / d) for rr, ir in zip(re, im)
+                      for x, y in zip(rr, ir)]
+        else:
+            values = [abs(e) for row in self.entries for e in row]
         if any(map(math.isnan, values)):
             return math.nan
         return max(values, default=0.0)
@@ -270,7 +313,7 @@ class Matrix:
         if self.shape != other.shape:
             raise ShapeMismatchError(f"equals: {self.shape} vs {other.shape}")
         if self.backend == EXACT:
-            return self.entries == other.entries
+            return self.grids == other.grids
         tol = tolerance(RTOL, self, other)
         return all(abs(a - b) <= tol for ra, rb in zip(self.entries, other.entries)
                    for a, b in zip(ra, rb))
@@ -279,6 +322,9 @@ class Matrix:
         """Every entry is zero: exactly when ``tol`` is None (what
         :func:`tolerance` gives on the exact backend), else within ``tol``."""
         if tol is None:
+            if self.backend == EXACT:
+                re, im, _ = self.grids
+                return not any(map(any, re)) and not any(map(any, im))
             return all(not e for row in self.entries for e in row)
         return self.max_abs() <= tol
 
@@ -287,6 +333,8 @@ class Matrix:
     def block(self, row0: int, col0: int, rows: int, cols: int) -> "Matrix":
         if row0 + rows > self.rows or col0 + cols > self.cols or row0 < 0 or col0 < 0:
             raise ShapeMismatchError("block out of range")
+        if self.backend == EXACT:
+            return _grid_ops().block(self, row0, col0, rows, cols)
         grid = tuple(tuple(self.entries[row0 + i][col0 + j] for j in range(cols))
                      for i in range(rows))
         return Matrix(rows, cols, grid, self.involution, self.backend)
@@ -296,6 +344,8 @@ class Matrix:
         self._check_tags(sub)
         if row0 + sub.rows > self.rows or col0 + sub.cols > self.cols:
             raise ShapeMismatchError("paste out of range")
+        if self.backend == EXACT:
+            return _grid_ops().paste(self, row0, col0, sub)
         grid = [list(row) for row in self.entries]
         for i in range(sub.rows):
             for j in range(sub.cols):
@@ -305,45 +355,15 @@ class Matrix:
     def to_float(self) -> "Matrix":
         if self.backend == FLOAT:
             return self
-        grid = tuple(tuple(complex(e) for e in row) for row in self.entries)
+        # x / d rounds correctly, as float(Fraction) does: the same floats.
+        re, im, d = self.grids
+        grid = tuple(tuple(complex(x / d, y / d) for x, y in zip(rr, ir))
+                     for rr, ir in zip(re, im))
         return Matrix(self.rows, self.cols, grid, self.involution, FLOAT)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
-
-
-def _integer_grids(m: Matrix):
-    """``(re, im, d)``: exact ``m`` as Gaussian-integer grids over one
-    positive denominator, ``m[i][j] = (re[i][j] + im[i][j] i) / d``, with
-    ``d`` the lcm of the denominators of all its parts."""
-    d = math.lcm(*{p.denominator for row in m.entries for e in row for p in (e.re, e.im)})
-    re = [[e.re.numerator * (d // e.re.denominator) for e in row] for row in m.entries]
-    im = [[e.im.numerator * (d // e.im.denominator) for e in row] for row in m.entries]
-    return re, im, d
-
-
-def _exact_product(left: Matrix, right: Matrix) -> tuple:
-    """Entry grid of the exact product ``left @ right``.
-
-    Multiply-accumulates the operands' integer grids with plain ints,
-    skipping zero left entries, then builds each output entry once over the
-    shared denominator: one gcd per part instead of one per product and sum.
-    """
-    lre, lim, dl = _integer_grids(left)
-    rre, rim, dr = _integer_grids(right)
-    d = dl * dr
-    zeros = [0] * right.cols
-    out = []
-    for lre_row, lim_row in zip(lre, lim):
-        sre, sim = zeros, zeros
-        for x, y, rre_row, rim_row in zip(lre_row, lim_row, rre, rim):
-            if x or y:
-                sre = [s + x * u - y * v for s, u, v in zip(sre, rre_row, rim_row)]
-                sim = [s + x * v + y * u for s, u, v in zip(sim, rre_row, rim_row)]
-        out.append(tuple(GaussianRational(Fraction(p, d), Fraction(q, d))
-                         for p, q in zip(sre, sim)))
-    return tuple(out)
 
 
 def tolerance(rtol: float, *terms) -> Optional[float]:
@@ -366,27 +386,27 @@ def tolerance(rtol: float, *terms) -> Optional[float]:
 
 
 def gauss_jordan(grid: list, ncols: int, tol: Optional[float]) -> list:
-    """Reduce the row grid ``grid`` (a list of row lists) in place over its
-    first ``ncols`` columns; returns the pivot columns.
+    """Reduce the row grid ``grid`` (a list of rows) in place over its first
+    ``ncols`` columns; returns the pivot columns.
 
     Every row is scaled and combined over its full length, so columns past
     ``ncols`` (a right-hand side, an identity block) are carried along.
-    ``tol`` None means an exact grid: pivot on the first nonzero entry.
-    Otherwise partial pivoting, and a column whose largest candidate is at
-    most ``tol`` in absolute value gets no pivot.
+    ``tol`` None means an exact grid of Gaussian-integer rows, reduced
+    without fractions by :func:`starsolve.grids.gauss_jordan`.  Otherwise the
+    rows are lists of complex floats: partial pivoting, and a column whose
+    largest candidate is at most ``tol`` in absolute value gets no pivot.
     """
+    if tol is None:
+        return _grid_ops().gauss_jordan(grid, ncols)
     pivots = []
     nrows = len(grid)
     for pc in range(ncols):
         pr = len(pivots)
         if pr >= nrows:
             break
-        if tol is None:
-            sel = next((i for i in range(pr, nrows) if grid[i][pc]), None)
-        else:
-            sel = max(range(pr, nrows), key=lambda i: abs(grid[i][pc]))
-            if abs(grid[sel][pc]) <= tol:
-                sel = None
+        sel = max(range(pr, nrows), key=lambda i: abs(grid[i][pc]))
+        if abs(grid[sel][pc]) <= tol:
+            sel = None
         if sel is None:
             continue
         grid[pr], grid[sel] = grid[sel], grid[pr]
@@ -409,6 +429,8 @@ def rank_factorization(m: Matrix):
     nonzero part of the reduced row echelon form; r is the rank.  Rank zero
     yields empty factors.  Float pivots must exceed tolerance(PIVOT_RTOL, m).
     """
+    if m.backend == EXACT:
+        return _grid_ops().rank_factorization(m)
     red = [list(row) for row in m.entries]
     pivots = gauss_jordan(red, m.cols, tolerance(PIVOT_RTOL, m))
     r = len(pivots)
@@ -428,6 +450,8 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ShapeMismatchError("inverse needs a square matrix")
     n = m.rows
+    if m.backend == EXACT:
+        return _grid_ops().inverse(m)
     one, zero = _one_scalar(m.backend), _zero_scalar(m.backend)
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(m.entries)]

@@ -3,10 +3,10 @@
 The map X -> A X B* -/+ B X* A* is additive but only real-linear (the star
 conjugates scalars), so it is represented as an exact rational matrix over
 the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under the transpose
-involution, where entries are real.  Solving that system by fraction
-arithmetic (matrix.gauss_jordan on the exact grid) gives an independent
-verdict, a particular solution, and a kernel basis against which the
-closed-form solver families are checked.
+involution, where entries are real.  Solving that system exactly
+(matrix.gauss_jordan, fraction-free on its rows scaled to integers) gives an
+independent verdict, a particular solution, and a kernel basis against which
+the closed-form solver families are checked.
 
 The generators down the bottom produce exact instances that satisfy the
 solvers' standing hypotheses by construction; random pairs almost never do
@@ -15,10 +15,10 @@ at rank deficiency, so each family seeds structure deliberately.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from operator import add
 from typing import Optional, Tuple
@@ -85,14 +85,34 @@ class RealLinearSystem:
 
 def _coefficients(linear, starred):
     """Coefficients of v -> sum X v Y + sum X' v* Y', given the exact (X, Y)
-    pairs (non-empty) and (X', Y') pairs: each (r, s, i, j, alpha, beta)
-    adds alpha v[i][j] + beta conj(v[i][j]) to out[r][s]."""
-    lin = [(x.entries, y.entries) for x, y in linear]
-    star = [(x.entries, y.entries) for x, y in starred]
+    pairs (non-empty) and (X', Y') pairs, over one denominator: returns
+    ``(den, coefficients)``, where each (r, s, i, j, alpha, beta) adds
+    (alpha v[i][j] + beta conj(v[i][j])) / den to out[r][s], alpha and beta
+    Gaussian integers as (re, im) pairs."""
+    den = math.lcm(*(x.grids[2] * y.grids[2] for x, y in (*linear, *starred)))
+
+    def scaled(pairs):  # X scaled so that each product X[r][i] Y[j][s] is over den
+        out = []
+        for x, y in pairs:
+            (xre, xim, dx), (yre, yim, dy) = x.grids, y.grids
+            k = den // (dx * dy)
+            out.append(([[k * e for e in row] for row in xre],
+                        [[k * e for e in row] for row in xim], yre, yim))
+        return out
+
+    def coefficient(pairs, r, i, j, s):
+        re = im = 0
+        for xre, xim, yre, yim in pairs:
+            a, b, c, d = xre[r][i], xim[r][i], yre[j][s], yim[j][s]
+            re += a * c - b * d
+            im += a * d + b * c
+        return re, im
+
+    lin, star = scaled(linear), scaled(starred)
     x, y = linear[0]
-    for r, s, i, j in product(range(x.rows), range(y.cols), range(x.cols), range(y.rows)):
-        yield (r, s, i, j, reduce(add, (xe[r][i] * ye[j][s] for xe, ye in lin)),
-               reduce(add, (xe[r][j] * ye[i][s] for xe, ye in star)))
+    return den, ((r, s, i, j, coefficient(lin, r, i, j, s), coefficient(star, r, j, i, s))
+                 for r, s, i, j in product(range(x.rows), range(y.cols), range(x.cols),
+                                           range(y.rows)))
 
 
 def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> RealLinearSystem:
@@ -115,14 +135,14 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
     k = 1 if a.involution == TRANSPOSE else 2
     grid = [[None] * len(col_index) for _ in row_index]
     starred = b.neg() if sign == MINUS else b
-    for r, s, i, j, alpha, beta in _coefficients([(a, b.star())], [(starred, a.star())]):
-        real_u, imag_u = alpha + beta, alpha - beta
+    den, coefficients = _coefficients([(a, b.star())], [(starred, a.star())])
+    for r, s, i, j, (alpha_re, alpha_im), (beta_re, beta_im) in coefficients:
         row, col = (r * m + s) * k, (i * p + j) * k
-        grid[row][col] = real_u.re
+        grid[row][col] = Fraction(alpha_re + beta_re, den)
         if k == 2:
-            grid[row + 1][col] = real_u.im
-            grid[row][col + 1] = -imag_u.im
-            grid[row + 1][col + 1] = imag_u.re
+            grid[row + 1][col] = Fraction(alpha_im + beta_im, den)
+            grid[row][col + 1] = Fraction(beta_im - alpha_im, den)
+            grid[row + 1][col + 1] = Fraction(alpha_re - beta_re, den)
     matrix = tuple(map(tuple, grid))
 
     if c is None:
@@ -156,22 +176,26 @@ def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
     """Exact verdict, particular solution (free variables zero), kernel basis."""
     system = linearize(sign, a, b, c)
     ncols = len(system.col_index)
-    aug = [list(row) + [value] for row, value in zip(system.matrix, system.rhs)]
+    aug = []  # [matrix | rhs], each row scaled to integers
+    for row, value in zip(system.matrix, system.rhs):
+        row = (*row, value)
+        d = math.lcm(*(x.denominator for x in row))
+        aug.append(([x.numerator * (d // x.denominator) for x in row], [0] * len(row)))
     pivots = gauss_jordan(aug, ncols, None)
     rank = len(pivots)
-    if any(row[ncols] for row in aug[rank:]):
+    if any(re[ncols] for re, _, _ in aug[rank:]):
         return OracleResult(False, None, (), ncols - rank, system)
 
     part = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        part[pc] = aug[r][ncols]
+    for (re, _, den), pc in zip(aug, pivots):
+        part[pc] = Fraction(re[ncols], den)
     pivot_cols = set(pivots)
     kernel = []
     for free in (j for j in range(ncols) if j not in pivot_cols):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -aug[r][free]
+        for (re, _, den), pc in zip(aug, pivots):
+            vec[pc] = Fraction(-re[free], den)
         kernel.append(system.matrix_from_coords(vec))
     return OracleResult(True, system.matrix_from_coords(part), tuple(kernel),
                         len(kernel), system)
@@ -225,8 +249,8 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> O
                for x, y in linear]
     real = oracle.system.involution == TRANSPOSE
     homogeneous_ok = True
-    for r, s, i, j, alpha, beta in _coefficients(linear, starred):
-        if alpha + beta if real else alpha or beta:
+    for r, s, i, j, alpha, beta in _coefficients(linear, starred)[1]:
+        if any(map(add, alpha, beta)) if real else any(alpha) or any(beta):
             homogeneous_ok = False
             witnesses.append(f"eq(L(v))[{r}][{s}] depends on v[{i}][{j}]")
             break

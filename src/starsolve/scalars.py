@@ -1,12 +1,12 @@
 """Scalar backends: exact Gaussian rationals and finite 64-bit complex floats.
 
-The exact backend stores complex numbers as a pair of ``fractions.Fraction``
-components, so every arithmetic result is reduced and comparison is
-structural.  Matrix products skip this per-operation reduction:
-``Matrix.mul`` accumulates Gaussian integers over one shared denominator and
-reduces once per output entry.  The float backend is the built-in
-``complex``; construction-time validation (no NaN/Inf) lives in
-:func:`finite_complex`.
+``GaussianRational`` holds an exact complex number as a pair of
+``fractions.Fraction`` components, so every arithmetic result is reduced and
+comparison is structural.  It is the per-entry view of an exact matrix: a
+``Matrix`` stores Gaussian-integer grids over one denominator, computes on
+them with plain ints, and builds its ``GaussianRational`` entries only when
+they are read.  The float backend is the built-in ``complex``;
+construction-time validation (no NaN/Inf) lives in :func:`finite_complex`.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ class GaussianRational:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):  # copy and pickle: rebuild through __init__
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def _coerce(value) -> "GaussianRational":

@@ -650,6 +650,30 @@ def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
     assert seen == {"import": [], "check_solve": [], "gen": True}
 
 
+FLOAT_CHILD = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import starsolve.cli
+inst, a, out = sys.argv[1:]
+for argv in (["check", "--input", inst], ["solve", "--input", inst], ["mp", "--input", a]):
+    assert starsolve.cli.main(argv + ["--output", out]) == 0
+print("starsolve.grids" in sys.modules)
+"""
+
+
+def test_float_runs_leave_the_exact_arithmetic_unloaded(tmp_path):
+    a, b, c = random_square_instance(random.Random(3), MINUS, 3, "unitary")
+    ops = {name: m.to_float() for name, m in (("a", a), ("b", b), ("c", c))}
+    inst = formats.make_instance("minus", matrix.FLOAT, a.involution, ops, None, 3)
+    formats.save_instance(inst, str(tmp_path / "inst.json"))
+    formats.save_matrix(ops["a"], str(tmp_path / "a.json"))
+    r = subprocess.run([sys.executable, "-S", "-c", FLOAT_CHILD, str(tmp_path / "inst.json"),
+                        str(tmp_path / "a.json"), str(tmp_path / "out.json")],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_generated_at_is_a_utc_timestamp(capsys):
     assert run_main("check", "--input", str(GOLDEN / "scalar_minus.json")) == 0
     stamp = json.loads(capsys.readouterr().out)["generated_at"]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -40,6 +42,12 @@ def test_division():
 
 def test_half_constant():
     assert GR_HALF + GR_HALF == GR_ONE
+
+
+def test_copy_and_pickle_round_trip():
+    z = GaussianRational(Fraction(1, 3), Fraction(-7, 2))
+    for twin in (copy.copy(z), copy.deepcopy(z), pickle.loads(pickle.dumps(z))):
+        assert twin == z and (twin.re, twin.im) == (z.re, z.im)
 
 
 def test_as_fraction():
