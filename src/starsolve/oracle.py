@@ -1,12 +1,12 @@
 """Exact ground truth by real-linearization, plus instance generators.
 
 The map X -> A X B* -/+ B X* A* is additive but only real-linear (the star
-conjugates scalars), so it is represented as an exact rational matrix over
-the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under the transpose
-involution, where entries are real.  Solving that system exactly
-(matrix.gauss_jordan, fraction-free on its rows scaled to integers) gives an
-independent verdict, a particular solution, and a kernel basis against which
-the closed-form solver families are checked.
+conjugates scalars), so the equation A X B* -/+ B X* A* = C is written as
+integer rows over the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under
+the transpose involution, where entries are real.  Solving those rows
+exactly (matrix.gauss_jordan, fraction-free) gives an independent verdict,
+a particular solution, and a kernel basis, read off the reduced rows as
+exact grids, against which the closed-form solver families are checked.
 
 The generators down the bottom produce exact instances that satisfy the
 solvers' standing hypotheses by construction; random pairs almost never do
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Optional, Tuple
+from typing import Optional
 
+from . import grids
 from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
                      gauss_jordan, random_matrix, random_rational)
@@ -36,11 +37,6 @@ IM = "im"
 _MAX_TRIES = 500
 
 
-def _coordinate_index(rows: int, cols: int, involution: str) -> tuple:
-    parts = (RE,) if involution == TRANSPOSE else (RE, IM)
-    return tuple((i, j, part) for i in range(rows) for j in range(cols) for part in parts)
-
-
 def _require_exact(*mats: Matrix):
     if any(m.backend != EXACT for m in mats):
         raise ValueError("the oracle works on the exact backend only")
@@ -48,39 +44,17 @@ def _require_exact(*mats: Matrix):
 
 @dataclass(frozen=True)
 class RealLinearSystem:
-    """Rational matrix representation of X -> A X B* -/+ B X* A*.
+    """Integer rows of A X B* -/+ B X* A* = C over the real coordinates of X.
 
-    Rows follow ``row_index`` (output entry coordinates, row-major, re before
-    im), columns follow ``col_index`` (X entry coordinates, same order).
+    One row per real coordinate of an output entry (row-major, re before
+    im), one column per real coordinate of X, in the order of
+    ``col_index``.  The rows are the rational equations scaled to integers
+    by one common factor, so they have the equation's solution set.
     """
 
-    matrix: tuple        # tuple of row tuples of Fractions
-    rhs: tuple           # Fractions, one per row
-    row_index: tuple     # (i, j, "re"/"im") per row
-    col_index: tuple     # (i, j, "re"/"im") per column
-    in_shape: Tuple[int, int]
-    involution: str
-
-    def coords_of(self, x: Matrix) -> tuple:
-        """Real coordinates of a candidate X."""
-        _require_exact(x)
-        if x.shape != self.in_shape:
-            raise ValueError(f"expected X of shape {self.in_shape}, got {x.shape}")
-        return tuple(x.entries[i][j].re if part == RE else x.entries[i][j].im
-                     for (i, j, part) in self.col_index)
-
-    def apply(self, x: Matrix) -> tuple:
-        """System matrix times coords_of(x); equals the coords of the map's value."""
-        vec = self.coords_of(x)
-        return tuple(sum(r * v for r, v in zip(row, vec) if v) for row in self.matrix)
-
-    def matrix_from_coords(self, vec) -> Matrix:
-        rows, cols = self.in_shape
-        grid = [[[Fraction(0), Fraction(0)] for _ in range(cols)] for _ in range(rows)]
-        for value, (i, j, part) in zip(vec, self.col_index):
-            grid[i][j][0 if part == RE else 1] = Fraction(value)
-        return Matrix.exact([[GaussianRational(re, im) for re, im in row] for row in grid],
-                            self.involution)
+    matrix: tuple     # tuple of row tuples of ints
+    rhs: tuple        # ints, one per row
+    col_index: tuple  # (i, j, "re"/"im") per column
 
 
 def _coefficients(linear, starred):
@@ -127,34 +101,34 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
     if a.rows != b.rows:
         raise ValueError(f"A and B must share their row count; got {a.shape}, {b.shape}")
     m, n, p = a.rows, a.cols, b.cols
-    col_index = _coordinate_index(n, p, a.involution)
-    row_index = _coordinate_index(m, m, a.involution)
-
-    # X[i][j] = x + iy adds (alpha + beta) x + i (alpha - beta) y to out[r][s];
-    # k coordinates per entry, re before im.
-    k = 1 if a.involution == TRANSPOSE else 2
-    grid = [[None] * len(col_index) for _ in row_index]
-    starred = b.neg() if sign == MINUS else b
-    den, coefficients = _coefficients([(a, b.star())], [(starred, a.star())])
-    for r, s, i, j, (alpha_re, alpha_im), (beta_re, beta_im) in coefficients:
-        row, col = (r * m + s) * k, (i * p + j) * k
-        grid[row][col] = Fraction(alpha_re + beta_re, den)
-        if k == 2:
-            grid[row + 1][col] = Fraction(alpha_im + beta_im, den)
-            grid[row][col + 1] = Fraction(beta_im - alpha_im, den)
-            grid[row + 1][col + 1] = Fraction(alpha_re - beta_re, den)
-    matrix = tuple(map(tuple, grid))
-
-    if c is None:
-        rhs = tuple(Fraction(0) for _ in row_index)
-    else:
+    if c is not None:
         _require_exact(c)
         a._check_tags(c)
         if c.shape != (m, m):
             raise ValueError(f"C must be {m}x{m}, got {c.shape}")
-        rhs = tuple(c.entries[r][s].re if vpart == RE else c.entries[r][s].im
-                    for (r, s, vpart) in row_index)
-    return RealLinearSystem(matrix, rhs, row_index, col_index, (n, p), a.involution)
+    k = 1 if a.involution == TRANSPOSE else 2  # real coordinates per entry
+    col_index = tuple((i, j, part) for i in range(n) for j in range(p) for part in (RE, IM)[:k])
+
+    # Every row is scaled by den * d_c: den is the coefficients' denominator,
+    # d_c is C's (1 without C).  X[i][j] = x + iy adds
+    # (alpha + beta) x + i (alpha - beta) y to out[r][s].
+    starred = b.neg() if sign == MINUS else b
+    den, coefficients = _coefficients([(a, b.star())], [(starred, a.star())])
+    if c is None:
+        d_c, rhs = 1, (0,) * (m * m * k)
+    else:
+        c_re, c_im, d_c = c.grids
+        rhs = tuple(part[r][s] * den for r in range(m) for s in range(m)
+                    for part in (c_re, c_im)[:k])
+    grid = [[0] * len(col_index) for _ in rhs]
+    for r, s, i, j, (alpha_re, alpha_im), (beta_re, beta_im) in coefficients:
+        row, col = (r * m + s) * k, (i * p + j) * k
+        grid[row][col] = (alpha_re + beta_re) * d_c
+        if k == 2:
+            grid[row + 1][col] = (alpha_im + beta_im) * d_c
+            grid[row][col + 1] = (beta_im - alpha_im) * d_c
+            grid[row + 1][col + 1] = (alpha_re - beta_re) * d_c
+    return RealLinearSystem(tuple(map(tuple, grid)), rhs, col_index)
 
 
 @dataclass(frozen=True)
@@ -165,40 +139,41 @@ class OracleResult:
     particular: Optional[Matrix]
     kernel_basis: tuple
     real_dimension: int
-    system: RealLinearSystem
-
-    def contains(self, x: Matrix) -> bool:
-        """Whether x lies in the oracle's full solution set (exact)."""
-        return self.system.apply(x) == self.system.rhs
 
 
 def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
     """Exact verdict, particular solution (free variables zero), kernel basis."""
     system = linearize(sign, a, b, c)
     ncols = len(system.col_index)
-    aug = []  # [matrix | rhs], each row scaled to integers
-    for row, value in zip(system.matrix, system.rhs):
-        row = (*row, value)
-        d = math.lcm(*(x.denominator for x in row))
-        aug.append(([x.numerator * (d // x.denominator) for x in row], [0] * len(row)))
+    aug = [([*row, value], [0] * (ncols + 1)) for row, value in zip(system.matrix, system.rhs)]
     pivots = gauss_jordan(aug, ncols, None)
     rank = len(pivots)
     if any(re[ncols] for re, _, _ in aug[rank:]):
-        return OracleResult(False, None, (), ncols - rank, system)
+        return OracleResult(False, None, (), ncols - rank)
 
-    part = [Fraction(0)] * ncols
-    for (re, _, den), pc in zip(aug, pivots):
-        part[pc] = Fraction(re[ncols], den)
-    pivot_cols = set(pivots)
+    # Pivot row (re, _, den) reads x[pc] = (re[ncols] - sum of re[f] x[f]
+    # over the free columns f) / den; every solution is built over d.
+    d = math.lcm(*(den for _, _, den in aug[:rank]))
+    rows = [(pc, re, d // den) for (re, _, den), pc in zip(aug, pivots)]
+    n, p = a.cols, b.cols
+
+    def as_matrix(vec: list) -> Matrix:  # coordinates over d, in col_index order
+        parts = {RE: [[0] * p for _ in range(n)], IM: [[0] * p for _ in range(n)]}
+        for value, (i, j, part) in zip(vec, system.col_index):
+            parts[part][i][j] = value
+        return grids.make(n, p, a.involution, parts[RE], parts[IM], d)
+
+    particular = [0] * ncols
+    for pc, re, scale in rows:
+        particular[pc] = re[ncols] * scale
     kernel = []
-    for free in (j for j in range(ncols) if j not in pivot_cols):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for (re, _, den), pc in zip(aug, pivots):
-            vec[pc] = Fraction(-re[free], den)
-        kernel.append(system.matrix_from_coords(vec))
-    return OracleResult(True, system.matrix_from_coords(part), tuple(kernel),
-                        len(kernel), system)
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [0] * ncols
+        vec[free] = d
+        for pc, re, scale in rows:
+            vec[pc] = -re[free] * scale
+        kernel.append(as_matrix(vec))
+    return OracleResult(True, as_matrix(particular), tuple(kernel), len(kernel))
 
 
 @dataclass(frozen=True)
@@ -224,16 +199,19 @@ class OracleAgreement:
 
 def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> OracleAgreement:
     """Check, for every v and with no random draw, that x0 + image(L) is the
-    oracle's solution set: (i) x0 solves the linear system; (ii) L fixes each
-    oracle kernel basis element, so image(L) holds the kernel; (iii) each
-    coefficient pair (alpha, beta) of eq(L(v)) = B(v) + eps B(v)* vanishes
-    (their sum under the transpose, where v is real), with eps = -1 (minus)
-    or +1 (plus) and B(v) = a v b* - (1/2)(a p) v (q b*) - (1/2)(b s*) v (r* a*).
+    oracle's solution set: (i) x0's exact residual is zero, which is
+    membership in the oracle's set, since the oracle's rows are the exact
+    linearization of that equation; (ii) L fixes each oracle kernel basis
+    element, so image(L) holds the kernel; (iii) each coefficient pair
+    (alpha, beta) of eq(L(v)) = B(v) + eps B(v)* vanishes (their sum under
+    the transpose, where v is real), with eps = -1 (minus) or +1 (plus) and
+    B(v) = a v b* - (1/2)(a p) v (q b*) - (1/2)(b s*) v (r* a*).
     """
+    _require_exact(fam.x0)
     witnesses = []
-    x0_ok = oracle.contains(fam.x0)
+    x0_ok = fam.residual(fam.x0).is_zero()
     if not x0_ok:
-        witnesses.append("x0 does not satisfy the linearized system")
+        witnesses.append("x0 leaves a nonzero exact residual")
 
     kernel_fixed_ok = True
     for idx, h in enumerate(oracle.kernel_basis):
@@ -247,7 +225,7 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> O
     # (X v Y)* = Y* v* X*
     starred = [(y.star().neg() if fam.sign == MINUS else y.star(), x.star())
                for x, y in linear]
-    real = oracle.system.involution == TRANSPOSE
+    real = a.involution == TRANSPOSE
     homogeneous_ok = True
     for r, s, i, j, alpha, beta in _coefficients(linear, starred)[1]:
         if any(map(add, alpha, beta)) if real else any(alpha) or any(beta):

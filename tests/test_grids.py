@@ -298,7 +298,8 @@ def test_fraction_free_matches_rational_elimination_on_oracle_grids(sign, involu
         a, b, c = random_square_instance(random.Random(seed), sign, 3, "unitary", forced,
                                          involution)
         system = linearize(sign, a, b, c)
-        grid = [list(row) + [value] for row, value in zip(system.matrix, system.rhs)]
+        grid = [[Fraction(v) for v in (*row, value)]
+                for row, value in zip(system.matrix, system.rhs)]
         assert_same_elimination(grid, len(system.col_index))
 
 

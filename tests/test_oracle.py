@@ -1,13 +1,14 @@
 import copy
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix,
-                              MatrixRing, random_matrix)
+                              MatrixRing, random_matrix, rank_factorization)
 from starsolve.oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                               linearize, oracle_solve, random_coisometry,
                               random_pair, random_rect_instance,
@@ -15,8 +16,8 @@ from starsolve.oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                               random_unitary, verify_family_against_oracle)
 from starsolve.rect import solve_rect
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import (MINUS, PLUS, check_hypotheses, solve, solve_sym_left,
-                               solve_sym_right)
+from starsolve.solvers import (MINUS, PLUS, check_hypotheses, equation_lhs, solve,
+                               solve_sym_left, solve_sym_right)
 
 I = GaussianRational(Fraction(0), Fraction(1))
 
@@ -29,20 +30,37 @@ def scalar(value):
     return Matrix.exact([[value]])
 
 
+def coordinates(x, system):
+    """Real coordinates of x, as Fractions, in the order of the system's columns."""
+    return [getattr(x.entries[i][j], part) for i, j, part in system.col_index]
+
+
+def rows_hold(system, x):
+    """Whether x satisfies every integer row of the system."""
+    vec = coordinates(x, system)
+    return all(sum(map(mul, row, vec)) == value for row, value in zip(system.matrix, system.rhs))
+
+
+def independent(vectors):
+    """Whether the coordinate vectors are linearly independent: their stacked
+    exact matrix has full row rank."""
+    return not vectors or rank_factorization(Matrix.exact(vectors))[2] == len(vectors)
+
+
 # -- linearization -----------------------------------------------------------
 
 
 def test_linearize_scalar_minus_pinned():
     # x - x* = 2i Im(x): only the imaginary coordinate survives, doubled
     system = linearize(MINUS, scalar(1), scalar(1))
-    assert system.matrix == ((Fraction(0), Fraction(0)),
-                             (Fraction(0), Fraction(2)))
+    assert system.matrix == ((0, 0), (0, 2))
+    assert all(type(v) is int for row in system.matrix for v in (*row, *system.rhs))
 
 
 def test_linearize_scalar_plus_pinned():
     system = linearize(PLUS, scalar(1), scalar(1))
-    assert system.matrix == ((Fraction(2), Fraction(0)),
-                             (Fraction(0), Fraction(0)))
+    assert system.matrix == ((2, 0), (0, 0))
+    assert all(type(v) is int for row in system.matrix for v in (*row, *system.rhs))
 
 
 def test_linearize_zero_operand_gives_zero_system():
@@ -73,7 +91,12 @@ def test_linearization_matches_direct_map(seed, sign, involution):
     first = a @ x @ b.star()
     second = b @ x.star() @ a.star()
     direct = first.sub(second) if sign == MINUS else first.add(second)
-    assert system.apply(x) == linearize(sign, a, b, direct).rhs
+    with_c = linearize(sign, a, b, direct)
+    assert rows_hold(with_c, x)
+    # the same rows, scaled by C's denominator; no C, zero rhs
+    d_c = direct.grids[2]
+    assert with_c.matrix == tuple(tuple(v * d_c for v in row) for row in system.matrix)
+    assert not any(system.rhs) and len(system.rhs) == len(system.matrix)
 
 
 @given(seeds, signs)
@@ -89,6 +112,10 @@ def test_rank_nullity(seed, sign):
     total = 2 * n * p
     rank = total - result.real_dimension
     assert 0 <= rank <= total
+    system = linearize(sign, a, b, c)
+    assert result.solvable and result.real_dimension == len(result.kernel_basis)
+    assert independent([coordinates(h, system) for h in result.kernel_basis])
+    assert result.particular.shape == (n, p) and result.particular.is_zero()
 
 
 # -- oracle verdicts -----------------------------------------------------------
@@ -119,18 +146,70 @@ def test_oracle_self_consistency():
         a, b, c = random_square_instance(rng, MINUS, 2, "unitary")
         result = oracle_solve(MINUS, a, b, c)
         assert result.solvable
-        image = result.system.apply(result.particular)
-        assert image == result.system.rhs
-        assert result.contains(result.particular)
+        assert rows_hold(linearize(MINUS, a, b, c), result.particular)
+        assert equation_lhs(MINUS, a, b, result.particular) == c
 
 
 def test_kernel_basis_members_solve_homogeneous():
     rng = random.Random(37)
     a, b, _ = random_square_instance(rng, MINUS, 2, "equal")
     result = oracle_solve(MINUS, a, b, Matrix.zeros(2, 2))
+    homogeneous = linearize(MINUS, a, b)
     for h in result.kernel_basis:
         assert (a @ h @ b.star()).sub(b @ h.star() @ a.star()).is_zero()
-        assert not any(result.system.apply(h))
+        assert rows_hold(homogeneous, h)
+
+
+def test_oracle_builds_no_fraction(monkeypatch):
+    # from linearize to the OracleResult, and in the family check, the oracle
+    # stays on integer rows and grids
+    a, b, c = random_square_instance(random.Random(89), MINUS, 3, "unitary")
+    fam = solve(MatrixRing(3), MINUS, a, b, c)
+    built = []
+    real_new, real_init = Fraction.__new__, GaussianRational.__init__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    result = oracle_solve(MINUS, a, b, c)
+    agreement = verify_family_against_oracle(fam, result)
+    assert built == []
+    assert result.solvable and result.kernel_basis and agreement.ok
+    result.particular.entries  # the per-entry view builds both, and the patch counts them
+    assert built
+
+
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+@pytest.mark.parametrize("sign", (MINUS, PLUS))
+@pytest.mark.parametrize("dims", ((1, 2, 3), (2, 3, 1)))
+def test_oracle_solves_rect_shapes_with_n_neq_p(dims, sign, involution):
+    # X is n x p with n != p, so an index slip in reading X off the reduced
+    # rows would put a coordinate in the wrong entry
+    m, n, p = dims
+    rng = random.Random(f"rect-{dims}-{sign}-{involution}")
+    for _ in range(3):
+        a = random_matrix(rng, m, n, EXACT, involution)
+        b = random_matrix(rng, m, p, EXACT, involution)
+        x = random_matrix(rng, n, p, EXACT, involution)
+        c = equation_lhs(sign, a, b, x)
+        result = oracle_solve(sign, a, b, c)
+        assert result.solvable and result.particular.shape == (n, p)
+        assert equation_lhs(sign, a, b, result.particular) == c
+        for h in result.kernel_basis:
+            assert h.shape == (n, p) and equation_lhs(sign, a, b, h).is_zero()
+        system = linearize(sign, a, b, c)
+        kernel = [coordinates(h, system) for h in result.kernel_basis]
+        assert result.real_dimension == len(kernel) > 0
+        assert independent(kernel)
+        # x - particular solves the homogeneous equation, so the kernel spans it
+        assert not independent(kernel + [coordinates(x - result.particular, system)])
 
 
 # -- family-vs-oracle agreement ---------------------------------------------------
