@@ -256,12 +256,12 @@ class Matrix:
     def star(self) -> "Matrix":
         if self.backend == EXACT:
             return _grid_ops().star(self)
+        # zip(*rows) yields the columns; with no rows there is nothing to zip.
+        cols = zip(*self.entries) if self.rows else ((),) * self.cols
         if self.involution == CONJUGATE_TRANSPOSE:
-            grid = tuple(tuple(self.entries[i][j].conjugate() for i in range(self.rows))
-                         for j in range(self.cols))
+            grid = tuple(tuple(e.conjugate() for e in col) for col in cols)
         else:
-            grid = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                         for j in range(self.cols))
+            grid = tuple(cols)
         return Matrix(self.cols, self.rows, grid, self.involution, self.backend)
 
     def scale(self, scalar) -> "Matrix":
@@ -473,7 +473,8 @@ def mp_inverse(m: Matrix) -> Matrix:
     """Moore-Penrose inverse via rank factorization.
 
     With ``m = F G`` of rank r, returns ``G* (F* m G*)^-1 F*`` (Ben-Israel &
-    Greville, 2003): one inverse, of the r x r core.  A float ``m`` is first
+    Greville, 2003): one inverse, of the r x r core.  At full column rank G
+    is the identity and the route is ``(F* m)^-1 F*``.  A float ``m`` is first
     scaled by 2**-k so that its largest entry lies in [0.5, 1), which keeps
     the core near unit scale; the Newton-polished result is scaled back by
     2**-k, as mp(s m) = mp(m) / s.  NotMpInvertibleError if the float rank
@@ -486,13 +487,16 @@ def mp_inverse(m: Matrix) -> Matrix:
     factor_f, factor_g, r = rank_factorization(m)
     if r == 0:
         return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
+    f_star = factor_f.star()
+    g_star = factor_g.star() if r < m.cols else None
+    core = f_star @ m if g_star is None else f_star @ m @ g_star
     try:
-        core_inverse = inverse(factor_f.star() @ m @ factor_g.star())
+        core_inverse = inverse(core)
     except NotMpInvertibleError:
         raise NotMpInvertibleError(
             "numerical rank is ambiguous at working precision; "
             "MP-inverse not computed") from None
-    dagger = factor_g.star() @ core_inverse @ factor_f.star()
+    dagger = core_inverse @ f_star if g_star is None else g_star @ core_inverse @ f_star
     if m.backend == EXACT:
         return dagger
     # Newton polish: quadratically shrinks the m x m - m defects without

@@ -60,7 +60,13 @@ def _condition(name: str, residual: Matrix, rtol: float, *terms) -> Condition:
 
 
 class HypothesisReport(NamedTuple):
-    """Checked hypotheses for a pair (a, b) plus the derived d, d'."""
+    """Checked hypotheses for a pair (a, b) plus the derived d, d'.
+
+    It also carries the four products the closed form keeps reusing, each
+    computed once here: a a' and b b' (the H condition's projections), a' b
+    and b' a (the hermitian condition's factors, reused by the particular
+    solution and the family coefficients).
+    """
 
     a: Matrix
     b: Matrix
@@ -68,6 +74,10 @@ class HypothesisReport(NamedTuple):
     b_dagger: Matrix
     d: Matrix
     d_dagger: Matrix
+    a_a_dagger: Matrix              # a a'
+    b_b_dagger: Matrix              # b b'
+    a_dagger_b: Matrix              # a' b
+    b_dagger_a: Matrix              # b' a
     range_condition: Condition      # residual a a' b - b
     hermitian_condition: Condition  # residual (a' b b' a)* - a' b b' a
 
@@ -111,11 +121,17 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
     the hermitian one against a' b b' a (see matrix.tolerance).
     """
     a_dagger = matrix.mp_inverse(a)
-    b_dagger = matrix.mp_inverse(b)
-    aab = a @ a_dagger @ b
-    h = (a_dagger @ b) @ (b_dagger @ a)
-    e_b = ring.one() - b @ b_dagger
+    a_a_dagger, a_dagger_b = a @ a_dagger, a_dagger @ b
+    if b == a:  # then b' = a', b b' = a a' and b' a = a' b
+        b_dagger, b_b_dagger, b_dagger_a = a_dagger, a_a_dagger, a_dagger_b
+    else:
+        b_dagger = matrix.mp_inverse(b)
+        b_b_dagger, b_dagger_a = b @ b_dagger, b_dagger @ a
+    aab = a_a_dagger @ b
+    h = a_dagger_b @ b_dagger_a
+    e_b = ring.one() - b_b_dagger
     return HypothesisReport(a, b, a_dagger, b_dagger, e_b @ a, a_dagger @ e_b,
+                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a,
                             _condition("range_condition", aab - b, rtol, aab, b),
                             _condition("hermitian_condition", h.star() - h, rtol, h))
 
@@ -136,12 +152,11 @@ def particular(sign: str, report: HypothesisReport, c: Matrix) -> Matrix:
     """
     _check_sign(sign)
     _require_ok(report)
-    a, b = report.a, report.b
     ad, bd, dd = report.a_dagger, report.b_dagger, report.d_dagger
     bd_star = bd.star()
 
     t1 = ad @ c @ bd_star
-    t2 = ad @ b @ bd @ c @ (bd @ a @ dd).star()
+    t2 = report.a_dagger_b @ bd @ c @ (report.b_dagger_a @ dd).star()
     t3 = dd @ c @ bd_star
     return t1.half() - t2.half() + t3.half()
 
@@ -161,17 +176,17 @@ def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
     else:
         sym = _condition("c_star_neq_c", c.star() - c, rtol, c)
 
-    proj = report.a @ report.a_dagger + report.d @ report.d_dagger
-    m = proj @ c @ (report.b @ report.b_dagger)
+    proj = report.a_a_dagger + report.d @ report.d_dagger
+    m = proj @ c @ report.b_b_dagger
     h = m - m.star() if sign == MINUS else m + m.star()
     return (sym, _condition("H_condition", h - (c + c), rtol, m, c))
 
 
 def equation_lhs(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
-    """a x b* -/+ b x* a* evaluated at x."""
+    """a x b* -/+ b x* a* evaluated at x; b x* a* is (a x b*)*."""
     _check_sign(sign)
     left = a @ x @ b.star()
-    right = b @ x.star() @ a.star()
+    right = left.star()
     return left - right if sign == MINUS else left + right
 
 
@@ -247,10 +262,9 @@ class SolutionFamily:
 
 def _general_coefficients(report: HypothesisReport) -> tuple:
     """(p, q, r, s) of the general family; see SolutionFamily."""
-    a, b = report.a, report.b
-    bda = report.b_dagger @ a
+    a, bda = report.a, report.b_dagger_a
     dda = report.d_dagger @ a
-    return (report.a_dagger @ a + dda, report.b_dagger @ b, report.a_dagger @ b,
+    return (report.a_dagger @ a + dda, report.b_dagger @ report.b, report.a_dagger_b,
             (bda - bda @ dda).star())
 
 

@@ -363,11 +363,41 @@ def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
         return real(m)
 
     monkeypatch.setattr(matrix, "mp_inverse", counting)
-    for name in ("diag_solvable.json", "rect_minus.json"):
+    # once per distinct operand: a' and b' for diag_solvable, a' alone for
+    # rect_minus, whose b is its a
+    for name, expected in (("diag_solvable.json", 2), ("rect_minus.json", 1)):
         calls.clear()
         assert run_main("solve", "--input", str(GOLDEN / name),
                         "--output", str(tmp_path / "r.json")) == 0
-        assert len(calls) == 2, name  # a' and b', once each
+        assert len(calls) == expected, name
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # solve on rect_minus (b == a): 2 for a' (full column rank), 6 in the
+    # hypotheses, 3 in the conditions, 8 for x0, 4 coefficients, 2 per
+    # residual (x0 and 3 samples), 4 per sample's homogeneous part; b != a
+    # adds 2 for b' and 2 for b b' and b' a
+    (("solve", "rect_minus.json", "--samples", "3"), 43),
+    (("solve", "diag_solvable.json", "--samples", "3"), 47),
+    (("check", "rect_minus.json"), 11),
+    (("check", "diag_solvable.json"), 15),
+    (("verify", "rect_minus.json", "--solution", str(GOLDEN / "rect_solution.json")), 2),
+])
+def test_cli_product_counts(monkeypatch, tmp_path, argv, expected):
+    # Every product of the closed form is computed once: a recomputed one
+    # raises these counts.
+    calls = []
+    real = matrix.Matrix.mul
+
+    def counting(self, other):
+        calls.append((self.shape, other.shape))
+        return real(self, other)
+
+    monkeypatch.setattr(matrix.Matrix, "mul", counting)
+    sub, name, *rest = argv
+    assert run_main(sub, "--input", str(GOLDEN / name), *rest,
+                    "--output", str(tmp_path / "r.json")) == 0
+    assert len(calls) == expected
 
 
 def test_solve_computes_each_residual_once(monkeypatch, tmp_path):

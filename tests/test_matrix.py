@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from starsolve import matrix
@@ -123,6 +123,25 @@ def test_star_plain_transpose_keeps_entries():
     m = Matrix.exact([[1, 2], [3, 4]], involution=TRANSPOSE)
     s = m.star()
     assert s.entry(0, 1) == GaussianRational(Fraction(3))
+
+
+def float_bits(grid):
+    return [[(e.real.hex(), e.imag.hex()) for e in row] for row in grid]
+
+
+@pytest.mark.parametrize("shape", ((0, 3), (3, 0), (0, 0), (1, 4), (3, 2)))
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+def test_float_star_is_the_entrywise_involution(shape, involution):
+    rows, cols = shape
+    m = random_matrix(random.Random(rows * 10 + cols), rows, cols, FLOAT, involution)
+    if rows and cols:  # a signed zero, whose sign bits must survive too
+        m = m.paste(0, 0, Matrix.floating([[complex(-0.0, 0.0)]], involution))
+    conj = involution == CONJUGATE_TRANSPOSE
+    expected = [[m.entry(i, j).conjugate() if conj else m.entry(i, j) for i in range(rows)]
+                for j in range(cols)]
+    s = m.star()
+    assert s.shape == (cols, rows)
+    assert float_bits(s.entries) == float_bits(expected)
 
 
 def test_block_paste_roundtrip():
@@ -285,6 +304,18 @@ def test_penrose_equations_float(seed, rows, cols, involution):
     assert (d @ m @ d).sub(d).max_abs() <= tol
     assert (m @ d).star().sub(m @ d).max_abs() <= tol
     assert (d @ m).star().sub(d @ m).max_abs() <= tol
+
+
+@given(seeds, dims, st.integers(min_value=0, max_value=2), involutions)
+@settings(max_examples=40, deadline=None)
+def test_full_column_rank_mp_inverse_matches_the_general_route(seed, cols, extra, involution):
+    # At full column rank G is the identity, so (F* m)^-1 F* is G* (F* m G*)^-1 F*.
+    m = random_matrix(random.Random(seed), cols + extra, cols, EXACT, involution)
+    factor_f, factor_g, r = rank_factorization(m)
+    assume(r == cols)
+    assert factor_g == Matrix.identity(cols, involution)
+    general = factor_g.star() @ inverse(factor_f.star() @ m @ factor_g.star()) @ factor_f.star()
+    assert mp_inverse(m) == general
 
 
 def test_mp_inverse_unique_exact(rng):

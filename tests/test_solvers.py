@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, is_mp_inverse, random_matrix)
+from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
+                              Matrix, MatrixRing, is_mp_inverse, mp_inverse,
+                              random_matrix, tolerance)
 from starsolve.oracle import random_pair, random_square_instance, random_sym_instance
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
@@ -45,6 +46,40 @@ def test_check_hypotheses_failure_names():
     rep = check_hypotheses(RING2, a, b)
     assert not rep.range_condition.ok
     assert "range_condition" in rep.failed_names()
+
+
+@pytest.mark.parametrize("family", ("unitary", "equal"))
+def test_hypothesis_report_products(family):
+    # the shared products are the ones they stand for, also when b == a
+    # takes all of them from a
+    a, b = random_pair(random.Random(17), 3, family, CONJUGATE_TRANSPOSE)
+    assert (b == a) == (family == "equal")
+    rep = check_hypotheses(MatrixRing(3), a, b)
+    assert rep.b_dagger == mp_inverse(b)
+    assert rep.a_a_dagger == a @ rep.a_dagger
+    assert rep.b_b_dagger == b @ rep.b_dagger
+    assert rep.a_dagger_b == rep.a_dagger @ b
+    assert rep.b_dagger_a == rep.b_dagger @ a
+
+
+@given(seeds, signs, involutions, st.sampled_from((EXACT, FLOAT)),
+       st.sampled_from(((2, 2, 2), (2, 3, 1), (3, 1, 2))))
+@settings(max_examples=60, deadline=None)
+def test_equation_lhs_matches_the_two_sided_formula(seed, sign, involution, backend, dims):
+    # equation_lhs takes b x* a* as (a x b*)*; the formula multiplies it out
+    rng = random.Random(seed)
+    m, n, p = dims
+    a = random_matrix(rng, m, n, backend, involution)
+    b = random_matrix(rng, m, p, backend, involution)
+    x = random_matrix(rng, n, p, backend, involution)
+    first = a @ x @ b.star()
+    second = b @ x.star() @ a.star()
+    direct = first - second if sign == MINUS else first + second
+    lhs = equation_lhs(sign, a, b, x)
+    if backend == EXACT:
+        assert lhs == direct
+    else:
+        assert (lhs - direct).is_zero(tolerance(RTOL, (a, x, b)))
 
 
 def test_derived_element_identities():
