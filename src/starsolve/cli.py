@@ -424,10 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "cases over exact or float matrix rings.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", help="write the JSON report here "
-                           "(summary goes to stdout); default prints JSON")
+    def common(p):
+        p.add_argument("--output", help="write the JSON report here "
+                       "(summary goes to stdout); default prints JSON")
         p.add_argument("--tol", type=float, default=RTOL,
                        help=f"relative float tolerance: each float zero test "
                             f"allows this times the scale of its residual's "

@@ -239,15 +239,15 @@ class Matrix:
             return _grid_ops().mul(self, other)
         zero = _zero_scalar(self.backend)
         ocols = other.cols
+        right = other.entries
         out = []
-        for i in range(self.rows):
-            lrow = self.entries[i]
+        for lrow in self.entries:
             orow = [zero] * ocols
             for k in range(self.cols):
                 lik = lrow[k]
                 if not lik:
                     continue
-                rrow = other.entries[k]
+                rrow = right[k]
                 for j in range(ocols):
                     orow[j] = orow[j] + lik * rrow[j]
             out.append(tuple(orow))

@@ -3,16 +3,19 @@
 The paper states the theory for any ring with involution in which 2 is
 invertible; this package realizes it with matrices, so everything here
 works on :class:`~starsolve.matrix.Matrix` directly.  The ``ring`` argument
-of the entry points is the ring of c and supplies its unit.  The standing
-hypotheses on the pair (a, b) are
+of the entry points is the ring of c; only the symmetric kinds read its
+unit.  The standing hypotheses on the pair (a, b) are
 
     range condition:      a a' b = b
     hermitian condition:  (a' b b' a)* = a' b b' a
 
-(' denotes the MP-inverse).  Under them d = (1 - b b') a is MP-invertible
-with d' = a' (1 - b b'), and the equation with either sign has an affine
-solution set x0 + {L(v)} (see SolutionFamily) whenever the sign-appropriate
-pair of solvability conditions on c holds.
+(' denotes the MP-inverse).  Under them the equation with either sign has
+an affine solution set x0 + {L(v)} (see SolutionFamily) whenever the
+sign-appropriate pair of solvability conditions on c holds.  The range
+condition reduces the paper's d = (1 - b b') a and d' = a' - a'b b' away:
+
+    b'a d' = 0          as b' a a' = b' b'* (b* a a') = b' b'* b* = b'
+    d d' = a a' - b b'  as a a' b b' = b b' and, by adjoint, b b' a a' = b b'
 
 Failed conditions are reported under stable names:
 
@@ -60,24 +63,22 @@ def _condition(name: str, residual: Matrix, rtol: float, *terms) -> Condition:
 
 
 class HypothesisReport(NamedTuple):
-    """Checked hypotheses for a pair (a, b) plus the derived d, d'.
+    """Checked hypotheses for a pair (a, b).
 
-    It also carries the four products the closed form keeps reusing, each
+    It also carries the products the closed form keeps reusing, each
     computed once here: a a' and b b' (the H condition's projections), a' b
-    and b' a (the hermitian condition's factors, reused by the particular
-    solution and the family coefficients).
+    and b' a (the hermitian condition's factors) and a' b b' a (its product).
     """
 
     a: Matrix
     b: Matrix
     a_dagger: Matrix
     b_dagger: Matrix
-    d: Matrix
-    d_dagger: Matrix
     a_a_dagger: Matrix              # a a'
     b_b_dagger: Matrix              # b b'
     a_dagger_b: Matrix              # a' b
     b_dagger_a: Matrix              # b' a
+    a_dagger_b_b_dagger_a: Matrix   # a' b b' a
     range_condition: Condition      # residual a a' b - b
     hermitian_condition: Condition  # residual (a' b b' a)* - a' b b' a
 
@@ -115,10 +116,11 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
                      rtol: float = RTOL) -> HypothesisReport:
     """Evaluate the range and hermitian conditions for the pair (a, b).
 
-    ``ring`` is the ring of c: for rectangular a (m x n) and b (m x p), the
-    m x m matrix ring.  NotMpInvertibleError propagates.  The exact backend
-    compares strictly; floats judge the range residual against a a' b and b,
-    the hermitian one against a' b b' a (see matrix.tolerance).
+    ``ring`` is the ring of c; the general kind does not read it, and it
+    stays for the callers that pass it.  NotMpInvertibleError propagates.
+    The exact backend compares strictly; floats judge the range residual
+    against a a' b and b, the hermitian one against a' b b' a (see
+    matrix.tolerance).
     """
     a_dagger = matrix.mp_inverse(a)
     a_a_dagger, a_dagger_b = a @ a_dagger, a_dagger @ b
@@ -129,9 +131,8 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
         b_b_dagger, b_dagger_a = b @ b_dagger, b_dagger @ a
     aab = a_a_dagger @ b
     h = a_dagger_b @ b_dagger_a
-    e_b = ring.one() - b_b_dagger
-    return HypothesisReport(a, b, a_dagger, b_dagger, e_b @ a, a_dagger @ e_b,
-                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a,
+    return HypothesisReport(a, b, a_dagger, b_dagger,
+                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a, h,
                             _condition("range_condition", aab - b, rtol, aab, b),
                             _condition("hermitian_condition", h.star() - h, rtol, h))
 
@@ -145,29 +146,26 @@ def particular(sign: str, report: HypothesisReport, c: Matrix) -> Matrix:
     """One solution of a x b* -/+ b x* a* = c, valid under the solvability
     conditions for the given sign.
 
-    x0 = (1/2) a'c (b')* - (1/2) a'b b'c (b'a d')* + (1/2) d'c (b')*
+    x0 = (1/2) (a' + d') c (b')*, the paper's x0 without its middle term
+    - (1/2) a'b b'c (b'a d')*, as b'a d' = 0.
 
     The same expression serves both signs; the sign argument only gates
     validity (callers should have checked solvability for that sign).
     """
     _check_sign(sign)
     _require_ok(report)
-    ad, bd, dd = report.a_dagger, report.b_dagger, report.d_dagger
-    bd_star = bd.star()
-
-    t1 = ad @ c @ bd_star
-    t2 = report.a_dagger_b @ bd @ c @ (report.b_dagger_a @ dd).star()
-    t3 = dd @ c @ bd_star
-    return t1.half() - t2.half() + t3.half()
+    ad = report.a_dagger
+    ad_plus_dd = ad + ad - report.a_dagger_b @ report.b_dagger
+    return (ad_plus_dd @ c @ report.b_dagger.star()).half()
 
 
 def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
                            rtol: float = RTOL) -> tuple:
     """The sign-appropriate pair of named conditions on c.
 
-    With m = (a a' + d d') c b b':  minus requires c* = -c and m - m* = 2c;
-    plus requires c* = c and m + m* = 2c.  Floats judge the first against c,
-    the second against m and c.
+    With m = (a a' + d d') c b b' = (2 a a' - b b') c b b':  minus requires
+    c* = -c and m - m* = 2c; plus requires c* = c and m + m* = 2c.  Floats
+    judge the first against c, the second against m and c.
     """
     _check_sign(sign)
     _require_ok(report)
@@ -176,7 +174,7 @@ def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
     else:
         sym = _condition("c_star_neq_c", c.star() - c, rtol, c)
 
-    proj = report.a_a_dagger + report.d @ report.d_dagger
+    proj = report.a_a_dagger + report.a_a_dagger - report.b_b_dagger
     m = proj @ c @ report.b_b_dagger
     h = m - m.star() if sign == MINUS else m + m.star()
     return (sym, _condition("H_condition", h - (c + c), rtol, m, c))
@@ -209,10 +207,10 @@ class SolutionFamily:
     sigma = +1 for minus and -1 for plus.  L is idempotent and its image is
     exactly the solution set of the homogeneous equation.  By ``kind``:
 
-        kind        sign   p            q          r        s
-        general     -/+    a'a + d'a    b'b        a'b      (b'a - b'a d'a)*
-        sym_right   plus   1 + E_a      a'a        a        (a')*
-        sym_left    plus   a a'         1 + F_a    (a')*    a
+        kind        sign   p                  q          r        s
+        general     -/+    2 a'a - a'b b'a    b'b        a'b      (b'a)*
+        sym_right   plus   1 + E_a            a'a        a        (a')*
+        sym_left    plus   a a'               1 + F_a    (a')*    a
 
     Rectangular instances are the general kind on rectangular operands; c
     is then m x m and v ranges over n x p matrices.  The symmetric rows use
@@ -262,10 +260,9 @@ class SolutionFamily:
 
 def _general_coefficients(report: HypothesisReport) -> tuple:
     """(p, q, r, s) of the general family; see SolutionFamily."""
-    a, bda = report.a, report.b_dagger_a
-    dda = report.d_dagger @ a
-    return (report.a_dagger @ a + dda, report.b_dagger @ report.b, report.a_dagger_b,
-            (bda - bda @ dda).star())
+    ada = report.a_dagger @ report.a
+    return (ada + ada - report.a_dagger_b_b_dagger_a, report.b_dagger @ report.b,
+            report.a_dagger_b, report.b_dagger_a.star())
 
 
 def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
                               Matrix, MatrixRing, is_mp_inverse, mp_inverse,
                               random_matrix, tolerance)
-from starsolve.oracle import random_pair, random_square_instance, random_sym_instance
+from starsolve.formats import PAIR_FAMILIES, RECT_FAMILIES
+from starsolve.oracle import (random_pair, random_rect_instance, random_square_instance,
+                              random_sym_instance)
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
-                               UnsolvableError, check_hypotheses,
+                               UnsolvableError, _general_coefficients, check_hypotheses,
                                equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
                                solve_sym_right, sym_solvability_conditions)
@@ -33,10 +36,10 @@ def scalar(value):
 # -- hypotheses ----------------------------------------------------------------
 
 
-def test_check_hypotheses_scalar_ones():
+def test_check_hypotheses_scalar_ones(derived):
     rep = check_hypotheses(RING1, scalar(1), scalar(1))
     assert rep.ok and rep.range_condition.ok and rep.hermitian_condition.ok
-    assert rep.d.is_zero()
+    assert derived(rep)[0].is_zero()
     assert all(cond.tol is None for cond in rep.conditions)
 
 
@@ -82,7 +85,7 @@ def test_equation_lhs_matches_the_two_sided_formula(seed, sign, involution, back
         assert (lhs - direct).is_zero(tolerance(RTOL, (a, x, b)))
 
 
-def test_derived_element_identities():
+def test_derived_element_identities(derived):
     # d = E_b a satisfies: d'b = 0, b*dd' = 0, dd'a = d, d'a = d'd
     rng = random.Random(11)
     for trial in range(25):
@@ -90,18 +93,19 @@ def test_derived_element_identities():
                            CONJUGATE_TRANSPOSE)
         rep = check_hypotheses(RING2, a, b)
         assert rep.ok
-        assert (rep.d_dagger @ b).is_zero()
-        assert (b.star() @ (rep.d @ rep.d_dagger)).is_zero()
-        assert (rep.d @ rep.d_dagger @ a).equals(rep.d)
-        assert (rep.d_dagger @ a).equals(rep.d_dagger @ rep.d)
+        d, d_dagger = derived(rep)
+        assert (d_dagger @ b).is_zero()
+        assert (b.star() @ (d @ d_dagger)).is_zero()
+        assert (d @ d_dagger @ a).equals(d)
+        assert (d_dagger @ a).equals(d_dagger @ d)
 
 
-def test_d_dagger_is_the_mp_inverse_of_d():
+def test_d_dagger_is_the_mp_inverse_of_d(derived):
     rng = random.Random(3)
     for _ in range(20):
         a, b = random_pair(rng, 3, "unitary", CONJUGATE_TRANSPOSE)
         rep = check_hypotheses(MatrixRing(3), a, b)
-        assert is_mp_inverse(rep.d, rep.d_dagger)
+        assert is_mp_inverse(*derived(rep))
 
 
 def test_float_hypotheses_record_tolerance():
@@ -268,6 +272,80 @@ def test_solve_float_residuals_small(seed):
     fam = solve(ring, MINUS, a, b, c)
     tol = 1e-9 * (1.0 + c.max_abs())
     assert fam.residual(fam.x0).max_abs() <= tol
+
+
+# -- the reduced closed form against the paper's three-term one --------------------
+
+
+def paper_forms(sign, rep, c, d, d_dagger):
+    """The paper's x0 (three terms), H residual (projection a a' + d d') and
+    general (p, s), with d and d' formed: the references for the reduced
+    forms that the solvers evaluate."""
+    a, b, ad, bd = rep.a, rep.b, rep.a_dagger, rep.b_dagger
+    bd_star = bd.star()
+    x0 = ((ad @ c @ bd_star).half() - (ad @ b @ bd @ c @ (bd @ a @ d_dagger).star()).half()
+          + (d_dagger @ c @ bd_star).half())
+    m = (a @ ad + d @ d_dagger) @ c @ (b @ bd)
+    h = (m - m.star() if sign == MINUS else m + m.star()) - (c + c)
+    dda, bda = d_dagger @ a, bd @ a
+    return x0, h, ad @ a + dda, (bda - bda @ dda).star()
+
+
+def test_reduced_closed_form_equals_the_papers(derived):
+    # Exactly equal on every instance passing the hypotheses, solvable or
+    # not: d' = a' - a'b b' with b'a d' = 0 and d d' = a a' - b b'.  The
+    # pairs with d != 0 (diagonal families) are the ones where a dropped
+    # d' or d d' would show.
+    rng = random.Random(29)
+    shapes = [(family, n) for family in PAIR_FAMILIES for n in (1, 2, 3)]
+    shapes += [(family, dims) for family in RECT_FAMILIES
+               for dims in ((2, 3, 2), (1, 2, 3), (2, 2, 3))]
+    nonzero_d = 0
+    for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE):
+        for sign, force in itertools.product((MINUS, PLUS), (False, True)):
+            for family, shape in shapes:
+                if isinstance(shape, tuple):
+                    prob = random_rect_instance(rng, shape, family, force, involution, sign)
+                    a, b, c = prob.a, prob.b, prob.c
+                else:
+                    a, b, c = random_square_instance(rng, sign, shape, family, force,
+                                                     involution)
+                rep = check_hypotheses(MatrixRing(a.rows, involution=involution), a, b)
+                assert rep.ok
+                d, d_dagger = derived(rep)
+                nonzero_d += not d.is_zero()
+                x0, h, p, s = paper_forms(sign, rep, c, d, d_dagger)
+                assert particular(sign, rep, c) == x0
+                assert solvability_conditions(sign, rep, c)[1].residual == h
+                assert _general_coefficients(rep) == (p, rep.b_dagger @ b, rep.a_dagger_b, s)
+    assert nonzero_d >= 10
+
+
+@pytest.mark.parametrize("scale", (1e-6, 1.0, 1e6))
+@pytest.mark.parametrize("family", ("equal", "diagonal"))
+def test_reduced_closed_form_matches_the_papers_in_floats(derived, family, scale):
+    # Float n=16: the two forms agree within the tolerance of the paper's
+    # terms, at every scale, as the identities hold to rounding.
+    rng = random.Random(31)
+    ring = MatrixRing(16, backend=FLOAT)
+    for sign in (MINUS, PLUS):
+        a, b, c = (m.to_float().scale(scale)
+                   for m in random_square_instance(rng, sign, 16, family))
+        rep = check_hypotheses(ring, a, b)
+        assert rep.ok
+        d, d_dagger = derived(rep)
+        ad, bd, bbd = rep.a_dagger, rep.b_dagger, rep.b_b_dagger
+        x0, h, p, s = paper_forms(sign, rep, c, d, d_dagger)
+        got_p, _, _, got_s = _general_coefficients(rep)
+        for got, want, tol in (
+                (particular(sign, rep, c), x0,
+                 tolerance(RTOL, (ad, c, bd), (ad, b, bd, c, bd, a, d_dagger),
+                           (d_dagger, c, bd))),
+                (solvability_conditions(sign, rep, c)[1].residual, h,
+                 tolerance(RTOL, (rep.a_a_dagger, c, bbd), (d, d_dagger, c, bbd), c)),
+                (got_p, p, tolerance(RTOL, (ad, a), (d_dagger, a))),
+                (got_s, s, tolerance(RTOL, (bd, a), (bd, a, d_dagger, a)))):
+            assert (got - want).is_zero(tol)
 
 
 # -- symmetric corollaries ----------------------------------------------------------
