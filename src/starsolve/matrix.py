@@ -2,9 +2,9 @@
 
 Matrices under conjugate-transpose or plain-transpose involution are the
 rings with involution the solvers work in.  This module holds their
-arithmetic, the one Gauss-Jordan elimination (rank factorization, inverse,
-and the oracle's exact solve all reduce through it), the rank-factorization
-route to the Moore-Penrose inverse, and the Penrose checks.  Rectangular
+arithmetic, the float Gauss-Jordan elimination (float rank factorization
+and inverse reduce through it), the rank-factorization route to the
+Moore-Penrose inverse, and the Penrose checks.  Rectangular
 matrices use the same type; only :class:`MatrixRing` insists on squareness.
 
 An exact matrix is held as Gaussian-integer grids over one denominator;
@@ -385,19 +385,16 @@ def tolerance(rtol: float, *terms) -> Optional[float]:
 # -- elimination ----------------------------------------------------------
 
 
-def gauss_jordan(grid: list, ncols: int, tol: Optional[float]) -> list:
-    """Reduce the row grid ``grid`` (a list of rows) in place over its first
-    ``ncols`` columns; returns the pivot columns.
+def gauss_jordan(grid: list, ncols: int, tol: float) -> list:
+    """Reduce the float row grid ``grid`` (a list of rows of complex floats)
+    in place over its first ``ncols`` columns; returns the pivot columns.
 
     Every row is scaled and combined over its full length, so columns past
     ``ncols`` (a right-hand side, an identity block) are carried along.
-    ``tol`` None means an exact grid of Gaussian-integer rows, reduced
-    without fractions by :func:`starsolve.grids.gauss_jordan`.  Otherwise the
-    rows are lists of complex floats: partial pivoting, and a column whose
-    largest candidate is at most ``tol`` in absolute value gets no pivot.
+    Partial pivoting: a column whose largest candidate is at most ``tol`` in
+    absolute value gets no pivot.  Exact grids reduce without fractions in
+    :func:`starsolve.grids.gauss_jordan`.
     """
-    if tol is None:
-        return _grid_ops().gauss_jordan(grid, ncols)
     pivots = []
     nrows = len(grid)
     for pc in range(ncols):

@@ -4,9 +4,10 @@ The map X -> A X B* -/+ B X* A* is additive but only real-linear (the star
 conjugates scalars), so the equation A X B* -/+ B X* A* = C is written as
 integer rows over the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under
 the transpose involution, where entries are real.  Solving those rows
-exactly (matrix.gauss_jordan, fraction-free) gives an independent verdict,
-a particular solution, and a kernel basis, read off the reduced rows as
-exact grids, against which the closed-form solver families are checked.
+exactly (grids.gauss_jordan, fraction-free) gives an independent verdict,
+a particular solution read off the reduced rows as an exact grid, and the
+real dimension of the solution set.  The closed-form families are checked
+against it with no kernel basis: see verify_family_against_oracle.
 
 The generators down the bottom produce exact instances that satisfy the
 solvers' standing hypotheses by construction; random pairs almost never do
@@ -26,7 +27,7 @@ from typing import Optional
 from . import grids
 from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
-                     gauss_jordan, random_matrix, random_rational)
+                     random_matrix, random_rational)
 from .rect import RectProblem
 from .scalars import GaussianRational
 from .solvers import MINUS, SolutionFamily, _check_sign, check_hypotheses, equation_lhs
@@ -133,95 +134,81 @@ def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> Re
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Ground-truth verdict for one instance."""
+    """Ground-truth verdict for one instance: ``real_dimension`` is the real
+    dimension of the homogeneous solution set (columns minus rank)."""
 
     solvable: bool
     particular: Optional[Matrix]
-    kernel_basis: tuple
     real_dimension: int
 
 
 def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
-    """Exact verdict, particular solution (free variables zero), kernel basis."""
+    """Exact verdict, particular solution (free variables zero) and the real
+    dimension of the solution set, from one elimination of the real system."""
     system = linearize(sign, a, b, c)
     ncols = len(system.col_index)
     aug = [([*row, value], [0] * (ncols + 1)) for row, value in zip(system.matrix, system.rhs)]
-    pivots = gauss_jordan(aug, ncols, None)
+    pivots = grids.gauss_jordan(aug, ncols)
     rank = len(pivots)
     if any(re[ncols] for re, _, _ in aug[rank:]):
-        return OracleResult(False, None, (), ncols - rank)
+        return OracleResult(False, None, ncols - rank)
 
-    # Pivot row (re, _, den) reads x[pc] = (re[ncols] - sum of re[f] x[f]
-    # over the free columns f) / den; every solution is built over d.
+    # Pivot row (re, _, den) reads x[pc] = re[ncols] / den with the free
+    # columns zero; the solution is built over d.
     d = math.lcm(*(den for _, _, den in aug[:rank]))
-    rows = [(pc, re, d // den) for (re, _, den), pc in zip(aug, pivots)]
     n, p = a.cols, b.cols
-
-    def as_matrix(vec: list) -> Matrix:  # coordinates over d, in col_index order
-        parts = {RE: [[0] * p for _ in range(n)], IM: [[0] * p for _ in range(n)]}
-        for value, (i, j, part) in zip(vec, system.col_index):
-            parts[part][i][j] = value
-        return grids.make(n, p, a.involution, parts[RE], parts[IM], d)
-
-    particular = [0] * ncols
-    for pc, re, scale in rows:
-        particular[pc] = re[ncols] * scale
-    kernel = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[free] = d
-        for pc, re, scale in rows:
-            vec[pc] = -re[free] * scale
-        kernel.append(as_matrix(vec))
-    return OracleResult(True, as_matrix(particular), tuple(kernel), len(kernel))
+    parts = {RE: [[0] * p for _ in range(n)], IM: [[0] * p for _ in range(n)]}
+    for (re, _, den), pc in zip(aug, pivots):
+        i, j, part = system.col_index[pc]
+        parts[part][i][j] = re[ncols] * (d // den)
+    return OracleResult(True, grids.make(n, p, a.involution, parts[RE], parts[IM], d),
+                        ncols - rank)
 
 
 @dataclass(frozen=True)
 class OracleAgreement:
     """Cross-check of a closed-form family against the oracle's solution set:
-    together the three flags prove that x0 + image(L) is exactly that set."""
+    together the two flags prove that x0 + image(L) is exactly that set."""
 
     x0_ok: bool
-    kernel_fixed_ok: bool
     homogeneous_in_kernel_ok: bool
     witnesses: tuple
 
     @property
     def ok(self) -> bool:
-        return self.x0_ok and self.kernel_fixed_ok and self.homogeneous_in_kernel_ok
+        return self.x0_ok and self.homogeneous_in_kernel_ok
 
     def as_dict(self) -> dict:
         return {"x0_in_oracle_set": self.x0_ok,
-                "kernel_elements_fixed": self.kernel_fixed_ok,
+                # L(v) = v - P(eq(v)) is v on every kernel element: true by construction
+                "kernel_elements_fixed": True,
                 "homogeneous_images_in_kernel": self.homogeneous_in_kernel_ok,
                 "witnesses": list(self.witnesses)}
 
 
 def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> OracleAgreement:
     """Check, for every v and with no random draw, that x0 + image(L) is the
-    oracle's solution set: (i) x0's exact residual is zero, which is
-    membership in the oracle's set, since the oracle's rows are the exact
-    linearization of that equation; (ii) L fixes each oracle kernel basis
-    element, so image(L) holds the kernel; (iii) each coefficient pair
-    (alpha, beta) of eq(L(v)) = B(v) + eps B(v)* vanishes (their sum under
-    the transpose, where v is real), with eps = -1 (minus) or +1 (plus) and
-    B(v) = a v b* - (1/2)(a p) v (q b*) - (1/2)(b s*) v (r* a*).
+    oracle's solution set.  (i) The oracle finds the instance solvable and
+    x0's exact residual is zero, which is membership in the oracle's set,
+    since the oracle's rows are the exact linearization of that equation.
+    (ii) L fixes the kernel: L(v) = v - g eq(v) h is v wherever eq(v) = 0,
+    so this holds by construction and needs no kernel basis.  (iii)
+    eq(L(v)) = eq(v) - eq(g eq(v) h) vanishes: each coefficient pair
+    (alpha, beta) of it is zero (their sum under the transpose, where v is
+    real).  With eps = -1 (minus) or +1 (plus), eq(w)* = eps eq(w), so
+    eq(g w h) = (a g) w (h b*) + (b h*) w (g* a*) at w = eq(v), and
+    eq(L(v)) = B(v) + eps B(v)* with
+    B(v) = a v b* - (a g a) v (b* h b*) - (b h* a) v (b* g* a*).
     """
     _require_exact(fam.x0)
     witnesses = []
-    x0_ok = fam.residual(fam.x0).is_zero()
+    x0_ok = oracle.solvable and fam.residual(fam.x0).is_zero()
     if not x0_ok:
-        witnesses.append("x0 leaves a nonzero exact residual")
+        witnesses.append("x0 is not in the oracle's solution set")
 
-    kernel_fixed_ok = True
-    for idx, h in enumerate(oracle.kernel_basis):
-        if not fam.homogeneous(h).equals(h):
-            kernel_fixed_ok = False
-            witnesses.append(f"kernel basis element {idx} is not a fixed point")
-
-    a, b = fam.a, fam.b
-    linear = [(a, b.star()), ((a @ fam.p).half().neg(), fam.q @ b.star()),
-              ((b @ fam.s.star()).half().neg(), fam.r.star() @ a.star())]
+    a, b, g, h = fam.a, fam.b, fam.g, fam.h
+    bs, ag, bh, gas = b.star(), a @ g, b @ h.star(), g.star() @ a.star()
+    linear = [(a, bs), ((ag @ a).neg(), bs @ h @ bs), ((bh @ a).neg(), bs @ gas)]
     # (X v Y)* = Y* v* X*
     starred = [(y.star().neg() if fam.sign == MINUS else y.star(), x.star())
                for x, y in linear]
@@ -232,7 +219,7 @@ def verify_family_against_oracle(fam: SolutionFamily, oracle: OracleResult) -> O
             homogeneous_ok = False
             witnesses.append(f"eq(L(v))[{r}][{s}] depends on v[{i}][{j}]")
             break
-    return OracleAgreement(x0_ok, kernel_fixed_ok, homogeneous_ok, tuple(witnesses))
+    return OracleAgreement(x0_ok, homogeneous_ok, tuple(witnesses))
 
 
 # -- generators ---------------------------------------------------------------

@@ -10,9 +10,11 @@ unit.  The standing hypotheses on the pair (a, b) are
     hermitian condition:  (a' b b' a)* = a' b b' a
 
 (' denotes the MP-inverse).  Under them the equation with either sign has
-an affine solution set x0 + {L(v)} (see SolutionFamily) whenever the
-sign-appropriate pair of solvability conditions on c holds.  The range
-condition reduces the paper's d = (1 - b b') a and d' = a' - a'b b' away:
+an affine solution set x0 + {L(v)} whenever the sign-appropriate pair of
+solvability conditions on c holds: x0 = g c h and L(v) = v - g eq(v) h,
+eq(v) the equation's left side, for one pair (g, h) per kind (see
+SolutionFamily).  The range condition reduces the paper's
+d = (1 - b b') a and d' = a' - a'b b' away:
 
     b'a d' = 0          as b' a a' = b' b'* (b* a a') = b' b'* b* = b'
     d d' = a a' - b b'  as a a' b b' = b b' and, by adjoint, b b' a a' = b b'
@@ -66,8 +68,8 @@ class HypothesisReport(NamedTuple):
     """Checked hypotheses for a pair (a, b).
 
     It also carries the products the closed form keeps reusing, each
-    computed once here: a a' and b b' (the H condition's projections), a' b
-    and b' a (the hermitian condition's factors) and a' b b' a (its product).
+    computed once here: a a' and b b' (the H condition's projections), and
+    a' b and b' a (the hermitian condition's factors; g reuses a' b).
     """
 
     a: Matrix
@@ -78,7 +80,6 @@ class HypothesisReport(NamedTuple):
     b_b_dagger: Matrix              # b b'
     a_dagger_b: Matrix              # a' b
     b_dagger_a: Matrix              # b' a
-    a_dagger_b_b_dagger_a: Matrix   # a' b b' a
     range_condition: Condition      # residual a a' b - b
     hermitian_condition: Condition  # residual (a' b b' a)* - a' b b' a
 
@@ -132,7 +133,7 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
     aab = a_a_dagger @ b
     h = a_dagger_b @ b_dagger_a
     return HypothesisReport(a, b, a_dagger, b_dagger,
-                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a, h,
+                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a,
                             _condition("range_condition", aab - b, rtol, aab, b),
                             _condition("hermitian_condition", h.star() - h, rtol, h))
 
@@ -142,21 +143,27 @@ def _require_ok(report: HypothesisReport):
         raise HypothesesFailError(report)
 
 
+def _general_pair(report: HypothesisReport) -> tuple:
+    """(g, h) of the general family: g = a' - (1/2) a'b b', h = (b')*."""
+    g = report.a_dagger - (report.a_dagger_b @ report.b_dagger).half()
+    return g, report.b_dagger.star()
+
+
 def particular(sign: str, report: HypothesisReport, c: Matrix) -> Matrix:
     """One solution of a x b* -/+ b x* a* = c, valid under the solvability
     conditions for the given sign.
 
-    x0 = (1/2) (a' + d') c (b')*, the paper's x0 without its middle term
-    - (1/2) a'b b'c (b'a d')*, as b'a d' = 0.
+    x0 = g c h with the general (g, h) of SolutionFamily: the paper's
+    x0 = (1/2) (a' + d') c (b')* without its middle term
+    - (1/2) a'b b'c (b'a d')*, as b'a d' = 0, and g = (1/2) (a' + d').
 
     The same expression serves both signs; the sign argument only gates
     validity (callers should have checked solvability for that sign).
     """
     _check_sign(sign)
     _require_ok(report)
-    ad = report.a_dagger
-    ad_plus_dd = ad + ad - report.a_dagger_b @ report.b_dagger
-    return (ad_plus_dd @ c @ report.b_dagger.star()).half()
+    g, h = _general_pair(report)
+    return g @ c @ h
 
 
 def solvability_conditions(sign: str, report: HypothesisReport, c: Matrix,
@@ -202,39 +209,38 @@ def residual_tolerance(rtol: float, a: Matrix, b: Matrix, c: Matrix,
 class SolutionFamily:
     """The full solution set of a x b* -/+ b x* a* = c, as x0 + L(v) with
 
-        L(v) = v - (1/2) p v q + sigma (1/2) r v* s,
+        x0 = P(c),   L(v) = v - P(eq(v)),   P(w) = g w h,
 
-    sigma = +1 for minus and -1 for plus.  L is idempotent and its image is
-    exactly the solution set of the homogeneous equation.  By ``kind``:
+    eq(v) = a v b* -/+ b v* a* the equation's left side: Penrose's
+    X = A- C B- + Y - A-A Y B B- for A X B = C.  L fixes every solution of
+    the homogeneous equation, and its image is exactly that solution set.
+    By ``kind`` (' the MP-inverse, E_a = 1 - a a', F_a = 1 - a'a):
 
-        kind        sign   p                  q          r        s
-        general     -/+    2 a'a - a'b b'a    b'b        a'b      (b'a)*
-        sym_right   plus   1 + E_a            a'a        a        (a')*
-        sym_left    plus   a a'               1 + F_a    (a')*    a
+        kind        sign   g                      h
+        general     -/+    a' - (1/2) a'b b'      (b')*
+        sym_right   plus   (1/2) (1 + E_a)        (a')*
+        sym_left    plus   (1/2) (a')*            1 + F_a
 
     Rectangular instances are the general kind on rectangular operands; c
     is then m x m and v ranges over n x p matrices.  The symmetric rows use
     the symmetric equation's own a; those families store the equivalent
-    general-form triple (a, b, c) of sym_general_form, so residuals are
-    uniform.  ``report`` is the hypothesis report (None for the symmetric
-    kinds), ``conditions`` the solvability conditions the solver checked,
-    and ``rtol`` the relative float tolerance it checked them with.
+    general-form triple (a, b, c) of sym_general_form, so residuals and L
+    are uniform.  ``report`` is the hypothesis report (None for the
+    symmetric kinds), ``conditions`` the solvability conditions the solver
+    checked, and ``rtol`` the relative float tolerance it checked them with.
     Attributes stay assignable, so a caller can perturb a family.
     """
 
-    def __init__(self, sign: str, a: Matrix, b: Matrix, c: Matrix, x0: Matrix,
-                 p: Matrix, q: Matrix, r: Matrix, s: Matrix, kind: str,
-                 report: Optional[HypothesisReport], conditions: tuple,
-                 rtol: float = RTOL):
-        self.sign, self.a, self.b, self.c, self.x0 = sign, a, b, c, x0
-        self.p, self.q, self.r, self.s = p, q, r, s
+    def __init__(self, sign: str, a: Matrix, b: Matrix, c: Matrix, g: Matrix,
+                 h: Matrix, kind: str, report: Optional[HypothesisReport],
+                 conditions: tuple, rtol: float = RTOL):
+        self.sign, self.a, self.b, self.c, self.g, self.h = sign, a, b, c, g, h
+        self.x0 = g @ c @ h
         self.kind, self.report, self.conditions, self.rtol = kind, report, conditions, rtol
 
     def homogeneous(self, v: Matrix) -> Matrix:
-        """L(v): a solution of the homogeneous equation."""
-        t = (self.p @ v @ self.q).half()
-        u = (self.r @ v.star() @ self.s).half()
-        return v - t + u if self.sign == MINUS else v - t - u
+        """L(v) = v - g eq(v) h: a solution of the homogeneous equation."""
+        return v - self.g @ equation_lhs(self.sign, self.a, self.b, v) @ self.h
 
     def at(self, v: Matrix) -> Matrix:
         """x0 + L(v)."""
@@ -258,13 +264,6 @@ class SolutionFamily:
         return self.at(random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution))
 
 
-def _general_coefficients(report: HypothesisReport) -> tuple:
-    """(p, q, r, s) of the general family; see SolutionFamily."""
-    ada = report.a_dagger @ report.a
-    return (ada + ada - report.a_dagger_b_b_dagger_a, report.b_dagger @ report.b,
-            report.a_dagger_b, report.b_dagger_a.star())
-
-
 def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
           rtol: float = RTOL) -> SolutionFamily:
     """Solve a x b* -/+ b x* a* = c.
@@ -280,9 +279,8 @@ def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
     conditions = solvability_conditions(sign, report, c, rtol)
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions, report)
-    x0 = particular(sign, report, c)
-    return SolutionFamily(sign, a, b, c, x0, *_general_coefficients(report),
-                          "general", report, conditions, rtol)
+    return SolutionFamily(sign, a, b, c, *_general_pair(report), "general", report,
+                          conditions, rtol)
 
 
 def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix, rtol: float):
@@ -319,16 +317,11 @@ def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
     conditions, a_dagger, proj = _sym_setup(ring, side, a, b, rtol)
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions)
-    one_plus_proj = ring.one() + proj
-    ad_star = a_dagger.star()
-    if side == "right":
-        x0 = (one_plus_proj @ (b @ ad_star)).half()
-        coefficients = (one_plus_proj, a_dagger @ a, a, ad_star)
-    else:
-        x0 = (ad_star @ b @ one_plus_proj).half()
-        coefficients = (a @ a_dagger, one_plus_proj, ad_star, a)
-    return SolutionFamily(PLUS, *sym_general_form(side, a, b), x0, *coefficients,
-                          "sym_" + side, None, conditions, rtol)
+    one_plus_proj, ad_star = ring.one() + proj, a_dagger.star()
+    g, h = ((one_plus_proj.half(), ad_star) if side == "right"
+            else (ad_star.half(), one_plus_proj))
+    return SolutionFamily(PLUS, *sym_general_form(side, a, b), g, h, "sym_" + side,
+                          None, conditions, rtol)
 
 
 def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,

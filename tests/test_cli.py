@@ -374,11 +374,11 @@ def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("argv, expected", [
     # solve on rect_minus (b == a): 2 for a' (full column rank), 4 in the
-    # hypotheses, 2 in the conditions, 3 for x0, 2 coefficients, 2 per
+    # hypotheses, 2 in the conditions, 3 for g and x0 = g c h, 2 per
     # residual (x0 and 3 samples), 4 per sample's homogeneous part; b != a
     # adds 2 for b' and 2 for b b' and b' a
-    (("solve", "rect_minus.json", "--samples", "3"), 33),
-    (("solve", "diag_solvable.json", "--samples", "3"), 37),
+    (("solve", "rect_minus.json", "--samples", "3"), 31),
+    (("solve", "diag_solvable.json", "--samples", "3"), 35),
     (("check", "rect_minus.json"), 8),
     (("check", "diag_solvable.json"), 12),
     (("verify", "rect_minus.json", "--solution", str(GOLDEN / "rect_solution.json")), 2),

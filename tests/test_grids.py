@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE, Matrix, gauss_jordan,
-                              inverse, mp_inverse, random_matrix, rank_factorization)
+from starsolve.grids import gauss_jordan
+from starsolve.matrix import (CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE, Matrix, inverse,
+                              mp_inverse, random_matrix, rank_factorization)
 from starsolve.oracle import linearize, random_square_instance
 from starsolve.ring import NotMpInvertibleError
 from starsolve.scalars import GR_HALF, GR_ZERO, GaussianRational
@@ -213,7 +214,7 @@ def assert_same_elimination(grid, ncols):
     expected = [list(row) for row in grid]
     expected_pivots = rational_gauss_jordan(expected, ncols)
     rows = integer_rows(grid)
-    pivots = gauss_jordan(rows, ncols, None)
+    pivots = gauss_jordan(rows, ncols)
     assert pivots == expected_pivots
     real = all(isinstance(e, Fraction) for row in grid for e in row)
     for r, ((re, im, den), want) in enumerate(zip(rows, expected)):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
@@ -41,10 +42,9 @@ def rows_hold(system, x):
     return all(sum(map(mul, row, vec)) == value for row, value in zip(system.matrix, system.rhs))
 
 
-def independent(vectors):
-    """Whether the coordinate vectors are linearly independent: their stacked
-    exact matrix has full row rank."""
-    return not vectors or rank_factorization(Matrix.exact(vectors))[2] == len(vectors)
+def system_rank(system):
+    """Rank of the system's integer rows, as an exact matrix."""
+    return rank_factorization(Matrix.exact(system.matrix))[2]
 
 
 # -- linearization -----------------------------------------------------------
@@ -110,11 +110,9 @@ def test_rank_nullity(seed, sign):
     result = oracle_solve(sign, a, b, c)
     # kernel dimension + rank = number of real coordinates
     total = 2 * n * p
-    rank = total - result.real_dimension
-    assert 0 <= rank <= total
     system = linearize(sign, a, b, c)
-    assert result.solvable and result.real_dimension == len(result.kernel_basis)
-    assert independent([coordinates(h, system) for h in result.kernel_basis])
+    assert len(system.col_index) == total
+    assert result.solvable and result.real_dimension == total - system_rank(system)
     assert result.particular.shape == (n, p) and result.particular.is_zero()
 
 
@@ -150,16 +148,6 @@ def test_oracle_self_consistency():
         assert equation_lhs(MINUS, a, b, result.particular) == c
 
 
-def test_kernel_basis_members_solve_homogeneous():
-    rng = random.Random(37)
-    a, b, _ = random_square_instance(rng, MINUS, 2, "equal")
-    result = oracle_solve(MINUS, a, b, Matrix.zeros(2, 2))
-    homogeneous = linearize(MINUS, a, b)
-    for h in result.kernel_basis:
-        assert (a @ h @ b.star()).sub(b @ h.star() @ a.star()).is_zero()
-        assert rows_hold(homogeneous, h)
-
-
 def test_oracle_builds_no_fraction(monkeypatch):
     # from linearize to the OracleResult, and in the family check, the oracle
     # stays on integer rows and grids
@@ -181,7 +169,7 @@ def test_oracle_builds_no_fraction(monkeypatch):
     result = oracle_solve(MINUS, a, b, c)
     agreement = verify_family_against_oracle(fam, result)
     assert built == []
-    assert result.solvable and result.kernel_basis and agreement.ok
+    assert result.solvable and agreement.ok
     result.particular.entries  # the per-entry view builds both, and the patch counts them
     assert built
 
@@ -202,14 +190,8 @@ def test_oracle_solves_rect_shapes_with_n_neq_p(dims, sign, involution):
         result = oracle_solve(sign, a, b, c)
         assert result.solvable and result.particular.shape == (n, p)
         assert equation_lhs(sign, a, b, result.particular) == c
-        for h in result.kernel_basis:
-            assert h.shape == (n, p) and equation_lhs(sign, a, b, h).is_zero()
         system = linearize(sign, a, b, c)
-        kernel = [coordinates(h, system) for h in result.kernel_basis]
-        assert result.real_dimension == len(kernel) > 0
-        assert independent(kernel)
-        # x - particular solves the homogeneous equation, so the kernel spans it
-        assert not independent(kernel + [coordinates(x - result.particular, system)])
+        assert result.real_dimension == len(system.col_index) - system_rank(system) > 0
 
 
 # -- family-vs-oracle agreement ---------------------------------------------------
@@ -238,14 +220,13 @@ def test_family_agreement_detects_perturbed_particular():
 
 
 def test_image_check_sees_the_conjugate_coefficient():
-    # with L the identity, x - x* = 2i Im(x) is zero on the real kernel (so
-    # x0 and the fixed points pass) but not on every v: alpha = 1, beta = -1
+    # with g = 0, L is the identity: x - x* = 2i Im(x) is zero on the real
+    # kernel (so x0 passes) but not on every v: alpha = 1, beta = -1
     fam = solve(MatrixRing(1), MINUS, scalar(1), scalar(1), scalar(2 * I))
-    zero = Matrix.zeros(1, 1)
     bad = copy.copy(fam)
-    bad.p = bad.q = bad.r = bad.s = zero
+    bad.g = Matrix.zeros(1, 1)
     agreement = verify_family_against_oracle(bad, oracle_solve(MINUS, fam.a, fam.b, fam.c))
-    assert agreement.x0_ok and agreement.kernel_fixed_ok
+    assert agreement.x0_ok and agreement.as_dict()["kernel_elements_fixed"]
     assert not agreement.homogeneous_in_kernel_ok
 
 
@@ -309,17 +290,41 @@ def test_exact_image_check_holds_on_every_kind(involution):
     assert len(kinds) == 8  # general x2 signs x3 shapes, sym_right, sym_left
 
 
+def real_basis(shape, involution):
+    """The unit matrices E_ij, and i E_ij unless the entries are real."""
+    rows, cols = shape
+    units = (1,) if involution == TRANSPOSE else (1, I)
+    for i, j, unit in itertools.product(range(rows), range(cols), units):
+        grid = [[0] * cols for _ in range(rows)]
+        grid[i][j] = unit
+        yield Matrix.exact(grid, involution)
+
+
 @pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
 @pytest.mark.parametrize("sign", (MINUS, PLUS))
-@pytest.mark.parametrize("name", ("p", "q", "r", "s"))
+@pytest.mark.parametrize("name", ("g", "h"))
 def test_image_check_catches_identity_perturbation(name, sign, involution):
-    a, b, c = random_square_instance(random.Random(83), sign, 3, "unitary", True, involution)
-    fam = solve(MatrixRing(3, involution=involution), sign, a, b, c)
-    bad = copy.copy(fam)
-    setattr(bad, name, getattr(fam, name) + Matrix.identity(3, involution))
-    agreement = verify_family_against_oracle(bad, oracle_solve(sign, a, b, c))
-    assert not agreement.as_dict()["homogeneous_images_in_kernel"]
-    assert any("depends on v" in w for w in agreement.witnesses)
+    # g or h plus the (rectangular) identity, on a family of every kind with
+    # this sign.  eq(L(v)) is real-linear in v, so it vanishes iff it
+    # vanishes on a real basis: the check must flag exactly the
+    # perturbations that break L (where eq is zero on every v, as for b = 0,
+    # any L is right).
+    broken_kinds = set()
+    for fam in (f for f in solved_families(involution) if f.sign == sign):
+        factor = getattr(fam, name)
+        bad = copy.copy(fam)
+        setattr(bad, name, factor + Matrix.identity(max(factor.shape), involution)
+                .block(0, 0, *factor.shape))
+        broken = any(not equation_lhs(fam.sign, fam.a, fam.b, bad.homogeneous(u)).is_zero()
+                     for u in real_basis(fam.x0.shape, involution))
+        agreement = verify_family_against_oracle(bad, oracle_solve(fam.sign, fam.a, fam.b,
+                                                                   fam.c))
+        assert agreement.as_dict()["homogeneous_images_in_kernel"] != broken, fam.kind
+        assert broken == any("depends on v" in w for w in agreement.witnesses)
+        if broken:
+            broken_kinds.add(fam.kind)
+    assert broken_kinds == ({"general"} if sign == MINUS
+                            else {"general", "sym_right", "sym_left"})
 
 
 # -- generators --------------------------------------------------------------------

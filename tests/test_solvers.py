@@ -14,7 +14,7 @@ from starsolve.oracle import (random_pair, random_rect_instance, random_square_i
                               random_sym_instance)
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
-                               UnsolvableError, _general_coefficients, check_hypotheses,
+                               UnsolvableError, check_hypotheses,
                                equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
                                solve_sym_right, sym_solvability_conditions)
@@ -291,34 +291,62 @@ def paper_forms(sign, rep, c, d, d_dagger):
     return x0, h, ad @ a + dda, (bda - bda @ dda).star()
 
 
-def test_reduced_closed_form_equals_the_papers(derived):
-    # Exactly equal on every instance passing the hypotheses, solvable or
-    # not: d' = a' - a'b b' with b'a d' = 0 and d d' = a a' - b b'.  The
-    # pairs with d != 0 (diagonal families) are the ones where a dropped
-    # d' or d d' would show.
-    rng = random.Random(29)
+def paper_homogeneous(sign, rep, p, s, v):
+    """The paper's L(v) = v - (1/2) p v q + sigma (1/2) r v* s, with q = b'b,
+    r = a'b and sigma = +1 (minus) or -1 (plus)."""
+    t = (p @ v @ (rep.b_dagger @ rep.b)).half()
+    u = (rep.a_dagger_b @ v.star() @ s).half()
+    return v - t + u if sign == MINUS else v - t - u
+
+
+def homogeneous_family(ring, sign, a, b):
+    """The solved family of (a, b) at c = 0, which is always solvable: its
+    L depends on (a, b) alone."""
+    return solve(ring, sign, a, b, Matrix.zeros(a.rows, a.rows, a.involution, a.backend))
+
+
+def paper_instances(rng):
+    """(sign, involution, a, b, c) over every pair family, solvable or not,
+    then extra diagonal-family draws: the diagonal pairs are the ones with
+    d != 0, where a dropped d' or d d' would show."""
     shapes = [(family, n) for family in PAIR_FAMILIES for n in (1, 2, 3)]
     shapes += [(family, dims) for family in RECT_FAMILIES
                for dims in ((2, 3, 2), (1, 2, 3), (2, 2, 3))]
+    diagonal = [("diagonal", n) for n in (2, 3)] + [("diagonal", dims)
+                                                    for dims in ((2, 3, 2), (2, 2, 3))]
+    for batch in (shapes, 3 * diagonal):
+        for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE):
+            for sign, force in itertools.product((MINUS, PLUS), (False, True)):
+                for family, shape in batch:
+                    if isinstance(shape, tuple):
+                        prob = random_rect_instance(rng, shape, family, force, involution,
+                                                    sign)
+                        yield sign, involution, prob.a, prob.b, prob.c
+                    else:
+                        yield (sign, involution,
+                               *random_square_instance(rng, sign, shape, family, force,
+                                                       involution))
+
+
+def test_reduced_closed_form_equals_the_papers(derived):
+    # Exactly equal on every instance passing the hypotheses, solvable or
+    # not: d' = a' - a'b b' with b'a d' = 0 and d d' = a a' - b b'.  L is
+    # checked at a random v against the paper's four-coefficient form.
+    rng, vrng = random.Random(29), random.Random(30)
     nonzero_d = 0
-    for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE):
-        for sign, force in itertools.product((MINUS, PLUS), (False, True)):
-            for family, shape in shapes:
-                if isinstance(shape, tuple):
-                    prob = random_rect_instance(rng, shape, family, force, involution, sign)
-                    a, b, c = prob.a, prob.b, prob.c
-                else:
-                    a, b, c = random_square_instance(rng, sign, shape, family, force,
-                                                     involution)
-                rep = check_hypotheses(MatrixRing(a.rows, involution=involution), a, b)
-                assert rep.ok
-                d, d_dagger = derived(rep)
-                nonzero_d += not d.is_zero()
-                x0, h, p, s = paper_forms(sign, rep, c, d, d_dagger)
-                assert particular(sign, rep, c) == x0
-                assert solvability_conditions(sign, rep, c)[1].residual == h
-                assert _general_coefficients(rep) == (p, rep.b_dagger @ b, rep.a_dagger_b, s)
-    assert nonzero_d >= 10
+    for sign, involution, a, b, c in paper_instances(rng):
+        ring = MatrixRing(a.rows, involution=involution)
+        rep = check_hypotheses(ring, a, b)
+        assert rep.ok
+        d, d_dagger = derived(rep)
+        nonzero_d += not d.is_zero()
+        x0, h, p, s = paper_forms(sign, rep, c, d, d_dagger)
+        assert particular(sign, rep, c) == x0
+        assert solvability_conditions(sign, rep, c)[1].residual == h
+        v = random_matrix(vrng, a.cols, b.cols, EXACT, involution)
+        fam = homogeneous_family(ring, sign, a, b)
+        assert fam.homogeneous(v) == paper_homogeneous(sign, rep, p, s, v)
+    assert nonzero_d >= 40, nonzero_d
 
 
 @pytest.mark.parametrize("scale", (1e-6, 1.0, 1e6))
@@ -326,7 +354,7 @@ def test_reduced_closed_form_equals_the_papers(derived):
 def test_reduced_closed_form_matches_the_papers_in_floats(derived, family, scale):
     # Float n=16: the two forms agree within the tolerance of the paper's
     # terms, at every scale, as the identities hold to rounding.
-    rng = random.Random(31)
+    rng, vrng = random.Random(31), random.Random(32)
     ring = MatrixRing(16, backend=FLOAT)
     for sign in (MINUS, PLUS):
         a, b, c = (m.to_float().scale(scale)
@@ -336,15 +364,17 @@ def test_reduced_closed_form_matches_the_papers_in_floats(derived, family, scale
         d, d_dagger = derived(rep)
         ad, bd, bbd = rep.a_dagger, rep.b_dagger, rep.b_b_dagger
         x0, h, p, s = paper_forms(sign, rep, c, d, d_dagger)
-        got_p, _, _, got_s = _general_coefficients(rep)
+        fam = homogeneous_family(ring, sign, a, b)
+        v = random_matrix(vrng, 16, 16, FLOAT)
+        q, r = bd @ b, rep.a_dagger_b
         for got, want, tol in (
                 (particular(sign, rep, c), x0,
                  tolerance(RTOL, (ad, c, bd), (ad, b, bd, c, bd, a, d_dagger),
                            (d_dagger, c, bd))),
                 (solvability_conditions(sign, rep, c)[1].residual, h,
                  tolerance(RTOL, (rep.a_a_dagger, c, bbd), (d, d_dagger, c, bbd), c)),
-                (got_p, p, tolerance(RTOL, (ad, a), (d_dagger, a))),
-                (got_s, s, tolerance(RTOL, (bd, a), (bd, a, d_dagger, a)))):
+                (fam.homogeneous(v), paper_homogeneous(sign, rep, p, s, v),
+                 tolerance(RTOL, v, (p, v, q), (r, v, s), (fam.g, a, v, b, fam.h)))):
             assert (got - want).is_zero(tol)
 
 
