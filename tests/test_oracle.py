@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix,
-                              MatrixRing, random_matrix, rank_factorization)
+                              MatrixRing, inverse, random_matrix, rank_factorization)
 from starsolve.oracle import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                               linearize, oracle_solve, random_coisometry,
                               random_pair, random_rect_instance,
@@ -300,10 +300,44 @@ def real_basis(shape, involution):
         yield Matrix.exact(grid, involution)
 
 
+# The paper's four coefficients of L(v) = v - (1/2)(p v q -/+ r v* s) in the
+# factors: p = 2 g a, q = b* h, r = 2 g b, s = a* h.  Each entry names the
+# factor a coefficient is built from and the term that, added to the factor,
+# moves that coefficient by the identity (for invertible a and b).
+COEFFICIENTS = {
+    "p": (lambda f: f.g @ f.a + f.g @ f.a, "g", lambda f: inverse(f.a).half()),
+    "q": (lambda f: f.b.star() @ f.h, "h", lambda f: inverse(f.b.star())),
+    "r": (lambda f: f.g @ f.b + f.g @ f.b, "g", lambda f: inverse(f.b).half()),
+    "s": (lambda f: f.a.star() @ f.h, "h", lambda f: inverse(f.a.star())),
+}
+
+
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+@pytest.mark.parametrize("sign", (MINUS, PLUS))
+@pytest.mark.parametrize("name", ("p", "q", "r", "s"))
+def test_image_check_catches_identity_perturbation(name, sign, involution):
+    # one coefficient of the paper's form plus the identity, on a general
+    # family whose a (unitary) and b are both invertible
+    rng = random.Random(83)
+    a, b, c = random_square_instance(rng, sign, 3, "unitary", True, involution)
+    while rank_factorization(b)[2] < 3:
+        a, b, c = random_square_instance(rng, sign, 3, "unitary", True, involution)
+    fam = solve(MatrixRing(3, involution=involution), sign, a, b, c)
+    coefficient, factor, delta = COEFFICIENTS[name]
+    bad = copy.copy(fam)
+    setattr(bad, factor, getattr(fam, factor) + delta(fam))
+    assert coefficient(bad).equals(coefficient(fam) + Matrix.identity(3, involution))
+    agreement = verify_family_against_oracle(bad, oracle_solve(sign, a, b, c))
+    assert not agreement.as_dict()["homogeneous_images_in_kernel"]
+    assert any("depends on v" in w for w in agreement.witnesses)
+    assert any(not equation_lhs(sign, a, b, bad.homogeneous(u)).is_zero()
+               for u in real_basis((3, 3), involution))
+
+
 @pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
 @pytest.mark.parametrize("sign", (MINUS, PLUS))
 @pytest.mark.parametrize("name", ("g", "h"))
-def test_image_check_catches_identity_perturbation(name, sign, involution):
+def test_image_check_catches_factor_perturbation(name, sign, involution):
     # g or h plus the (rectangular) identity, on a family of every kind with
     # this sign.  eq(L(v)) is real-linear in v, so it vanishes iff it
     # vanishes on a real basis: the check must flag exactly the
