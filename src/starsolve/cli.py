@@ -294,12 +294,11 @@ def cmd_solve(args) -> int:
     residual = fam.residual(fam.x0)
     if not fam.residual_ok(fam.x0, residual):
         raise SelfCheckError("particular solution failed re-verification")
-    base_seed = args.seed if args.seed is not None else 0
     doc.update(_verdict_fields(fam.report, fam.conditions))
     doc.update({
         "x0": formats.encode_matrix(fam.x0),
         "residual_max_abs": _max_abs(residual),
-        "samples": _sample_section(fam, base_seed, args.samples),
+        "samples": _sample_section(fam, args.seed, args.samples),
     })
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
              "verdict: solvable",
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--input", required=True, help="instance file (JSON)")
     p_solve.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                          help=f"family samples to draw (default {DEFAULT_SAMPLES})")
-    p_solve.add_argument("--seed", type=int, default=None,
+    p_solve.add_argument("--seed", type=int, default=0,
                          help="base seed for the samples (default 0)")
     p_solve.add_argument("--oracle", action="store_true",
                          help="cross-check against the exact linearization oracle")

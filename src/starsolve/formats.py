@@ -35,15 +35,8 @@ KINDS = SQUARE_KINDS + SYM_KINDS + RECT_KINDS
 PAIR_FAMILIES = ("unitary", "equal", "diagonal", "rejection")
 RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 
-# operand names, in serialization order, for each kind
-OPERAND_NAMES = {
-    "minus": ("a", "b", "c"),
-    "plus": ("a", "b", "c"),
-    "sym_right": ("a", "b"),
-    "sym_left": ("a", "b"),
-    "rect_minus": ("a", "b", "c"),
-    "rect_plus": ("a", "b", "c"),
-}
+# operand names, in serialization order, for each kind: a sym kind has no c
+OPERAND_NAMES = {kind: ("a", "b") if kind in SYM_KINDS else ("a", "b", "c") for kind in KINDS}
 
 _INT_RE = re.compile(r"^-?[0-9]+$")
 

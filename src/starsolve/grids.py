@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 
-from .matrix import EXACT, Matrix
+from .matrix import EXACT, Matrix, unchecked
 from .ring import NotMpInvertibleError
 
 
@@ -37,10 +37,8 @@ def make(rows: int, cols: int, involution: str, re, im, d: int,
             re = [[x // g for x in row] for row in re]
             im = [[y // g for y in row] for row in im]
             d //= g
-    m = object.__new__(Matrix)
-    m._set(rows, cols, involution, EXACT, None,
-           (tuple(map(tuple, re)), tuple(map(tuple, im)), d))
-    return m
+    return unchecked(rows, cols, involution, EXACT, None,
+                     (tuple(map(tuple, re)), tuple(map(tuple, im)), d))
 
 
 def times(m: Matrix, u: int, v: int, e: int) -> Matrix:

@@ -13,6 +13,11 @@ its arithmetic and its fraction-free elimination live in
 
 Plain-transpose matrices are restricted to real entries at construction so
 that the core ``F* m G*`` of the MP-inverse is always invertible.
+
+One checking rule on both backends: the validating constructors check data
+from outside once, each operation checks its own arguments once before it
+picks a backend, and :func:`unchecked` builds every arithmetic result as
+given, never re-checked (a float overflow travels on as inf or NaN).
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .ring import NotMpInvertibleError
@@ -76,8 +82,10 @@ def _grid_ops():
     return grids
 
 
-def _entry_is_real(value, backend) -> bool:
-    return value.im == 0 if backend == EXACT else value.imag == 0.0
+def _require_real(values, backend):
+    """Plain transpose is only a usable involution here on real matrices."""
+    if any((v.im if backend == EXACT else v.imag) != 0 for v in values):
+        raise ValueError("transpose involution requires all-real entries")
 
 
 class Matrix:
@@ -108,11 +116,7 @@ class Matrix:
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeMismatchError("entry grid does not match declared shape")
         if involution == TRANSPOSE:
-            # Plain transpose is only a usable involution here on real matrices.
-            for row in entries:
-                for e in row:
-                    if not _entry_is_real(e, backend):
-                        raise ValueError("transpose involution requires all-real entries")
+            _require_real(chain.from_iterable(entries), backend)
         self._set(rows, cols, involution, backend, entries,
                   _grid_ops().from_entries(entries) if backend == EXACT else None)
 
@@ -195,8 +199,7 @@ class Matrix:
         return self.entries[i][j]
 
     def _like(self, grid) -> "Matrix":
-        return Matrix(len(grid), len(grid[0]) if grid else 0, tuple(grid),
-                      self.involution, self.backend)
+        return unchecked(self.rows, self.cols, self.involution, self.backend, grid)
 
     def _check_tags(self, other: "Matrix"):
         if self.backend != other.backend or self.involution != other.involution:
@@ -251,7 +254,7 @@ class Matrix:
                 for j in range(ocols):
                     orow[j] = orow[j] + lik * rrow[j]
             out.append(tuple(orow))
-        return Matrix(self.rows, ocols, tuple(out), self.involution, self.backend)
+        return unchecked(self.rows, ocols, self.involution, self.backend, tuple(out))
 
     def star(self) -> "Matrix":
         if self.backend == EXACT:
@@ -262,10 +265,12 @@ class Matrix:
             grid = tuple(tuple(e.conjugate() for e in col) for col in cols)
         else:
             grid = tuple(cols)
-        return Matrix(self.cols, self.rows, grid, self.involution, self.backend)
+        return unchecked(self.cols, self.rows, self.involution, self.backend, grid)
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
+        if self.involution == TRANSPOSE:
+            _require_real((s,), self.backend)
         if self.backend == EXACT:
             ops = _grid_ops()
             ((u,),), ((v,),), e = ops.from_entries(((s,),))
@@ -331,18 +336,18 @@ class Matrix:
     # -- blocks and conversion ----------------------------------------------
 
     def block(self, row0: int, col0: int, rows: int, cols: int) -> "Matrix":
-        if row0 + rows > self.rows or col0 + cols > self.cols or row0 < 0 or col0 < 0:
+        if min(row0, col0, rows, cols) < 0 or row0 + rows > self.rows or col0 + cols > self.cols:
             raise ShapeMismatchError("block out of range")
         if self.backend == EXACT:
             return _grid_ops().block(self, row0, col0, rows, cols)
         grid = tuple(tuple(self.entries[row0 + i][col0 + j] for j in range(cols))
                      for i in range(rows))
-        return Matrix(rows, cols, grid, self.involution, self.backend)
+        return unchecked(rows, cols, self.involution, self.backend, grid)
 
     def paste(self, row0: int, col0: int, sub: "Matrix") -> "Matrix":
         """New matrix with ``sub`` written at offset (row0, col0)."""
         self._check_tags(sub)
-        if row0 + sub.rows > self.rows or col0 + sub.cols > self.cols:
+        if min(row0, col0) < 0 or row0 + sub.rows > self.rows or col0 + sub.cols > self.cols:
             raise ShapeMismatchError("paste out of range")
         if self.backend == EXACT:
             return _grid_ops().paste(self, row0, col0, sub)
@@ -359,11 +364,21 @@ class Matrix:
         re, im, d = self.grids
         grid = tuple(tuple(complex(x / d, y / d) for x, y in zip(rr, ir))
                      for rr, ir in zip(re, im))
-        return Matrix(self.rows, self.cols, grid, self.involution, FLOAT)
+        return unchecked(self.rows, self.cols, self.involution, FLOAT, grid)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
+
+
+def unchecked(rows: int, cols: int, involution: str, backend: str, entries,
+              grids=None) -> Matrix:
+    """The rows x cols matrix of a float ``entries`` grid or of exact
+    ``grids``, built as given: the constructor of every arithmetic result,
+    whose operation has checked its operands and arguments."""
+    m = object.__new__(Matrix)
+    m._set(rows, cols, involution, backend, entries, grids)
+    return m
 
 
 def tolerance(rtol: float, *terms) -> Optional[float]:
@@ -403,8 +418,6 @@ def gauss_jordan(grid: list, ncols: int, tol: float) -> list:
             break
         sel = max(range(pr, nrows), key=lambda i: abs(grid[i][pc]))
         if abs(grid[sel][pc]) <= tol:
-            sel = None
-        if sel is None:
             continue
         grid[pr], grid[sel] = grid[sel], grid[pr]
         piv = grid[pr][pc]
@@ -433,8 +446,8 @@ def rank_factorization(m: Matrix):
     r = len(pivots)
     f_grid = tuple(tuple(m.entries[i][c] for c in pivots) for i in range(m.rows))
     g_grid = tuple(tuple(red[i]) for i in range(r))
-    factor_f = Matrix(m.rows, r, f_grid, m.involution, m.backend)
-    factor_g = Matrix(r, m.cols, g_grid, m.involution, m.backend)
+    factor_f = unchecked(m.rows, r, m.involution, FLOAT, f_grid)
+    factor_g = unchecked(r, m.cols, m.involution, FLOAT, g_grid)
     return factor_f, factor_g, r
 
 
@@ -455,7 +468,7 @@ def inverse(m: Matrix) -> Matrix:
     if len(gauss_jordan(aug, n, tolerance(PIVOT_RTOL, m))) < n:
         raise NotMpInvertibleError("singular matrix")
     grid = tuple(tuple(row[n:]) for row in aug)
-    return Matrix(n, n, grid, m.involution, m.backend)
+    return unchecked(n, n, m.involution, FLOAT, grid)
 
 
 def _ldexp(m: Matrix, k: int) -> Matrix:
@@ -463,7 +476,7 @@ def _ldexp(m: Matrix, k: int) -> Matrix:
     exact inside the normal range and raises OverflowError past its top."""
     grid = tuple(tuple(complex(math.ldexp(e.real, k), math.ldexp(e.imag, k)) for e in row)
                  for row in m.entries)
-    return Matrix(m.rows, m.cols, grid, m.involution, m.backend)
+    return unchecked(m.rows, m.cols, m.involution, FLOAT, grid)
 
 
 def mp_inverse(m: Matrix) -> Matrix:

@@ -30,7 +30,8 @@ from .matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, MatrixRing,
                      random_matrix, random_rational)
 from .rect import RectProblem
 from .scalars import GaussianRational
-from .solvers import MINUS, SolutionFamily, _check_sign, check_hypotheses, equation_lhs
+from .solvers import (MINUS, PLUS, SolutionFamily, _check_sign, check_hypotheses, equation_lhs,
+                      sym_general_form)
 
 RE = "re"
 IM = "im"
@@ -363,18 +364,10 @@ def random_sym_instance(rng: random.Random, side: str, size: int,
             a = a.paste(kill, 0, zero_line)
         else:
             a = a.paste(0, kill, zero_line.star())
-    if force_solvable:
-        x_hat = random_matrix(rng, size, size, EXACT, involution)
-        if side == "right":
-            b = (x_hat @ a.star()).add(a @ x_hat.star())
-        else:
-            b = (a.star() @ x_hat).add(x_hat.star() @ a)
-    elif rng.random() < 0.25:
-        b = random_matrix(rng, size, size, EXACT, involution)
-    else:
-        h = random_matrix(rng, size, size, EXACT, involution)
-        b = h.add(h.star())
-    return a, b
+    if not force_solvable and rng.random() < 0.25:
+        return a, random_matrix(rng, size, size, EXACT, involution)
+    general_a, general_b, _ = sym_general_form(side, a, None)
+    return a, _random_c(rng, PLUS, general_a, general_b, force_solvable)
 
 
 def random_rect_pair(rng: random.Random, dims, family: str,

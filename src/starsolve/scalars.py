@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Union
 
-RationalLike = Union[int, str, Fraction]
+RationalLike = Union[int, Fraction]
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -25,17 +25,15 @@ def as_fraction(value: RationalLike) -> Fraction:
         raise TypeError(f"bool is not an exact rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 class GaussianRational:
     """Complex number with rational real and imaginary parts.
 
-    Immutable and hashable; all arithmetic is exact.  Integers, strings and
-    ``Fraction`` values coerce in mixed expressions, floats and bools never
-    do.
+    Immutable and hashable; all arithmetic is exact.  Integers and
+    ``Fraction`` values coerce in mixed expressions, floats, strings and
+    bools never do.
     """
 
     __slots__ = ("re", "im")

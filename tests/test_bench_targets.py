@@ -4,12 +4,15 @@ perfbench/run.py imports a fixed list of package modules, perfbench/spans.py
 patches the names in its TARGETS and perfbench/workloads.py calls package
 attributes through ``lib.<module>.<name>``; a deleted or renamed module or
 name would only break a benchmark run.  These tests resolve all three lists
-against the package instead.
+against the package instead, and run perfbench/selftest.py, the self-test of
+the benchmark's correctness gate.
 """
 
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +136,11 @@ def test_family_x0_is_assignable():
     fam = solve(ring, PLUS, ring.one(), ring.one(), ring.zero())
     fam.x0 = fam.x0.add(ring.one())
     assert not fam.is_solution(fam.x0)
+
+
+def test_benchmark_gate_selftest_passes():
+    # The gate also reads fam.x0, OracleResult and the CLI report fields,
+    # which name resolution alone does not exercise.
+    r = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stdout + r.stderr

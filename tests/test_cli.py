@@ -83,6 +83,30 @@ def test_golden_diag_solve(tmp_path):
     assert doc["x0"][0][0] == ["0", "1", "1", "1"]  # diag(i, 0)
 
 
+# a refusal, an unsolvable verdict and both symmetric kinds: (gen argv of the
+# input, or None for diag_fail.json), command argv, exit code, golden report
+VERDICT_GOLDENS = {
+    "diag_fail_solve": (None, ("solve",), 5),
+    "diag_unsolvable_solve": (("--kind", "minus", "--family", "diagonal", "--dims", "3",
+                               "--seed", "1"), ("solve",), 4),
+    "sym_left_solve": (("--kind", "sym_left", "--dims", "2", "--seed", "2"),
+                       ("solve", "--samples", "2"), 0),
+    "sym_right_check": (("--kind", "sym_right", "--dims", "2", "--seed", "1"), ("check",), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_GOLDENS))
+def test_golden_verdict_reports(name, tmp_path):
+    gen_argv, (command, *flags), code = VERDICT_GOLDENS[name]
+    inst = GOLDEN / "diag_fail.json"
+    if gen_argv:
+        inst = tmp_path / "inst.json"
+        assert run_main("gen", *gen_argv, "--output", str(inst)) == 0
+    out = tmp_path / "r.json"
+    assert run_main(command, "--input", str(inst), *flags, "--output", str(out)) == code
+    assert normalized(out) == (GOLDEN / f"{name}_report.json").read_text()
+
+
 def test_solve_report_is_stable_across_runs(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -198,9 +222,8 @@ def test_exit_2_residual_beyond_float_range(command, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def float_instance(tmp_path, kind, **ops):
-    doc = {"version": "1", "kind": kind, "backend": "float",
-           "involution": "conjugate_transpose",
+def float_instance(tmp_path, kind, involution="conjugate_transpose", **ops):
+    doc = {"version": "1", "kind": kind, "backend": "float", "involution": involution,
            "operands": {name: [[[x, 0.0] for x in row] for row in rows]
                         for name, rows in ops.items()}}
     path = tmp_path / "inst.json"
@@ -352,6 +375,18 @@ def test_exit_7_self_check_failure(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: internal self-check failed")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("involution", ("conjugate_transpose", "transpose"))
+def test_exit_7_when_a_sample_overflows(involution, tmp_path, capsys):
+    # x0 = 0 is exact, but eq(v) at a = b = 1e200 I overflows, so the sample's
+    # residual is NaN; under transpose a NaN times a real factor also has a NaN
+    # imaginary part, which no arithmetic result is re-checked for
+    big, zero = [[1e200, 0.0], [0.0, 1e200]], [[0.0, 0.0], [0.0, 0.0]]
+    inst = float_instance(tmp_path, "minus", involution, a=big, b=big, c=zero)
+    assert run_main("solve", "--input", inst, "--samples", "1") == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal self-check failed") and err.count("\n") == 1
 
 
 def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from starsolve import matrix
 from starsolve.ring import NotMpInvertibleError
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
+from starsolve.matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               Matrix, MatrixRing, ShapeMismatchError,
                               inverse, is_mp_inverse, mp_inverse,
                               random_matrix, rank_factorization)
@@ -107,6 +107,59 @@ def test_mixed_tags_raise():
         a.add(f)
     with pytest.raises(ValueError):
         a.add(t)
+
+
+# -- one checking rule: an operation checks its arguments, never its result ----
+
+
+def test_empty_results_keep_their_shape():
+    for backend in BACKENDS:
+        m = Matrix.zeros(0, 3, backend=backend)
+        results = (m.neg(), m.add(m), m.sub(m), m.half(), m.scale(2),
+                   m.paste(0, 1, Matrix.zeros(0, 2, backend=backend)))
+        assert [r.shape for r in results] == [(0, 3)] * 6, backend
+        assert m.star().shape == (3, 0)
+        assert (m @ Matrix.zeros(3, 2, backend=backend)).shape == (0, 2)
+        assert m.block(0, 1, 0, 2).shape == (0, 2)
+
+
+def test_block_refuses_negative_sizes():
+    for backend in BACKENDS:
+        m = Matrix.identity(3, backend=backend)
+        for rows, cols in ((-1, 1), (1, -1)):
+            with pytest.raises(ShapeMismatchError):
+                m.block(0, 0, rows, cols)
+
+
+def test_paste_refuses_negative_offsets():
+    for backend in BACKENDS:
+        m, sub = Matrix.zeros(3, 3, backend=backend), Matrix.identity(1, backend=backend)
+        for row0, col0 in ((-1, 0), (0, -1)):
+            with pytest.raises(ShapeMismatchError):
+                m.paste(row0, col0, sub)
+
+
+def test_transpose_scale_refuses_a_non_real_scalar():
+    for backend, i in ((EXACT, I), (FLOAT, 1j)):
+        for m in (Matrix.identity(2, TRANSPOSE, backend), Matrix.zeros(2, 2, TRANSPOSE, backend)):
+            with pytest.raises(ValueError, match="transpose involution requires all-real entries"):
+                m.scale(i)
+        assert Matrix.identity(2, backend=backend).scale(i).entry(0, 0) == i
+
+
+def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
+    operands = [(random_matrix(random.Random(4), 3, 3, be), random_matrix(random.Random(5), 3, 2, be))
+                for be in BACKENDS]
+
+    def refuse(self, *args):
+        raise AssertionError("arithmetic result built through Matrix.__init__")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for m, r in operands:
+        for result in (m + m, m - m, -m, m @ r, m.star(), m.scale(3), m.half(),
+                       m.block(0, 1, 2, 2), m.paste(1, 1, r.block(0, 0, 2, 2)), m.to_float(),
+                       inverse(m), mp_inverse(r), *rank_factorization(r)[:2]):
+            assert result.backend in BACKENDS
 
 
 # -- star, blocks, equality --------------------------------------------------

@@ -53,6 +53,8 @@ def test_copy_and_pickle_round_trip():
 def test_as_fraction():
     assert as_fraction(3) == Fraction(3)
     assert as_fraction(Fraction(2, 6)) == Fraction(1, 3)
+    with pytest.raises(TypeError):
+        as_fraction("1/3")
 
 
 def test_bool_is_not_an_exact_rational():
