@@ -33,7 +33,7 @@ _SURFACE = {
     "solvers": ("Condition", "HypothesesFailError", "HypothesisReport", "MINUS", "PLUS",
                 "SolutionFamily", "UnsolvableError", "check_hypotheses", "equation_lhs",
                 "particular", "solvability_conditions", "solve", "solve_sym_left",
-                "solve_sym_right", "sym_solvability_conditions"),
+                "solve_sym_right"),
 }
 _MODULE_OF = {name: module for module, names in _SURFACE.items() for name in names}
 

@@ -30,10 +30,9 @@ from .formats import (FormatError, GenerationError, Instance, KINDS, PAIR_FAMILI
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
                      RTOL, MatrixRing, mp_inverse, penrose_defects)
 from .ring import NotMpInvertibleError
-from .solvers import (HypothesesFailError, UnsolvableError, check_hypotheses,
-                      equation_lhs, residual_tolerance, solvability_conditions,
-                      solve, solve_sym_left, solve_sym_right, sym_general_form,
-                      sym_solvability_conditions)
+from .solvers import (HypothesesFailError, UnsolvableError, equation_lhs,
+                      residual_tolerance, solve, solve_sym_left, solve_sym_right,
+                      sym_general_form)
 
 # starsolve.oracle is imported inside cmd_gen and _oracle_section only: no
 # other subcommand runs it, and each CLI process would pay for loading it.
@@ -158,18 +157,6 @@ def _emit(doc: dict, args, summary_lines) -> None:
         sys.stdout.write(formats.dumps_doc(doc))
 
 
-def _conditions_for(inst: Instance, rtol: float):
-    """(hypothesis report or None, condition tuple) without solving."""
-    ring = _ring_for(inst)
-    a, b = inst.operand("a"), inst.operand("b")
-    if inst.kind in SYM_KINDS:
-        return None, sym_solvability_conditions(ring, _sym_side(inst.kind), a, b, rtol=rtol)
-    report = check_hypotheses(ring, a, b, rtol=rtol)
-    if not report.ok:
-        return report, ()
-    return report, solvability_conditions(inst.sign, report, inst.operand("c"), rtol=rtol)
-
-
 def _solve_instance(inst: Instance, rtol: float):
     ring = _ring_for(inst)
     a, b = inst.operand("a"), inst.operand("b")
@@ -178,6 +165,18 @@ def _solve_instance(inst: Instance, rtol: float):
     if inst.kind == "sym_left":
         return solve_sym_left(ring, a, b, rtol=rtol)
     return solve(ring, inst.sign, a, b, inst.operand("c"), rtol=rtol)
+
+
+def _verdict(inst: Instance, rtol: float):
+    """(family or None, hypothesis report or None, conditions on c) from one
+    solver call, the verdict path of both `check` and `solve`."""
+    try:
+        fam = _solve_instance(inst, rtol)
+    except HypothesesFailError as exc:
+        return None, exc.report, ()
+    except UnsolvableError as exc:
+        return None, exc.report, exc.conditions
+    return fam, fam.report, fam.conditions
 
 
 def _base_report(command: str, inst: Instance, tol_rtol: float) -> dict:
@@ -226,7 +225,8 @@ def cmd_check(args) -> int:
     rtol = _resolve_tol(args)
     inst = formats.load_instance(args.input)
     doc = _base_report("check", inst, rtol)
-    doc.update(_verdict_fields(*_conditions_for(inst, rtol)))
+    _, report, conditions = _verdict(inst, rtol)
+    doc.update(_verdict_fields(report, conditions))
     verdict, failed = doc["verdict"], doc["failed_conditions"]
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
              f"verdict: {verdict}" + (f" ({', '.join(failed)})" if failed else "")]
@@ -245,12 +245,13 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
         seed = base_seed + i
         x = fam.sample(seed)
         residual = fam.residual(x)
+        residual_max = _max_abs(residual)  # exit 2 if eq(x) overflowed
         if not fam.residual_ok(x, residual):
             raise SelfCheckError(f"sample for seed {seed} failed re-verification")
         samples.append({
             "seed": seed,
             "solution": formats.encode_matrix(x),
-            "residual_max_abs": _max_abs(residual),
+            "residual_max_abs": residual_max,
             "verified": True,
         })
     return samples
@@ -277,27 +278,21 @@ def cmd_solve(args) -> int:
     if args.oracle and inst.backend != EXACT:
         raise FormatError("--oracle needs the exact backend")
     doc = _base_report("solve", inst, rtol)
-
-    try:
-        fam = _solve_instance(inst, rtol)
-    except HypothesesFailError as exc:
-        doc.update(_verdict_fields(exc.report, ()))
-        _emit(doc, args, [f"{inst.kind} instance: hypotheses failed "
-                          f"({', '.join(doc['failed_conditions'])})"])
-        return EXIT_HYPOTHESES_FAIL
-    except UnsolvableError as exc:
-        doc.update(_verdict_fields(exc.report, exc.conditions))
-        _emit(doc, args, [f"{inst.kind} instance: unsolvable "
-                          f"({', '.join(exc.failed)})"])
-        return EXIT_UNSOLVABLE
+    fam, report, conditions = _verdict(inst, rtol)
+    doc.update(_verdict_fields(report, conditions))
+    if fam is None:
+        verdict, failed = doc["verdict"], doc["failed_conditions"]
+        _emit(doc, args, [f"{inst.kind} instance: {verdict.replace('_', ' ')} "
+                          f"({', '.join(failed)})"])
+        return EXIT_HYPOTHESES_FAIL if verdict == "hypotheses_failed" else EXIT_UNSOLVABLE
 
     residual = fam.residual(fam.x0)
+    residual_max = _max_abs(residual)
     if not fam.residual_ok(fam.x0, residual):
         raise SelfCheckError("particular solution failed re-verification")
-    doc.update(_verdict_fields(fam.report, fam.conditions))
     doc.update({
         "x0": formats.encode_matrix(fam.x0),
-        "residual_max_abs": _max_abs(residual),
+        "residual_max_abs": residual_max,
         "samples": _sample_section(fam, args.seed, args.samples),
     })
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
@@ -437,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mp.set_defaults(func=cmd_mp)
 
     p_check = sub.add_parser("check", help="hypotheses and solvability verdict, "
-                                           "without solving")
+                                           "without printing a solution")
     p_check.add_argument("--input", required=True, help="instance file (JSON)")
     common(p_check)
     p_check.set_defaults(func=cmd_check)

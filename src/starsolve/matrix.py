@@ -566,7 +566,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int,
 class MatrixRing:
     """The ring of square matrices of one size, backend and involution.
 
-    The solvers take it as the ring of c and use it for its unit.
+    The solvers take it as the ring of c; none of them reads it.
     """
 
     def __init__(self, size: int, backend: str = EXACT,

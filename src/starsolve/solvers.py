@@ -2,9 +2,10 @@
 
 The paper states the theory for any ring with involution in which 2 is
 invertible; this package realizes it with matrices, so everything here
-works on :class:`~starsolve.matrix.Matrix` directly.  The ``ring`` argument
-of the entry points is the ring of c; only the symmetric kinds read its
-unit.  The standing hypotheses on the pair (a, b) are
+works on :class:`~starsolve.matrix.Matrix` directly.  The entry points
+still take the ring of c as ``ring``, as the benchmark harness (perfbench/)
+calls them so, but nothing here reads it.  The standing hypotheses on the
+pair (a, b) are
 
     range condition:      a a' b = b
     hermitian condition:  (a' b b' a)* = a' b b' a
@@ -69,7 +70,7 @@ class HypothesisReport(NamedTuple):
 
     It also carries the products the closed form keeps reusing, each
     computed once here: a a' and b b' (the H condition's projections), and
-    a' b and b' a (the hermitian condition's factors; g reuses a' b).
+    a' b (a factor of the hermitian condition, which g reuses).
     """
 
     a: Matrix
@@ -79,7 +80,6 @@ class HypothesisReport(NamedTuple):
     a_a_dagger: Matrix              # a a'
     b_b_dagger: Matrix              # b b'
     a_dagger_b: Matrix              # a' b
-    b_dagger_a: Matrix              # b' a
     range_condition: Condition      # residual a a' b - b
     hermitian_condition: Condition  # residual (a' b b' a)* - a' b b' a
 
@@ -117,23 +117,21 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
                      rtol: float = RTOL) -> HypothesisReport:
     """Evaluate the range and hermitian conditions for the pair (a, b).
 
-    ``ring`` is the ring of c; the general kind does not read it, and it
-    stays for the callers that pass it.  NotMpInvertibleError propagates.
-    The exact backend compares strictly; floats judge the range residual
-    against a a' b and b, the hermitian one against a' b b' a (see
-    matrix.tolerance).
+    ``ring`` is the ring of c; nothing reads it (see the module docstring).
+    NotMpInvertibleError propagates.  The exact backend compares strictly;
+    floats judge the range residual against a a' b and b, the hermitian one
+    against a' b b' a (see matrix.tolerance).
     """
     a_dagger = matrix.mp_inverse(a)
     a_a_dagger, a_dagger_b = a @ a_dagger, a_dagger @ b
     if b == a:  # then b' = a', b b' = a a' and b' a = a' b
-        b_dagger, b_b_dagger, b_dagger_a = a_dagger, a_a_dagger, a_dagger_b
+        b_dagger, b_b_dagger, bd_a = a_dagger, a_a_dagger, a_dagger_b
     else:
         b_dagger = matrix.mp_inverse(b)
-        b_b_dagger, b_dagger_a = b @ b_dagger, b_dagger @ a
+        b_b_dagger, bd_a = b @ b_dagger, b_dagger @ a
     aab = a_a_dagger @ b
-    h = a_dagger_b @ b_dagger_a
-    return HypothesisReport(a, b, a_dagger, b_dagger,
-                            a_a_dagger, b_b_dagger, a_dagger_b, b_dagger_a,
+    h = a_dagger_b @ bd_a  # a' b b' a
+    return HypothesisReport(a, b, a_dagger, b_dagger, a_a_dagger, b_b_dagger, a_dagger_b,
                             _condition("range_condition", aab - b, rtol, aab, b),
                             _condition("hermitian_condition", h.star() - h, rtol, h))
 
@@ -268,7 +266,7 @@ def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
           rtol: float = RTOL) -> SolutionFamily:
     """Solve a x b* -/+ b x* a* = c.
 
-    ``ring`` is the ring of c, as for check_hypotheses.  Raises
+    ``ring`` is the ring of c; nothing reads it.  Raises
     HypothesesFailError when the pair (a, b) violates the standing
     hypotheses (the equation may still be solvable; the oracle can decide),
     UnsolvableError when the conditions on c fail, and propagates
@@ -283,21 +281,6 @@ def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,
                           conditions, rtol)
 
 
-def _sym_setup(ring: MatrixRing, side: str, a: Matrix, b: Matrix, rtol: float):
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    a_dagger = matrix.mp_inverse(a)
-    if side == "right":
-        proj = ring.one() - a @ a_dagger
-        name = "E_condition"
-    else:
-        proj = ring.one() - a_dagger @ a
-        name = "F_condition"
-    conditions = (_condition("b_star_neq_b", b.star() - b, rtol, b),
-                  _condition(name, proj @ b @ proj, rtol, b))
-    return conditions, a_dagger, proj
-
-
 def sym_general_form(side: str, a: Matrix, b: Matrix) -> tuple:
     """(A, B, C) with the symmetric equation written as A x B* + B x* A* = C:
     (1, a, b) for x a* + a x* = b ("right"), (a*, 1, b) for a* x + x* a = b
@@ -306,18 +289,22 @@ def sym_general_form(side: str, a: Matrix, b: Matrix) -> tuple:
     return (one, a, b) if side == "right" else (a.star(), one, b)
 
 
-def sym_solvability_conditions(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
-                               rtol: float = RTOL) -> tuple:
-    """Named conditions for x a* + a x* = b ("right") or a* x + x* a = b ("left")."""
-    return _sym_setup(ring, side, a, b, rtol)[0]
-
-
-def _solve_sym(ring: MatrixRing, side: str, a: Matrix, b: Matrix,
-               rtol: float) -> SolutionFamily:
-    conditions, a_dagger, proj = _sym_setup(ring, side, a, b, rtol)
+def _solve_sym(side: str, a: Matrix, b: Matrix, rtol: float) -> SolutionFamily:
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    a_dagger = matrix.mp_inverse(a)
+    one = Matrix.identity(a.rows, a.involution, a.backend)
+    if side == "right":
+        proj = one - a @ a_dagger
+        name = "E_condition"
+    else:
+        proj = one - a_dagger @ a
+        name = "F_condition"
+    conditions = (_condition("b_star_neq_b", b.star() - b, rtol, b),
+                  _condition(name, proj @ b @ proj, rtol, b))
     if not all(cond.ok for cond in conditions):
         raise UnsolvableError(conditions)
-    one_plus_proj, ad_star = ring.one() + proj, a_dagger.star()
+    one_plus_proj, ad_star = one + proj, a_dagger.star()
     g, h = ((one_plus_proj.half(), ad_star) if side == "right"
             else (ad_star.half(), one_plus_proj))
     return SolutionFamily(PLUS, *sym_general_form(side, a, b), g, h, "sym_" + side,
@@ -334,7 +321,7 @@ def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,
 
     recorded as the general-form triple (1, a, b) with the plus sign.
     """
-    return _solve_sym(ring, "right", a, b, rtol)
+    return _solve_sym("right", a, b, rtol)
 
 
 def solve_sym_left(ring: MatrixRing, a: Matrix, b: Matrix,
@@ -347,4 +334,4 @@ def solve_sym_left(ring: MatrixRing, a: Matrix, b: Matrix,
 
     recorded as the general-form triple (a*, 1, b) with the plus sign.
     """
-    return _solve_sym(ring, "left", a, b, rtol)
+    return _solve_sym("left", a, b, rtol)

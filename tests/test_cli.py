@@ -4,13 +4,14 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from starsolve import formats, matrix
 from starsolve.cli import main
-from starsolve.oracle import random_square_instance
+from starsolve.oracle import random_square_instance, random_sym_instance, random_unitary
 from starsolve.solvers import MINUS, PLUS, SolutionFamily
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -378,15 +379,17 @@ def test_exit_7_self_check_failure(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("involution", ("conjugate_transpose", "transpose"))
-def test_exit_7_when_a_sample_overflows(involution, tmp_path, capsys):
+def test_exit_2_when_a_sample_overflows(involution, tmp_path, capsys):
     # x0 = 0 is exact, but eq(v) at a = b = 1e200 I overflows, so the sample's
-    # residual is NaN; under transpose a NaN times a real factor also has a NaN
+    # residual is NaN: an input float arithmetic cannot evaluate, not an
+    # internal fault; under transpose a NaN times a real factor also has a NaN
     # imaginary part, which no arithmetic result is re-checked for
     big, zero = [[1e200, 0.0], [0.0, 1e200]], [[0.0, 0.0], [0.0, 0.0]]
     inst = float_instance(tmp_path, "minus", involution, a=big, b=big, c=zero)
-    assert run_main("solve", "--input", inst, "--samples", "1") == 7
+    assert run_main("solve", "--input", inst, "--samples", "1") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: internal self-check failed") and err.count("\n") == 1
+    assert err.startswith("error: a residual's largest |entry| is nan")
+    assert err.count("\n") == 1
 
 
 def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
@@ -407,20 +410,8 @@ def test_solve_computes_each_mp_inverse_once(monkeypatch, tmp_path):
         assert len(calls) == expected, name
 
 
-@pytest.mark.parametrize("argv, expected", [
-    # solve on rect_minus (b == a): 2 for a' (full column rank), 4 in the
-    # hypotheses, 2 in the conditions, 3 for g and x0 = g c h, 2 per
-    # residual (x0 and 3 samples), 4 per sample's homogeneous part; b != a
-    # adds 2 for b' and 2 for b b' and b' a
-    (("solve", "rect_minus.json", "--samples", "3"), 31),
-    (("solve", "diag_solvable.json", "--samples", "3"), 35),
-    (("check", "rect_minus.json"), 8),
-    (("check", "diag_solvable.json"), 12),
-    (("verify", "rect_minus.json", "--solution", str(GOLDEN / "rect_solution.json")), 2),
-])
-def test_cli_product_counts(monkeypatch, tmp_path, argv, expected):
-    # Every product of the closed form is computed once: a recomputed one
-    # raises these counts.
+def count_products(monkeypatch, tmp_path, sub, inst, *rest):
+    """(exit code, Matrix.mul calls) of one in-process CLI run."""
     calls = []
     real = matrix.Matrix.mul
 
@@ -429,10 +420,45 @@ def test_cli_product_counts(monkeypatch, tmp_path, argv, expected):
         return real(self, other)
 
     monkeypatch.setattr(matrix.Matrix, "mul", counting)
+    code = run_main(sub, "--input", str(inst), *rest, "--output", str(tmp_path / "r.json"))
+    return code, len(calls)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # solve on rect_minus (b == a): 2 for a' (full column rank), 4 in the
+    # hypotheses, 2 in the conditions, 3 for g and x0 = g c h, 2 per
+    # residual (x0 and 3 samples), 4 per sample's homogeneous part; b != a
+    # adds 2 for b' and 2 for b b' and b' a; check runs the same solver call
+    # as solve, so it also forms g and x0
+    (("solve", "rect_minus.json", "--samples", "3"), 31),
+    (("solve", "diag_solvable.json", "--samples", "3"), 35),
+    (("check", "rect_minus.json"), 11),
+    (("check", "diag_solvable.json"), 15),
+    (("verify", "rect_minus.json", "--solution", str(GOLDEN / "rect_solution.json")), 2),
+])
+def test_cli_product_counts(monkeypatch, tmp_path, argv, expected):
+    # Every product of the closed form is computed once: a recomputed one
+    # raises these counts.
     sub, name, *rest = argv
-    assert run_main(sub, "--input", str(GOLDEN / name), *rest,
-                    "--output", str(tmp_path / "r.json")) == 0
-    assert len(calls) == expected
+    assert count_products(monkeypatch, tmp_path, sub, GOLDEN / name, *rest) == (0, expected)
+
+
+@pytest.mark.parametrize("kind, seed, argv, expected, code", [
+    # the sym goldens' instances: 2 for a', 1 for the projection E_a or F_a,
+    # 2 for proj b proj, 2 for x0 = g b h, 2 per residual (x0 and 3
+    # samples), 4 per sample's homogeneous part; sym_right seed 1 has
+    # b* != b, so it stops at its conditions
+    ("sym_left", 2, ("check",), 7, 0),
+    ("sym_right", 1, ("check",), 5, 0),
+    ("sym_left", 2, ("solve", "--samples", "3"), 27, 0),
+    ("sym_right", 1, ("solve", "--samples", "3"), 5, 4),
+])
+def test_cli_product_counts_sym_kinds(monkeypatch, tmp_path, kind, seed, argv, expected, code):
+    inst = tmp_path / "inst.json"
+    assert run_main("gen", "--kind", kind, "--dims", "2", "--seed", str(seed),
+                    "--output", str(inst)) == 0
+    sub, *rest = argv
+    assert count_products(monkeypatch, tmp_path, sub, inst, *rest) == (code, expected)
 
 
 def test_solve_computes_each_residual_once(monkeypatch, tmp_path):
@@ -632,24 +658,62 @@ def check_report(path, *extra):
 
 
 def test_float_verdicts_are_scale_invariant(tmp_path):
-    # Exact square instances through to_float and scaled by 10^k: every float
-    # verdict equals the exact one or the report says it is too close to call.
+    # Exact square and symmetric instances through to_float and scaled by
+    # 10^k: every float verdict equals the exact one or the report says it is
+    # too close to call.
     rng = random.Random(8)
     exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
+    instances = []
     for i in range(32):
         sign = (MINUS, PLUS)[i % 2]
         family = ("unitary", "equal", "diagonal", "diagonal")[i % 4]
         involution = (matrix.CONJUGATE_TRANSPOSE, matrix.TRANSPOSE)[i // 16]
         force = (i // 4) % 2 == 0  # else a random c of the sign's symmetry
         a, b, c = random_square_instance(rng, sign, 3, family, force, involution)
-        inst = formats.make_instance(sign, matrix.EXACT, involution,
-                                     {"a": a, "b": b, "c": c})
+        instances.append(formats.make_instance(sign, matrix.EXACT, involution,
+                                               {"a": a, "b": b, "c": c}))
+    for i in range(32):
+        side = ("right", "left")[i % 2]
+        involution = (matrix.CONJUGATE_TRANSPOSE, matrix.TRANSPOSE)[i // 16]
+        a, b = random_sym_instance(rng, side, 3, (i // 2) % 2 == 0, involution)
+        instances.append(formats.make_instance("sym_" + side, matrix.EXACT, involution,
+                                               {"a": a, "b": b}))
+    for i, inst in enumerate(instances):
         formats.save_instance(inst, str(exact_path))
         exact = check_report(exact_path)["verdict"]
         for k in (-12, -6, 0, 6, 12):
             write_scaled_float(float_path, inst, 10.0 ** k)
             report = check_report(float_path)
             assert report["verdict"] == exact or report["indeterminate"], (i, k)
+
+
+def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path):
+    # b = a = u diag(1, 2^-10, 2^-20) v with exact unitary u and v, and
+    # c = h -/+ h*: the float verdict equals the exact one or is flagged. A
+    # float rank decision may refuse a (exit 3), but most instances are judged.
+    diag = matrix.Matrix.exact([[1, 0, 0], [0, Fraction(1, 2 ** 10), 0],
+                                [0, 0, Fraction(1, 2 ** 20)]])
+    exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
+    out = tmp_path / "check.json"
+    judged = 0
+    for seed in range(10):
+        a = random_unitary(random.Random(seed), 3) @ diag @ \
+            random_unitary(random.Random(seed + 100), 3)
+        h = matrix.random_matrix(random.Random(seed), 3, 3)
+        for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
+            inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
+                                         {"a": a, "b": a, "c": c})
+            formats.save_instance(inst, str(exact_path))
+            exact = check_report(exact_path)["verdict"]
+            write_scaled_float(float_path, inst, 1.0)
+            code = run_main("check", "--input", str(float_path), "--output", str(out))
+            if code == 3:
+                continue
+            assert code == 0, (seed, sign)
+            report = json.loads(out.read_text())
+            assert report["verdict"] == exact or report["indeterminate"], (seed, sign)
+            judged += 1
+    assert judged >= 12
 
 
 def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):

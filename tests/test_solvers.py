@@ -17,7 +17,7 @@ from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
                                equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
-                               solve_sym_right, sym_solvability_conditions)
+                               solve_sym_right)
 
 I = GaussianRational(Fraction(0), Fraction(1))
 RING2 = MatrixRing(2)
@@ -62,7 +62,6 @@ def test_hypothesis_report_products(family):
     assert rep.a_a_dagger == a @ rep.a_dagger
     assert rep.b_b_dagger == b @ rep.b_dagger
     assert rep.a_dagger_b == rep.a_dagger @ b
-    assert rep.b_dagger_a == rep.b_dagger @ a
 
 
 @given(seeds, signs, involutions, st.sampled_from((EXACT, FLOAT)),
@@ -207,7 +206,11 @@ def test_solve_stores_the_conditions_it_checked():
     for side, solver in (("right", solve_sym_right), ("left", solve_sym_left)):
         a, b = random_sym_instance(rng, side, 2, force_solvable=True)
         fam = solver(RING2, a, b)
-        assert fam.conditions == sym_solvability_conditions(RING2, side, a, b)
+        a_dagger = mp_inverse(a)
+        proj = RING2.one() - (a @ a_dagger if side == "right" else a_dagger @ a)
+        assert [(k.name, k.ok, k.residual) for k in fam.conditions] == \
+            [("b_star_neq_b", True, b.star() - b),
+             ("E_condition" if side == "right" else "F_condition", True, proj @ b @ proj)]
 
 
 def test_homogeneous_map_is_idempotent_for_every_kind():
@@ -423,14 +426,16 @@ def test_sym_helper_matches_solvers():
         for trial in range(30):
             a, b = random_sym_instance(rng, side, 2,
                                        force_solvable=(trial % 2 == 0))
-            conds = sym_solvability_conditions(RING2, side, a, b)
-            assert tuple(isinstance(c, Condition) for c in conds) == (True, True)
-            if all(c.ok for c in conds):
+            # the solver raises exactly when a condition it checked fails
+            try:
                 fam = solver(RING2, a, b)
-                assert fam.is_solution(fam.x0)
+            except UnsolvableError as exc:
+                conds = exc.conditions
+                assert not all(c.ok for c in conds)
             else:
-                with pytest.raises(UnsolvableError):
-                    solver(RING2, a, b)
+                conds = fam.conditions
+                assert all(c.ok for c in conds) and fam.is_solution(fam.x0)
+            assert tuple(isinstance(c, Condition) for c in conds) == (True, True)
 
 
 def test_sym_right_agrees_with_general_plus_form():
@@ -463,8 +468,9 @@ def test_condition_tolerance_recorded_for_float():
     ring = MatrixRing(2, backend=FLOAT)
     a = Matrix.floating([[1.0, 0.0], [0.0, 0.0]])
     b = Matrix.floating([[1.0, 0.0], [0.0, 1.0]])
-    conds = sym_solvability_conditions(ring, "right", a, b)
-    assert all(c.tol is not None for c in conds)
+    with pytest.raises(UnsolvableError) as exc:  # E_a b E_a = diag(0, 1)
+        solve_sym_right(ring, a, b)
+    assert all(c.tol is not None for c in exc.value.conditions)
 
 
 # -- float verdicts under rescaling --------------------------------------------
