@@ -5,8 +5,10 @@ invertible; this package realizes it with matrices over the Gaussian
 rationals (exact) and over complex floats (approximate).
 Rectangular instances A X B* -/+ B X* A* = C run through the same formulas
 in the ring of C, cross-checked by a block embedding into a square ring.
-An exact real-linearization oracle cross-checks both solvability verdicts
-and the completeness of the solution families.
+An exact certificate proves each solved family complete and reads off the
+real dimension of its solution set with no elimination; an exact
+real-linearization oracle is the ground truth that the verdicts and the
+certificate are tested against.
 
 Importing the package loads no submodule: each name below is imported from
 its defining module on first use (PEP 562), so a CLI process loads only the
@@ -19,12 +21,12 @@ __version__ = "0.1.0"
 
 # defining module of each public name
 _SURFACE = {
+    "certify": ("OracleAgreement", "certify_family"),
     "formats": ("GenerationError",),
+    "generate": ("random_rect_instance", "random_sym_instance", "random_square_instance"),
     "matrix": ("BACKENDS", "CONJUGATE_TRANSPOSE", "EXACT", "FLOAT", "INVOLUTIONS",
                "TRANSPOSE", "Matrix", "MatrixRing", "mp_inverse", "random_matrix"),
-    "oracle": ("OracleAgreement", "OracleResult", "linearize", "oracle_solve",
-               "random_rect_instance", "random_sym_instance", "random_square_instance",
-               "verify_family_against_oracle"),
+    "oracle": ("OracleResult", "linearize", "oracle_solve", "verify_family_against_oracle"),
     "rect": ("RectProblem", "check_rect_hypotheses", "embed", "embed_mp",
              "embed_solution", "extract_solution", "solve_rect",
              "solve_rect_via_embedding"),

@@ -14,7 +14,7 @@ Exit codes are a stable contract:
     5  the standing hypotheses fail (report still written)
     6  `verify` rejected the claimed solution
     7  internal self-check failed (a solution the solver returned did not
-       verify, or the oracle disagreed with it)
+       verify, or --oracle's exact certificate failed on it)
 """
 
 import argparse
@@ -34,8 +34,9 @@ from .solvers import (HypothesesFailError, UnsolvableError, equation_lhs,
                       residual_tolerance, solve, solve_sym_left, solve_sym_right,
                       sym_general_form)
 
-# starsolve.oracle is imported inside cmd_gen and _oracle_section only: no
-# other subcommand runs it, and each CLI process would pay for loading it.
+# starsolve.generate is imported inside cmd_gen and starsolve.certify inside
+# _oracle_section only: no other subcommand runs them, and each CLI process
+# would pay for loading them.  No subcommand runs starsolve.oracle.
 
 # float residuals within [tol/BAND, tol*BAND] are too close to call
 INDETERMINATE_BAND = 1e3
@@ -258,15 +259,15 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
 
 
 def _oracle_section(fam) -> dict:
-    from .oracle import oracle_solve, verify_family_against_oracle
-    result = oracle_solve(fam.sign, fam.a, fam.b, fam.c)
-    agreement = verify_family_against_oracle(fam, result)
-    if not agreement.ok:
-        raise SelfCheckError("oracle cross-check failed on a solved instance")
+    from .certify import certify_family
+    certificate = certify_family(fam)
+    if not certificate.ok:
+        raise SelfCheckError("oracle certificate failed on a solved instance: "
+                             + "; ".join(certificate.witnesses))
     return {
-        "solvable": result.solvable,
-        "real_dimension": result.real_dimension,
-        "agreement": agreement.as_dict(),
+        "solvable": certificate.x0_ok,
+        "real_dimension": certificate.real_dimension,
+        "agreement": certificate.as_dict(),
     }
 
 
@@ -328,7 +329,7 @@ def _parse_dims(kind: str, raw: Optional[str]):
 
 
 def cmd_gen(args) -> int:
-    from .oracle import random_rect_instance, random_sym_instance, random_square_instance
+    from .generate import random_rect_instance, random_sym_instance, random_square_instance
     kind = args.kind
     dims = _parse_dims(kind, args.dims)
     rng = random.Random(args.seed)
@@ -445,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--seed", type=int, default=0,
                          help="base seed for the samples (default 0)")
     p_solve.add_argument("--oracle", action="store_true",
-                         help="cross-check against the exact linearization oracle")
+                         help="certify the family exactly, with no elimination, and report "
+                              "the real dimension of the solution set")
     common(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

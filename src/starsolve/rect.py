@@ -19,7 +19,6 @@ p x m convention seen elsewhere refers to B*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from .matrix import RTOL, Matrix, MatrixRing
@@ -28,24 +27,46 @@ from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, 
 Dims = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
 class RectProblem:
-    """Operands of A X B* - B X* A* = C with A: m x n, B: m x p, C: m x m."""
+    """Operands of A X B* - B X* A* = C with A: m x n, B: m x p, C: m x m.
 
-    a: Matrix
-    b: Matrix
-    c: Matrix
+    Immutable and validated on construction; two problems are equal when
+    their operands are.
+    """
 
-    def __post_init__(self):
-        for other in (self.b, self.c):
-            self.a._check_tags(other)
-        m = self.a.rows
-        if self.b.rows != m or self.c.shape != (m, m):
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Matrix, b: Matrix, c: Matrix):
+        for other in (b, c):
+            a._check_tags(other)
+        m = a.rows
+        if b.rows != m or c.shape != (m, m):
             raise ValueError(
-                f"need A: m x n, B: m x p, C: m x m; got {self.a.shape}, "
-                f"{self.b.shape}, {self.c.shape}")
-        if m < 1 or self.a.cols < 1 or self.b.cols < 1:
+                f"need A: m x n, B: m x p, C: m x m; got {a.shape}, {b.shape}, {c.shape}")
+        if m < 1 or a.cols < 1 or b.cols < 1:
             raise ValueError("all of m, n, p must be at least 1")
+        for name, value in zip(RectProblem.__slots__, (a, b, c)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RectProblem is immutable")
+
+    def _operands(self) -> tuple:
+        return (self.a, self.b, self.c)
+
+    def __eq__(self, other):
+        if other.__class__ is not RectProblem:
+            return NotImplemented
+        return self._operands() == other._operands()
+
+    def __hash__(self):
+        return hash(self._operands())
+
+    def __reduce__(self):  # copy and pickle: rebuild through __init__
+        return RectProblem, self._operands()
+
+    def __repr__(self):
+        return f"RectProblem(a={self.a!r}, b={self.b!r}, c={self.c!r})"
 
     @property
     def dims(self) -> Dims:

@@ -13,13 +13,13 @@ from pathlib import Path
 import pytest
 
 from starsolve.cli import _in_band, main
+from starsolve.generate import (GenerationError, PAIR_FAMILIES, random_pair,
+                                random_rect_instance, random_sym_instance,
+                                random_square_instance)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               MatrixRing, is_mp_inverse, mp_inverse,
                               penrose_defects, random_matrix)
-from starsolve.oracle import (GenerationError, PAIR_FAMILIES, oracle_solve,
-                              random_pair, random_rect_instance,
-                              random_sym_instance, random_square_instance,
-                              verify_family_against_oracle)
+from starsolve.oracle import oracle_solve, verify_family_against_oracle
 from starsolve.rect import (embed, embed_mp, extract_solution, solve_rect,
                             solve_rect_via_embedding)
 from starsolve.ring import NotMpInvertibleError

@@ -11,7 +11,7 @@ import pytest
 
 from starsolve import formats, matrix
 from starsolve.cli import main
-from starsolve.oracle import random_square_instance, random_sym_instance, random_unitary
+from starsolve.generate import random_square_instance, random_sym_instance, random_unitary
 from starsolve.solvers import MINUS, PLUS, SolutionFamily
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -752,31 +752,39 @@ def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# what the CLI loads only for `gen` and `solve --oracle`, or never
-NOT_AT_START_UP = ("starsolve.oracle", "starsolve.rect", "dataclasses", "inspect", "datetime")
+# what a CLI child may load only for `gen` or `solve --oracle`, or never
+WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "starsolve.rect",
+           "dataclasses", "inspect", "datetime")
 
 STARTUP_CHILD = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import starsolve.cli
-seen = {{"import": [m for m in {NOT_AT_START_UP!r} if m in sys.modules]}}
-golden = {str(GOLDEN / "scalar_minus.json")!r}
-for argv in (["check", "--input", golden], ["solve", "--input", golden]):
-    assert starsolve.cli.main(argv + ["--output", sys.argv[1]]) == 0
-seen["check_solve"] = [m for m in {NOT_AT_START_UP!r} if m in sys.modules]
-assert starsolve.cli.main(["gen", "--kind", "minus", "--output", sys.argv[1]]) == 0
-seen["gen"] = "starsolve.oracle" in sys.modules
-print(json.dumps(seen))
+for argv in json.loads(sys.argv[1]):
+    assert starsolve.cli.main(argv) == 0, argv
+print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
 """
 
 
-def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
+def loaded_by(runs) -> list:
+    """The WATCHED modules loaded by a fresh child that runs each argv."""
     # -S: no site hooks, so only what the package itself imports is loaded
-    r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, str(tmp_path / "out.json")],
+    r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, json.dumps(runs)],
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
-    seen = json.loads(r.stdout.splitlines()[-1])
-    assert seen == {"import": [], "check_solve": [], "gen": True}
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
+    out = ["--output", str(tmp_path / "out.json")]
+    golden = ["--input", str(GOLDEN / "scalar_minus.json")]  # solvable
+    assert loaded_by([]) == []
+    assert loaded_by([["check", *golden, *out], ["solve", *golden, *out]]) == []
+    # gen needs the generators (and RectProblem), solve --oracle the certificate;
+    # neither loads the elimination or dataclasses
+    assert loaded_by([["gen", "--kind", "minus", *out]]) == ["starsolve.generate",
+                                                            "starsolve.rect"]
+    assert loaded_by([["solve", *golden, "--oracle", *out]]) == ["starsolve.certify"]
 
 
 FLOAT_CHILD = f"""

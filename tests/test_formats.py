@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from starsolve import formats
 from starsolve.formats import (FormatError, instance_from_doc, instance_to_doc,
                                matrix_from_doc, matrix_to_doc)
+from starsolve.generate import (random_rect_instance, random_sym_instance,
+                                random_square_instance)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
                               Matrix, random_matrix)
-from starsolve.oracle import (random_rect_instance, random_sym_instance,
-                              random_square_instance)
 from starsolve.scalars import GaussianRational
 
 seeds = st.integers(min_value=0, max_value=10**6)

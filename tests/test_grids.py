@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsolve.generate import random_square_instance
 from starsolve.grids import gauss_jordan
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE, Matrix, inverse,
                               mp_inverse, random_matrix, rank_factorization)
-from starsolve.oracle import linearize, random_square_instance
+from starsolve.oracle import linearize
 from starsolve.ring import NotMpInvertibleError
 from starsolve.scalars import GR_HALF, GR_ZERO, GaussianRational
 from starsolve.solvers import MINUS, PLUS

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsolve.generate import random_rect_instance
 from starsolve.matrix import (TRANSPOSE, Matrix, is_mp_inverse, mp_inverse,
                               random_matrix)
-from starsolve.oracle import random_rect_instance
 from starsolve.rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
                             embed_solution, extract_solution, solve_rect,
                             solve_rect_via_embedding)
@@ -40,6 +42,17 @@ def test_rect_problem_validates_shapes():
         RectProblem(a, b, Matrix.exact([[0, 0]]))
     with pytest.raises(ValueError):
         RectProblem(a, b.to_float(), c)
+
+
+def test_rect_problem_value_semantics():
+    prob = random_rect_instance(random.Random(5), (2, 3, 2), "coisometry")
+    same = RectProblem(prob.a, prob.b, prob.c)
+    assert same == prob and hash(same) == hash(prob) and same != prob.to_float()
+    assert RectProblem(prob.a, prob.b, prob.c.neg()) != prob
+    assert copy.copy(prob) == prob and pickle.loads(pickle.dumps(prob)) == prob
+    with pytest.raises(AttributeError):
+        prob.c = prob.c.neg()
+    assert repr(prob).startswith("RectProblem(a=Matrix[2x3 exact")
 
 
 def test_embedding_block_layout():

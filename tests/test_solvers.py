@@ -10,8 +10,8 @@ from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE
                               Matrix, MatrixRing, is_mp_inverse, mp_inverse,
                               random_matrix, tolerance)
 from starsolve.formats import PAIR_FAMILIES, RECT_FAMILIES
-from starsolve.oracle import (random_pair, random_rect_instance, random_square_instance,
-                              random_sym_instance)
+from starsolve.generate import (random_pair, random_rect_instance, random_square_instance,
+                                random_sym_instance)
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
