@@ -23,8 +23,6 @@ against the exact elimination (verify_family_against_oracle).  Everything
 here stays on integer grids.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import product
 from operator import add

@@ -30,11 +30,9 @@ from .formats import (FormatError, GenerationError, Instance, KINDS, PAIR_FAMILI
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
                      RTOL, MatrixRing, mp_inverse, penrose_defects)
 from .ring import NotMpInvertibleError
-from .solvers import (HypothesesFailError, UnsolvableError, equation_lhs,
-                      residual_tolerance, solve, solve_sym_left, solve_sym_right,
-                      sym_general_form)
 
-# starsolve.generate is imported inside cmd_gen and starsolve.certify inside
+# starsolve.solvers is imported inside the functions that run it, since `mp`
+# does not; starsolve.generate inside cmd_gen and starsolve.certify inside
 # _oracle_section only: no other subcommand runs them, and each CLI process
 # would pay for loading them.  No subcommand runs starsolve.oracle.
 
@@ -159,6 +157,7 @@ def _emit(doc: dict, args, summary_lines) -> None:
 
 
 def _solve_instance(inst: Instance, rtol: float):
+    from .solvers import solve, solve_sym_left, solve_sym_right
     ring = _ring_for(inst)
     a, b = inst.operand("a"), inst.operand("b")
     if inst.kind == "sym_right":
@@ -171,6 +170,7 @@ def _solve_instance(inst: Instance, rtol: float):
 def _verdict(inst: Instance, rtol: float):
     """(family or None, hypothesis report or None, conditions on c) from one
     solver call, the verdict path of both `check` and `solve`."""
+    from .solvers import HypothesesFailError, UnsolvableError
     try:
         fam = _solve_instance(inst, rtol)
     except HypothesesFailError as exc:
@@ -291,6 +291,9 @@ def cmd_solve(args) -> int:
     residual_max = _max_abs(residual)
     if not fam.residual_ok(fam.x0, residual):
         raise SelfCheckError("particular solution failed re-verification")
+    # the certificate runs before the samples: where L is broken, its exact
+    # witness names the faulty coefficient, and a sample would only fail
+    oracle = _oracle_section(fam) if args.oracle else None
     doc.update({
         "x0": formats.encode_matrix(fam.x0),
         "residual_max_abs": residual_max,
@@ -300,8 +303,8 @@ def cmd_solve(args) -> int:
              "verdict: solvable",
              f"x0 residual max |entry| = {doc['residual_max_abs']:.3e}",
              f"{args.samples} sample solutions verified"]
-    if args.oracle:
-        doc["oracle"] = _oracle_section(fam)
+    if oracle is not None:
+        doc["oracle"] = oracle
         lines.append(f"oracle agreement: ok "
                      f"(real dimension {doc['oracle']['real_dimension']})")
     _emit(doc, args, lines)
@@ -375,6 +378,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .solvers import equation_lhs, residual_tolerance, sym_general_form
     rtol = _resolve_tol(args)
     inst = formats.load_instance(args.input)
     x = formats.load_matrix(args.solution)

@@ -7,22 +7,25 @@ Two document types share one envelope convention:
 
 Exact scalars serialize as quadruples of decimal strings
 [re_num, re_den, im_num, im_den] so entries never hit integer-width
-limits; float scalars are plain [re, im] pairs.  Parsing is strict:
-unknown keys, wrong shapes, and out-of-enum values all raise FormatError.
+limits; float scalars are plain [re, im] pairs.  An exact matrix goes
+straight between those strings and its integer grids (re, im, d), with no
+per-entry scalar: decode brings the parts over the lcm of their
+denominators and leaves one gcd reduction to ``grids.make``, encode divides
+each part and d by their gcd.  Parsing is strict: unknown keys, wrong
+shapes, out-of-enum values and integer strings with anything but an
+optional minus sign and ASCII digits all raise FormatError.
 
 The generator family names and GenerationError live here too: the CLI needs
-them for its help text and exit codes at start-up, and loads oracle.py,
-which generates, only for `gen` and `solve --oracle`.
+them for its help text and exit codes at start-up, and loads generate.py
+only for `gen`.
 """
 
 import json
 import math
 import re
-from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix
-from .scalars import GaussianRational
+from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, from_grids
 
 FORMAT_VERSION = "1"
 
@@ -38,7 +41,7 @@ RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 # operand names, in serialization order, for each kind: a sym kind has no c
 OPERAND_NAMES = {kind: ("a", "b") if kind in SYM_KINDS else ("a", "b", "c") for kind in KINDS}
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def sign_of(kind: str) -> str:
@@ -78,7 +81,7 @@ def _check_version(doc: Mapping, what: str) -> None:
 
 def _parse_int_string(raw, what: str) -> int:
     # int() tolerates "1_000" and whitespace; the format does not
-    if not isinstance(raw, str) or not _INT_RE.match(raw):
+    if not isinstance(raw, str) or not _INT_RE.fullmatch(raw):
         _fail(f"{what} must be a decimal integer string, got {raw!r}")
     try:
         return int(raw)
@@ -97,13 +100,23 @@ def encode_scalar(value, backend: str):
     return [float(value.real), float(value.imag)]
 
 
+def _parse_quadruple(raw, what: str) -> tuple:
+    """The ints (re_num, re_den, im_num, im_den) of an exact entry; the
+    denominators are nonzero, of either sign, and the terms need not be
+    lowest."""
+    if not isinstance(raw, list) or len(raw) != 4:
+        _fail(f"{what} must be a [re_num, re_den, im_num, im_den] quadruple")
+    parts = tuple(_parse_int_string(part, what) for part in raw)
+    if parts[1] == 0 or parts[3] == 0:
+        _fail(f"{what} has a zero denominator")
+    return parts
+
+
 def decode_scalar(raw, backend: str, what: str = "entry"):
     if backend == EXACT:
-        if not isinstance(raw, list) or len(raw) != 4:
-            _fail(f"{what} must be a [re_num, re_den, im_num, im_den] quadruple")
-        re_num, re_den, im_num, im_den = (_parse_int_string(part, what) for part in raw)
-        if re_den == 0 or im_den == 0:
-            _fail(f"{what} has a zero denominator")
+        from fractions import Fraction
+        from .scalars import GaussianRational
+        re_num, re_den, im_num, im_den = _parse_quadruple(raw, what)
         return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
     if not isinstance(raw, list) or len(raw) != 2:
         _fail(f"{what} must be a [re, im] pair")
@@ -124,9 +137,28 @@ def decode_scalar(raw, backend: str, what: str = "entry"):
 # -- matrices ---------------------------------------------------------------
 
 
+def _encode_part(x: int, d: int) -> list:
+    """[num, den] of x / d in lowest terms, den > 0 (d > 0)."""
+    k = math.gcd(x, d)
+    return [str(x // k), str(d // k)]
+
+
 def encode_matrix(m: Matrix) -> list:
-    return [[encode_scalar(m.entry(i, j), m.backend) for j in range(m.cols)]
-            for i in range(m.rows)]
+    if m.backend == EXACT:
+        real, imag, d = m.grids
+        return [[_encode_part(x, d) + _encode_part(y, d) for x, y in zip(rr, ir)]
+                for rr, ir in zip(real, imag)]
+    return [[encode_scalar(e, m.backend) for e in row] for row in m.entries]
+
+
+def _exact_matrix(quadruples: list, involution: str) -> Matrix:
+    """The exact matrix of parsed entry quadruples: every part over the lcm
+    of all the denominators, reduced once by ``grids.make``."""
+    d = math.lcm(*{den for row in quadruples for _, re_den, _, im_den in row
+                   for den in (re_den, im_den)})
+    real = [[num * (d // den) for num, den, _, _ in row] for row in quadruples]
+    imag = [[num * (d // den) for _, _, num, den in row] for row in quadruples]
+    return from_grids(len(quadruples), len(quadruples[0]), involution, real, imag, d)
 
 
 def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> Matrix:
@@ -141,11 +173,12 @@ def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> M
             width = len(row)
         elif len(row) != width:
             _fail(f"{what} row {i} has {len(row)} entries, expected {width}")
-        grid.append([decode_scalar(e, backend, f"{what}[{i}][{j}]")
+        grid.append([_parse_quadruple(e, f"{what}[{i}][{j}]") if backend == EXACT
+                     else decode_scalar(e, backend, f"{what}[{i}][{j}]")
                      for j, e in enumerate(row)])
     try:
         if backend == EXACT:
-            return Matrix.exact(grid, involution)
+            return _exact_matrix(grid, involution)
         return Matrix.floating(grid, involution)
     except ValueError as exc:  # e.g. transpose involution with complex entries
         raise FormatError(f"{what}: {exc}") from exc

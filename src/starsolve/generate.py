@@ -2,20 +2,19 @@
 
 Every generator produces exact instances that satisfy the solvers'
 standing hypotheses by construction; random pairs almost never do at rank
-deficiency, so each family seeds structure deliberately.  Only `gen` loads
-this module on the command line.
+deficiency, so each family seeds structure deliberately.  Every matrix is
+built straight as an integer grid, with no per-entry scalar, from the same
+draws in the same order as ever, so seeded instances do not change.  Only
+`gen` loads this module on the command line.
 """
 
-from __future__ import annotations
-
+import math
 import random
-from fractions import Fraction
 
 from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
-from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, random_matrix,
-                     random_rational)
+from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, from_grids,
+                     random_matrix, random_sixths)
 from .rect import RectProblem
-from .scalars import GaussianRational
 from .solvers import MINUS, PLUS, _check_sign, check_hypotheses, equation_lhs, sym_general_form
 
 _MAX_TRIES = 500
@@ -29,30 +28,38 @@ _MAX_TRIES = 500
 # unitary and rejection are the rect coisometry and rejection pairs at (n, n, n).
 # The family names PAIR_FAMILIES and RECT_FAMILIES live in formats.py.
 
-# Unit-modulus Gaussian rationals (conjugate-transpose involution).
-_UNIT_SCALARS = (
-    GaussianRational(1), GaussianRational(-1),
-    GaussianRational(0, 1), GaussianRational(0, -1),
-    GaussianRational(Fraction(3, 5), Fraction(4, 5)),
-    GaussianRational(Fraction(3, 5), Fraction(-4, 5)),
-    GaussianRational(Fraction(4, 5), Fraction(3, 5)),
-    GaussianRational(Fraction(5, 13), Fraction(12, 13)),
-    GaussianRational(Fraction(12, 13), Fraction(-5, 13)),
-    GaussianRational(Fraction(8, 17), Fraction(15, 17)),
-)
+# Unit-modulus Gaussian rationals (re + im i) / d (conjugate-transpose involution).
+_UNIT_SCALARS = ((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1), (3, 4, 5), (3, -4, 5),
+                 (4, 3, 5), (5, 12, 13), (12, -5, 13), (8, 15, 17))
 
 # (s, c, h): exact rational cosine/sine pairs s/h, c/h for rotation blocks.
 _PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+
+
+def _sparse(rows: int, cols: int, involution: str, entries: dict) -> Matrix:
+    """The exact rows x cols matrix holding the Gaussian rationals
+    ``(re, im, d)`` of ``entries`` at their ``(i, j)`` keys, zero elsewhere."""
+    d = math.lcm(*(e for _, _, e in entries.values()))
+    re = [[0] * cols for _ in range(rows)]
+    im = [[0] * cols for _ in range(rows)]
+    for (i, j), (x, y, e) in entries.items():
+        re[i][j], im[i][j] = x * (d // e), y * (d // e)
+    return from_grids(rows, cols, involution, re, im, d)
+
+
+def _random_sixths_entry(rng: random.Random, involution: str) -> tuple:
+    """A random diagonal entry over 6: real part, then imaginary part except
+    under the transpose involution."""
+    re = random_sixths(rng)
+    return re, (random_sixths(rng) if involution == CONJUGATE_TRANSPOSE else 0), 6
 
 
 def random_signed_permutation(rng: random.Random, size: int,
                               involution: str = CONJUGATE_TRANSPOSE) -> Matrix:
     perm = list(range(size))
     rng.shuffle(perm)
-    grid = [[GaussianRational(0)] * size for _ in range(size)]
-    for i, j in enumerate(perm):
-        grid[i][j] = GaussianRational(rng.choice((1, -1)))
-    return Matrix.exact(grid, involution)
+    return _sparse(size, size, involution,
+                   {(i, j): (rng.choice((1, -1)), 0, 1) for i, j in enumerate(perm)})
 
 
 def random_unitary(rng: random.Random, size: int,
@@ -60,22 +67,18 @@ def random_unitary(rng: random.Random, size: int,
     """Exact unitary (orthogonal under transpose involution) rational matrix."""
     u = random_signed_permutation(rng, size, involution)
     if involution == CONJUGATE_TRANSPOSE:
-        diag = Matrix.exact([[rng.choice(_UNIT_SCALARS) if i == j else 0
-                              for j in range(size)] for i in range(size)])
+        diag = _sparse(size, size, involution,
+                       {(i, i): rng.choice(_UNIT_SCALARS) for i in range(size)})
         u = diag @ u
     for _ in range(rng.randint(0, 2)):
         if size < 2:
             break
         i, j = rng.sample(range(size), 2)
-        s, c, h = rng.choice(_PYTHAGOREAN)
-        cos, sin = Fraction(c, h), Fraction(s, h)
-        grid = [[GaussianRational(1) if r == q else GaussianRational(0)
-                 for q in range(size)] for r in range(size)]
-        grid[i][i] = GaussianRational(cos)
-        grid[j][j] = GaussianRational(cos)
-        grid[i][j] = GaussianRational(-sin)
-        grid[j][i] = GaussianRational(sin)
-        u = Matrix.exact(grid, involution) @ u
+        s, c, h = rng.choice(_PYTHAGOREAN)  # the rotation by cos = c/h, sin = s/h
+        entries = {(r, r): (1, 0, 1) for r in range(size)}
+        entries.update({(i, i): (c, 0, h), (j, j): (c, 0, h), (i, j): (-s, 0, h),
+                        (j, i): (s, 0, h)})
+        u = _sparse(size, size, involution, entries) @ u
     return u
 
 
@@ -89,13 +92,11 @@ def random_coisometry(rng: random.Random, rows: int, cols: int,
 
 def _random_diagonal_support(rng: random.Random, size: int, involution: str):
     support = [i for i in range(size) if rng.random() < 0.75]
-    grid = [[GaussianRational(0)] * size for _ in range(size)]
+    entries = {}
     for i in support:
-        re = random_rational(rng)
-        im = random_rational(rng) if involution == CONJUGATE_TRANSPOSE else 0
-        entry = GaussianRational(re, im)
-        grid[i][i] = entry if entry else GaussianRational(1)
-    return Matrix.exact(grid, involution), support
+        re, im, d = _random_sixths_entry(rng, involution)
+        entries[i, i] = (re, im, d) if re or im else (1, 0, 1)
+    return _sparse(size, size, involution, entries), support
 
 
 def random_pair(rng: random.Random, size: int, family: str,
@@ -110,13 +111,11 @@ def random_pair(rng: random.Random, size: int, family: str,
         return a, a
     if family == "diagonal":
         a, support = _random_diagonal_support(rng, size, involution)
-        grid = [[GaussianRational(0)] * size for _ in range(size)]
+        entries = {}
         for i in support:
             if rng.random() < 0.8:
-                re = random_rational(rng)
-                im = random_rational(rng) if involution == CONJUGATE_TRANSPOSE else 0
-                grid[i][i] = GaussianRational(re, im)
-        return a, Matrix.exact(grid, involution)
+                entries[i, i] = _random_sixths_entry(rng, involution)
+        return a, _sparse(size, size, involution, entries)
     raise ValueError(f"unknown pair family {family!r}; choose from {PAIR_FAMILIES}")
 
 
@@ -178,15 +177,15 @@ def random_rect_pair(rng: random.Random, dims, family: str,
     if family == "diagonal":
         rank_cap = min(m, n)
         support = [i for i in range(rank_cap) if rng.random() < 0.75]
-        a_grid = [[GaussianRational(0)] * n for _ in range(m)]
+        a_entries, b_entries = {}, {}
         for i in support:
-            a_grid[i][i] = GaussianRational(random_rational(rng)) or GaussianRational(1)
-        b_grid = [[GaussianRational(0)] * p for _ in range(m)]
+            x = random_sixths(rng)
+            a_entries[i, i] = (x, 0, 6) if x else (1, 0, 1)
         for i in support:
             if i < p and rng.random() < 0.8:
-                b_grid[i][i] = GaussianRational(random_rational(rng))
-        a = Matrix.exact(a_grid, involution)
-        b = Matrix.exact(b_grid, involution)
+                b_entries[i, i] = (random_sixths(rng), 0, 6)
+        a = _sparse(m, n, involution, a_entries)
+        b = _sparse(m, p, involution, b_entries)
         u = random_unitary(rng, m, involution)
         v = random_unitary(rng, n, involution)
         w = random_unitary(rng, p, involution)

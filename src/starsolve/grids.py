@@ -8,8 +8,6 @@ on plain ints and builds no ``Fraction``.  ``matrix`` imports this module
 on first exact use, so a float-only process never compiles it.
 """
 
-from __future__ import annotations
-
 import math
 from itertools import chain
 

@@ -9,7 +9,10 @@ matrices use the same type; only :class:`MatrixRing` insists on squareness.
 
 An exact matrix is held as Gaussian-integer grids over one denominator;
 its arithmetic and its fraction-free elimination live in
-:mod:`starsolve.grids`, which a float-only process never loads.
+:mod:`starsolve.grids`, which a float-only process never loads.  Exact
+zeros, identities and random draws are built as grids too, so
+:mod:`starsolve.scalars` and ``fractions`` load only when code reads an
+exact matrix's ``entries`` or passes Python scalars to :meth:`Matrix.exact`.
 
 Plain-transpose matrices are restricted to real entries at construction so
 that the core ``F* m G*`` of the MP-inverse is always invertible.
@@ -20,16 +23,12 @@ picks a backend, and :func:`unchecked` builds every arithmetic result as
 given, never re-checked (a float overflow travels on as inf or NaN).
 """
 
-from __future__ import annotations
-
 import math
 import random
-from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
 from .ring import NotMpInvertibleError
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, finite_complex
 
 EXACT = "exact"
 FLOAT = "float"
@@ -53,18 +52,22 @@ class BackendMismatchError(ValueError):
     """Operands disagree on scalar backend or involution tag."""
 
 
-def _zero_scalar(backend):
-    return GR_ZERO if backend == EXACT else complex(0.0)
-
-
-def _one_scalar(backend):
-    return GR_ONE if backend == EXACT else complex(1.0)
+def finite_complex(value) -> complex:
+    """Coerce a number to ``complex``, rejecting NaN, infinities and a
+    modulus beyond the float range (which ``abs`` could not return)."""
+    z = complex(value)
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise ValueError(f"non-finite float entry or modulus: {value!r}")
+    return z
 
 
 def _coerce_entry(value, backend):
     if isinstance(value, bool):
         raise TypeError(f"bool is not a {backend} matrix entry")
     if backend == EXACT:
+        # the per-entry view: scalars (and fractions) load with the first exact entry
+        from fractions import Fraction
+        from .scalars import GaussianRational
         if isinstance(value, GaussianRational):
             return value
         if isinstance(value, (int, Fraction)):
@@ -75,6 +78,15 @@ def _coerce_entry(value, backend):
     raise TypeError(f"float matrices take int/float/complex entries, got {value!r}")
 
 
+def _check_header(rows: int, cols: int, involution: str, backend: str):
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+    if involution not in INVOLUTIONS:
+        raise ValueError(f"unknown involution {involution!r}")
+    if rows < 0 or cols < 0:
+        raise ShapeMismatchError("negative dimension")
+
+
 def _grid_ops():
     """The exact arithmetic, :mod:`starsolve.grids`, imported on first use,
     so that a float-only process never compiles it."""
@@ -82,9 +94,9 @@ def _grid_ops():
     return grids
 
 
-def _require_real(values, backend):
+def _require_real(imaginary_parts):
     """Plain transpose is only a usable involution here on real matrices."""
-    if any((v.im if backend == EXACT else v.imag) != 0 for v in values):
+    if any(imaginary_parts):
         raise ValueError("transpose involution requires all-real entries")
 
 
@@ -107,16 +119,12 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, entries: tuple,
                  involution: str = CONJUGATE_TRANSPOSE, backend: str = EXACT):
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
-        if involution not in INVOLUTIONS:
-            raise ValueError(f"unknown involution {involution!r}")
-        if rows < 0 or cols < 0:
-            raise ShapeMismatchError("negative dimension")
+        _check_header(rows, cols, involution, backend)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeMismatchError("entry grid does not match declared shape")
         if involution == TRANSPOSE:
-            _require_real(chain.from_iterable(entries), backend)
+            _require_real(v.im if backend == EXACT else v.imag
+                          for v in chain.from_iterable(entries))
         self._set(rows, cols, involution, backend, entries,
                   _grid_ops().from_entries(entries) if backend == EXACT else None)
 
@@ -134,6 +142,8 @@ class Matrix:
     def entries(self) -> tuple:
         """Row tuples of the entries, row-major."""
         if self._entries is None:
+            from fractions import Fraction
+            from .scalars import GaussianRational
             re, im, d = self.grids
             object.__setattr__(self, "_entries", tuple(
                 tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(rr, ir))
@@ -176,14 +186,20 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int, involution: str = CONJUGATE_TRANSPOSE,
               backend: str = EXACT) -> "Matrix":
-        z = _zero_scalar(backend)
-        return cls(rows, cols, tuple((z,) * cols for _ in range(rows)), involution, backend)
+        _check_header(rows, cols, involution, backend)
+        if backend == EXACT:
+            zero = ((0,) * cols,) * rows
+            return unchecked(rows, cols, involution, EXACT, None, (zero, zero, 1))
+        return unchecked(rows, cols, involution, FLOAT, ((complex(0.0),) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int, involution: str = CONJUGATE_TRANSPOSE, backend: str = EXACT) -> "Matrix":
-        z, o = _zero_scalar(backend), _one_scalar(backend)
-        grid = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-        return cls(n, n, grid, involution, backend)
+        _check_header(n, n, involution, backend)
+        if backend == EXACT:
+            one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            return unchecked(n, n, involution, EXACT, None, (one, ((0,) * n,) * n, 1))
+        grid = tuple(tuple(complex(i == j) for j in range(n)) for i in range(n))
+        return unchecked(n, n, involution, FLOAT, grid)
 
     # -- basics -----------------------------------------------------------
 
@@ -240,7 +256,7 @@ class Matrix:
             raise ShapeMismatchError(f"mul: {self.shape} @ {other.shape}")
         if self.backend == EXACT:
             return _grid_ops().mul(self, other)
-        zero = _zero_scalar(self.backend)
+        zero = complex(0.0)
         ocols = other.cols
         right = other.entries
         out = []
@@ -270,7 +286,7 @@ class Matrix:
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
         if self.involution == TRANSPOSE:
-            _require_real((s,), self.backend)
+            _require_real((s.im if self.backend == EXACT else s.imag,))
         if self.backend == EXACT:
             ops = _grid_ops()
             ((u,),), ((v,),), e = ops.from_entries(((s,),))
@@ -371,6 +387,17 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
 
 
+def from_grids(rows: int, cols: int, involution: str, re, im, d: int) -> Matrix:
+    """The exact rows x cols matrix of Gaussian-integer grids from outside
+    (a file, a random draw): rows of ``cols`` ints over ``d > 0``, in any
+    terms.  Checks the tags and the transpose rule once, as the constructor
+    does, then reduces through :func:`starsolve.grids.make`."""
+    _check_header(rows, cols, involution, EXACT)
+    if involution == TRANSPOSE:
+        _require_real(chain.from_iterable(im))
+    return _grid_ops().make(rows, cols, involution, re, im, d)
+
+
 def unchecked(rows: int, cols: int, involution: str, backend: str, entries,
               grids=None) -> Matrix:
     """The rows x cols matrix of a float ``entries`` grid or of exact
@@ -462,8 +489,7 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     if m.backend == EXACT:
         return _grid_ops().inverse(m)
-    one, zero = _one_scalar(m.backend), _zero_scalar(m.backend)
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
+    aug = [list(row) + [complex(i == j) for j in range(n)]
            for i, row in enumerate(m.entries)]
     if len(gauss_jordan(aug, n, tolerance(PIVOT_RTOL, m))) < n:
         raise NotMpInvertibleError("singular matrix")
@@ -537,26 +563,28 @@ def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
 # -- random draws -----------------------------------------------------------
 
 
-def random_rational(rng: random.Random) -> Fraction:
-    # Small values: numerators in [-9, 9], denominators in {1, 2, 3}.
-    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
-
-
-def random_scalar(rng: random.Random, backend: str, real_only: bool = False):
-    if backend == EXACT:
-        re = random_rational(rng)
-        im = 0 if real_only else random_rational(rng)
-        return GaussianRational(re, im)
-    re = rng.uniform(-1.0, 1.0)
-    im = 0.0 if real_only else rng.uniform(-1.0, 1.0)
-    return complex(re, im)
+def random_sixths(rng: random.Random) -> int:
+    """A small random rational r as the integer 6 r: numerator in [-9, 9]
+    (``randint``), then denominator in {1, 2, 3} (``choice``)."""
+    numerator = rng.randint(-9, 9)
+    return numerator * (6 // rng.choice((1, 2, 3)))
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int,
                   backend: str = EXACT, involution: str = CONJUGATE_TRANSPOSE) -> Matrix:
+    """Random entries drawn row by row, real part then imaginary part (none
+    under the transpose involution): exact ones by :func:`random_sixths`,
+    straight into a grid over the denominator 6; float ones uniform in
+    [-1, 1]."""
     real_only = involution == TRANSPOSE
-    grid = tuple(tuple(random_scalar(rng, backend, real_only) for _ in range(cols))
-                 for _ in range(rows))
+    if backend == EXACT:
+        draws = [[(random_sixths(rng), 0 if real_only else random_sixths(rng))
+                  for _ in range(cols)] for _ in range(rows)]
+        return from_grids(rows, cols, involution, [[x for x, _ in row] for row in draws],
+                          [[y for _, y in row] for row in draws], 6)
+    grid = tuple(tuple(complex(rng.uniform(-1.0, 1.0),
+                               0.0 if real_only else rng.uniform(-1.0, 1.0))
+                       for _ in range(cols)) for _ in range(rows))
     return Matrix(rows, cols, grid, involution, backend)
 
 

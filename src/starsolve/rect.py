@@ -17,8 +17,6 @@ Note the shape normalization: B must be m x p for A X B* to exist; the
 p x m convention seen elsewhere refers to B*.
 """
 
-from __future__ import annotations
-
 from typing import Tuple
 
 from .matrix import RTOL, Matrix, MatrixRing

@@ -1,15 +1,15 @@
-"""Scalar backends: exact Gaussian rationals and finite 64-bit complex floats.
+"""Exact Gaussian rationals: the per-entry view of an exact matrix.
 
 ``GaussianRational`` holds an exact complex number as a pair of
 ``fractions.Fraction`` components, so every arithmetic result is reduced and
-comparison is structural.  It is the per-entry view of an exact matrix: a
-``Matrix`` stores Gaussian-integer grids over one denominator, computes on
-them with plain ints, and builds its ``GaussianRational`` entries only when
-they are read.  The float backend is the built-in ``complex``;
-construction-time validation (no NaN/Inf) lives in :func:`finite_complex`.
+comparison is structural.  A ``Matrix`` stores Gaussian-integer grids over
+one denominator and computes on them with plain ints; files, random draws,
+zeros, identities and the generators go straight to those grids.  This
+module, and ``fractions`` with it, loads only when code reads an exact
+matrix's ``entries`` or ``entry()``, or passes Python scalars to
+``Matrix.exact``: no CLI subcommand does.  The float backend is the
+built-in ``complex``, validated by ``matrix.finite_complex``.
 """
-
-from __future__ import annotations
 
 import math
 from fractions import Fraction
@@ -150,12 +150,3 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_HALF = GaussianRational(Fraction(1, 2))
-
-
-def finite_complex(value) -> complex:
-    """Coerce a number to ``complex``, rejecting NaN, infinities and a
-    modulus beyond the float range (which ``abs`` could not return)."""
-    z = complex(value)
-    if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise ValueError(f"non-finite float entry or modulus: {value!r}")
-    return z

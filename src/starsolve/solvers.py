@@ -32,8 +32,6 @@ On the float backend every check is a zero test of its residual against
 do not change when an instance is rescaled.
 """
 
-from __future__ import annotations
-
 import random
 from typing import NamedTuple, Optional
 

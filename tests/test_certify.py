@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import random
+import re
 import time
 from itertools import product
 
@@ -196,6 +197,17 @@ def test_cli_exits_7_on_a_perturbed_g(monkeypatch, tmp_path, capsys):
     assert err.startswith("error: internal self-check failed: oracle certificate failed")
     assert "depends on v" in err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_certifies_before_it_draws_samples(monkeypatch, tmp_path, capsys):
+    # with samples to draw, the first sample of the broken L would fail its
+    # re-verification too, but with no witness: the certificate runs first
+    fam = next(f for f in diagonal_families()
+               if not certify_family(without_d_prime(f)).ok)
+    assert solve_with(monkeypatch, tmp_path, without_d_prime(fam), "--samples", "3") == 7
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal self-check failed: oracle certificate failed")
+    assert re.search(r"eq\(L\(v\)\)\[\d+\]\[\d+\] depends on v\[\d+\]\[\d+\]", err)
 
 
 def test_cli_exits_7_on_a_perturbed_x0_through_the_certificate(monkeypatch, tmp_path, capsys):

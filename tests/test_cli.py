@@ -12,7 +12,7 @@ import pytest
 from starsolve import formats, matrix
 from starsolve.cli import main
 from starsolve.generate import random_square_instance, random_sym_instance, random_unitary
-from starsolve.solvers import MINUS, PLUS, SolutionFamily
+from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -202,6 +202,17 @@ UNREADABLE_INPUTS = {
                       "c": [[["1" + "0" * 5000, "1", "0", "1"]]]}}).encode()),
     "not_utf8": ("check", b"\xff\xfe{}"),
 }
+
+
+def test_exit_2_integer_string_with_a_trailing_newline(tmp_path, capsys):
+    # a regex $ also matches before a final newline, and int() takes "7\n"
+    doc = json.loads((GOLDEN / "scalar_minus.json").read_text())
+    doc["operands"]["a"][0][0] = ["7\n", "2", "0", "1"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run_main("check", "--input", str(path)) == 2
+    assert capsys.readouterr().err == ("error: operand 'a'[0][0] must be a decimal integer "
+                                       "string, got '7\\n'\n")
 
 
 @pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
@@ -752,9 +763,12 @@ def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# what a CLI child may load only for `gen` or `solve --oracle`, or never
+# what a CLI child may load only for some subcommands, or never: exact values
+# stay integer grids from file to file, so no child needs the per-entry
+# scalars (and fractions, decimal, numbers), and no module needs __future__
 WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "starsolve.rect",
-           "dataclasses", "inspect", "datetime")
+           "starsolve.solvers", "starsolve.scalars", "fractions", "decimal", "numbers",
+           "__future__", "dataclasses", "inspect", "datetime")
 
 STARTUP_CHILD = f"""
 import json, sys
@@ -775,16 +789,75 @@ def loaded_by(runs) -> list:
     return json.loads(r.stdout.splitlines()[-1])
 
 
+def cli_files(tmp_path, backend) -> tuple:
+    """Paths of a solvable minus instance on ``backend``, of its operand a as
+    a matrix file, and of its x0 as a solution file."""
+    a, b, c = random_square_instance(random.Random(3), MINUS, 3, "unitary")
+    ops = {"a": a, "b": b, "c": c}
+    if backend == matrix.FLOAT:
+        ops = {name: m.to_float() for name, m in ops.items()}
+    paths = tuple(str(tmp_path / f"{backend}_{name}.json") for name in ("inst", "a", "x"))
+    formats.save_instance(formats.make_instance("minus", backend, a.involution, ops, None, 3),
+                          paths[0])
+    formats.save_matrix(ops["a"], paths[1])
+    formats.save_matrix(solve(matrix.MatrixRing(3, backend), MINUS, *ops.values()).x0, paths[2])
+    return paths
+
+
 def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
     out = ["--output", str(tmp_path / "out.json")]
-    golden = ["--input", str(GOLDEN / "scalar_minus.json")]  # solvable
     assert loaded_by([]) == []
-    assert loaded_by([["check", *golden, *out], ["solve", *golden, *out]]) == []
-    # gen needs the generators (and RectProblem), solve --oracle the certificate;
-    # neither loads the elimination or dataclasses
-    assert loaded_by([["gen", "--kind", "minus", *out]]) == ["starsolve.generate",
-                                                            "starsolve.rect"]
-    assert loaded_by([["solve", *golden, "--oracle", *out]]) == ["starsolve.certify"]
+    for backend in matrix.BACKENDS:
+        inst, a, x = cli_files(tmp_path, backend)
+        # mp runs no solver; check, solve and verify only the solvers
+        assert loaded_by([["mp", "--input", a, *out]]) == [], backend
+        assert loaded_by([["check", "--input", inst, *out], ["solve", "--input", inst, *out],
+                          ["verify", "--input", inst, "--solution", x, *out]]
+                         ) == ["starsolve.solvers"], backend
+        # gen needs the generators (and RectProblem), not the elimination
+        assert loaded_by([["gen", "--kind", "minus", "--backend", backend, *out]]) == [
+            "starsolve.generate", "starsolve.rect", "starsolve.solvers"], backend
+    # solve --oracle needs the certificate, not the elimination
+    inst = str(GOLDEN / "scalar_minus.json")  # solvable
+    assert loaded_by([["solve", "--input", inst, "--oracle", *out]]) == ["starsolve.certify",
+                                                                        "starsolve.solvers"]
+
+
+FRACTION_CHILD = f"""
+import fractions, json, sys
+sys.path.insert(0, {str(SRC)!r})
+made = 0
+construct = fractions.Fraction.__new__
+
+
+def counting(cls, *args, **kwargs):
+    global made
+    made += 1
+    return construct(cls, *args, **kwargs)
+
+
+fractions.Fraction.__new__ = counting
+import starsolve.cli
+for argv in json.loads(sys.argv[1]):
+    assert starsolve.cli.main(argv) == 0, argv
+during = made
+fractions.Fraction(1, 3)  # the counter counts
+print(json.dumps([during, made]))
+"""
+
+
+def test_exact_cli_runs_construct_no_fraction(tmp_path):
+    out = ["--output", str(tmp_path / "out.json")]
+    inst, a, x = cli_files(tmp_path, matrix.EXACT)
+    runs = [["check", "--input", inst, *out],
+            ["solve", "--input", inst, "--samples", "3", "--oracle", *out],
+            ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out],
+            ["gen", "--kind", "minus", "--family", "diagonal", "--dims", "3", *out],
+            ["gen", "--kind", "rect_plus", "--family", "diagonal", "--dims", "2,3,2", *out]]
+    r = subprocess.run([sys.executable, "-S", "-c", FRACTION_CHILD, json.dumps(runs)],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1]) == [0, 1]
 
 
 FLOAT_CHILD = f"""
@@ -799,14 +872,9 @@ print("starsolve.grids" in sys.modules)
 
 
 def test_float_runs_leave_the_exact_arithmetic_unloaded(tmp_path):
-    a, b, c = random_square_instance(random.Random(3), MINUS, 3, "unitary")
-    ops = {name: m.to_float() for name, m in (("a", a), ("b", b), ("c", c))}
-    inst = formats.make_instance("minus", matrix.FLOAT, a.involution, ops, None, 3)
-    formats.save_instance(inst, str(tmp_path / "inst.json"))
-    formats.save_matrix(ops["a"], str(tmp_path / "a.json"))
-    r = subprocess.run([sys.executable, "-S", "-c", FLOAT_CHILD, str(tmp_path / "inst.json"),
-                        str(tmp_path / "a.json"), str(tmp_path / "out.json")],
-                       capture_output=True, text=True)
+    inst, a, _ = cli_files(tmp_path, matrix.FLOAT)
+    r = subprocess.run([sys.executable, "-S", "-c", FLOAT_CHILD, inst, a,
+                        str(tmp_path / "out.json")], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "False"
 

@@ -67,6 +67,7 @@ def test_float_scalar_pair():
     ["1", "1", "0"],           # wrong arity
     ["0x2", "1", "0", "1"],    # non-decimal
     [1, 1, 0, 1],              # numbers where strings belong
+    ["7\n", "2", "0", "1"],     # a regex $ matches before a final newline
 ])
 def test_exact_scalar_rejects_malformed(raw):
     with pytest.raises(FormatError):
@@ -109,6 +110,50 @@ def test_matrix_doc_rejects_transpose_with_imaginary_entry():
            "involution": "transpose", "matrix": [[["0", "1", "1", "1"]]]}
     with pytest.raises(FormatError):
         matrix_from_doc(doc)
+
+
+# -- the grid route against the per-entry route ------------------------------------
+
+# parts of num / den: small ones (zero among them), a shared factor k to keep
+# the terms from being lowest, and parts around 10^400; denominators of both signs
+small_parts = st.tuples(st.integers(-12, 12), st.integers(-12, 12).filter(bool),
+                        st.integers(1, 6)).map(lambda t: (t[0] * t[2], t[1] * t[2]))
+big = st.one_of(st.integers(10**400 - 10**6, 10**400 + 10**6),
+                st.integers(-10**401, 10**401))
+big_parts = st.tuples(big, st.one_of(big.filter(bool), st.integers(-12, 12).filter(bool)))
+quadruples = st.tuples(st.one_of(small_parts, big_parts),
+                       st.one_of(small_parts, st.just((0, 1)), st.just((0, -7)), big_parts)
+                       ).map(lambda t: [str(t[0][0]), str(t[0][1]), str(t[1][0]), str(t[1][1])])
+raw_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(st.lists(quadruples, min_size=shape[1], max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0]))
+
+
+def per_entry_route(raw, involution):
+    """A GaussianRational per entry, then Matrix.exact; its ValueError as
+    decode_matrix words a FormatError."""
+    grid = [[formats.decode_scalar(e, EXACT) for e in row] for row in raw]
+    try:
+        return Matrix.exact(grid, involution)
+    except ValueError as exc:
+        return f"matrix: {exc}"
+
+
+@given(raw_matrices, involutions)
+@settings(max_examples=150, deadline=None)
+def test_grid_decode_and_encode_match_the_per_entry_route(raw, involution):
+    expected = per_entry_route(raw, involution)
+    if isinstance(expected, str):  # transpose with a nonzero imaginary part
+        with pytest.raises(FormatError) as info:
+            formats.decode_matrix(raw, EXACT, involution)
+        assert str(info.value) == expected == "matrix: transpose involution requires all-real entries"
+        return
+    m = formats.decode_matrix(raw, EXACT, involution)
+    assert m == expected and m.grids == expected.grids
+    assert m.entries == expected.entries
+    encoded = formats.encode_matrix(m)
+    assert encoded == [[formats.encode_scalar(e, EXACT) for e in row] for row in expected.entries]
+    assert formats.decode_matrix(encoded, EXACT, involution) == m
 
 
 # -- instance documents -----------------------------------------------------------
