@@ -9,7 +9,7 @@ Exit codes are a stable contract:
     0  success (for `check`, any verdict; the verdict is in the report)
     2  parse or parameter error, or a reported residual whose largest
        |entry| does not fit a float (an exact entry beyond about 1.8e308)
-    3  an operand is not MP-invertible
+    3  an MP-inverse the run needs lies beyond the float range
     4  the instance is unsolvable (report still written)
     5  the standing hypotheses fail (report still written)
     6  `verify` rejected the claimed solution

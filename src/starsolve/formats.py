@@ -34,7 +34,7 @@ SYM_KINDS = ("sym_right", "sym_left")
 RECT_KINDS = ("rect_minus", "rect_plus")
 KINDS = SQUARE_KINDS + SYM_KINDS + RECT_KINDS
 
-# generator families of `gen --family` (see oracle.py): square pairs, rect triples
+# generator families of `gen --family` (see generate.py): square pairs, rect triples
 PAIR_FAMILIES = ("unitary", "equal", "diagonal", "rejection")
 RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 

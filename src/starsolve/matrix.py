@@ -2,20 +2,18 @@
 
 Matrices under conjugate-transpose or plain-transpose involution are the
 rings with involution the solvers work in.  This module holds their
-arithmetic, the float Gauss-Jordan elimination (float rank factorization
-and inverse reduce through it), the rank-factorization route to the
-Moore-Penrose inverse, and the Penrose checks.  Rectangular
-matrices use the same type; only :class:`MatrixRing` insists on squareness.
+arithmetic, the Moore-Penrose inverse (by rank factorization when exact,
+by complete orthogonal decomposition on floats) and the Penrose checks.
+Rectangular matrices use the same type; only :class:`MatrixRing` insists
+on squareness.  Plain-transpose matrices have real entries, on which the
+MP-inverse always exists.
 
 An exact matrix is held as Gaussian-integer grids over one denominator;
-its arithmetic and its fraction-free elimination live in
+its arithmetic and its fraction-free elimination, the only one, live in
 :mod:`starsolve.grids`, which a float-only process never loads.  Exact
 zeros, identities and random draws are built as grids too, so
 :mod:`starsolve.scalars` and ``fractions`` load only when code reads an
 exact matrix's ``entries`` or passes Python scalars to :meth:`Matrix.exact`.
-
-Plain-transpose matrices are restricted to real entries at construction so
-that the core ``F* m G*`` of the MP-inverse is always invertible.
 
 One checking rule on both backends: the validating constructors check data
 from outside once, each operation checks its own arguments once before it
@@ -26,6 +24,7 @@ given, never re-checked (a float overflow travels on as inf or NaN).
 import math
 import random
 from itertools import chain
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .ring import NotMpInvertibleError
@@ -40,8 +39,7 @@ INVOLUTIONS = (CONJUGATE_TRANSPOSE, TRANSPOSE)
 
 # Float tolerances; everything exact compares structurally and never uses them.
 RTOL = 1e-9                  # zero tests of residuals, relative to their terms (see tolerance)
-PIVOT_RTOL = 1e-12           # elimination pivot threshold: tolerance(PIVOT_RTOL, m)
-_FLOAT_REFINE_STEPS = 2      # Newton polish of the float MP-inverse
+PIVOT_RTOL = 1e-12           # float rank: QR pivot norms above tolerance(PIVOT_RTOL, m)
 
 
 class ShapeMismatchError(ValueError):
@@ -424,123 +422,121 @@ def tolerance(rtol: float, *terms) -> Optional[float]:
     return rtol * max(math.prod(f.max_abs() for f in term) for term in factors)
 
 
-# -- elimination ----------------------------------------------------------
-
-
-def gauss_jordan(grid: list, ncols: int, tol: float) -> list:
-    """Reduce the float row grid ``grid`` (a list of rows of complex floats)
-    in place over its first ``ncols`` columns; returns the pivot columns.
-
-    Every row is scaled and combined over its full length, so columns past
-    ``ncols`` (a right-hand side, an identity block) are carried along.
-    Partial pivoting: a column whose largest candidate is at most ``tol`` in
-    absolute value gets no pivot.  Exact grids reduce without fractions in
-    :func:`starsolve.grids.gauss_jordan`.
-    """
-    pivots = []
-    nrows = len(grid)
-    for pc in range(ncols):
-        pr = len(pivots)
-        if pr >= nrows:
-            break
-        sel = max(range(pr, nrows), key=lambda i: abs(grid[i][pc]))
-        if abs(grid[sel][pc]) <= tol:
-            continue
-        grid[pr], grid[sel] = grid[sel], grid[pr]
-        piv = grid[pr][pc]
-        prow = grid[pr] = [e / piv for e in grid[pr]]
-        for i in range(nrows):
-            if i == pr:
-                continue
-            f = grid[i][pc]
-            if f:
-                grid[i] = [e - f * p for e, p in zip(grid[i], prow)]
-        pivots.append(pc)
-    return pivots
+# -- inverses ---------------------------------------------------------------
 
 
 def rank_factorization(m: Matrix):
-    """Full-rank factorization ``m = F @ G``.
-
-    F (rows x r) collects the pivot columns of ``m``; G (r x cols) is the
-    nonzero part of the reduced row echelon form; r is the rank.  Rank zero
-    yields empty factors.  Float pivots must exceed tolerance(PIVOT_RTOL, m).
-    """
-    if m.backend == EXACT:
-        return _grid_ops().rank_factorization(m)
-    red = [list(row) for row in m.entries]
-    pivots = gauss_jordan(red, m.cols, tolerance(PIVOT_RTOL, m))
-    r = len(pivots)
-    f_grid = tuple(tuple(m.entries[i][c] for c in pivots) for i in range(m.rows))
-    g_grid = tuple(tuple(red[i]) for i in range(r))
-    factor_f = unchecked(m.rows, r, m.involution, FLOAT, f_grid)
-    factor_g = unchecked(r, m.cols, m.involution, FLOAT, g_grid)
-    return factor_f, factor_g, r
+    """Full-rank factorization ``m = F @ G`` of an exact matrix: F (rows x r)
+    collects the pivot columns of ``m``, G (r x cols) is the nonzero part of
+    the reduced row echelon form, r is the rank (0: empty factors)."""
+    if m.backend != EXACT:
+        raise ValueError("rank_factorization takes an exact matrix")
+    return _grid_ops().rank_factorization(m)
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Ordinary inverse of a square matrix; NotMpInvertibleError if singular.
-
-    Float pivots must exceed tolerance(PIVOT_RTOL, m), taken from ``m``
-    alone, not from the identity block reduced alongside it.
-    """
+    """Ordinary inverse of a square exact matrix; NotMpInvertibleError if singular."""
+    if m.backend != EXACT:
+        raise ValueError("inverse takes an exact matrix")
     if not m.is_square:
         raise ShapeMismatchError("inverse needs a square matrix")
-    n = m.rows
-    if m.backend == EXACT:
-        return _grid_ops().inverse(m)
-    aug = [list(row) + [complex(i == j) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    if len(gauss_jordan(aug, n, tolerance(PIVOT_RTOL, m))) < n:
-        raise NotMpInvertibleError("singular matrix")
-    grid = tuple(tuple(row[n:]) for row in aug)
-    return unchecked(n, n, m.involution, FLOAT, grid)
+    return _grid_ops().inverse(m)
 
 
 def _ldexp(m: Matrix, k: int) -> Matrix:
-    """Float ``m`` times 2**k, scaled part by part with math.ldexp, which is
-    exact inside the normal range and raises OverflowError past its top."""
-    grid = tuple(tuple(complex(math.ldexp(e.real, k), math.ldexp(e.imag, k)) for e in row)
-                 for row in m.entries)
+    """Float ``m`` times 2**k, by math.ldexp on each part: exact inside the
+    normal range, OverflowError past its top, zeros unsigned (+ 0.0)."""
+    grid = tuple(tuple(complex(math.ldexp(e.real, k) + 0.0, math.ldexp(e.imag, k) + 0.0)
+                       for e in row) for row in m.entries)
     return unchecked(m.rows, m.cols, m.involution, FLOAT, grid)
 
 
-def mp_inverse(m: Matrix) -> Matrix:
-    """Moore-Penrose inverse via rank factorization.
+def _eye(n):
+    """The n x n float identity as a list of columns."""
+    return [[complex(i == j) for i in range(n)] for j in range(n)]
 
-    With ``m = F G`` of rank r, returns ``G* (F* m G*)^-1 F*`` (Ben-Israel &
-    Greville, 2003): one inverse, of the r x r core.  At full column rank G
-    is the identity and the route is ``(F* m)^-1 F*``.  A float ``m`` is first
-    scaled by 2**-k so that its largest entry lies in [0.5, 1), which keeps
-    the core near unit scale; the Newton-polished result is scaled back by
-    2**-k, as mp(s m) = mp(m) / s.  NotMpInvertibleError if the float rank
-    is ambiguous (the core is singular) or the result leaves the float range.
+
+def _householder_qr(cols, n, tol=None):
+    """Householder QR of the first ``n`` float columns of ``cols`` in place,
+    R in their upper triangle; each reflection also acts on the columns past
+    ``n``.  With ``tol``, each step brings the column of largest remaining
+    norm forward, until it is at most ``tol``.  Gives (column order, rank)."""
+    order = list(range(n))
+    k = min(n, len(cols[0]) if cols else 0)
+    for j in range(k):
+        if tol is None:
+            alpha = math.hypot(*map(abs, cols[j][j:]))
+        else:
+            norms = [math.hypot(*map(abs, c[j:])) for c in cols[j:n]]
+            alpha = max(norms)
+            if alpha <= tol:
+                return order, j
+            p = j + norms.index(alpha)
+            cols[j], cols[p], order[j], order[p] = cols[p], cols[j], order[p], order[j]
+        x = cols[j]
+        if any(x[j + 1:]):  # else no reflection is needed
+            sign = x[j] / abs(x[j]) if x[j] else complex(1.0)
+            scale = 1.0 / math.sqrt(alpha * (alpha + abs(x[j])))
+            v = [(x[j] + sign * alpha) * scale] + [e * scale for e in x[j + 1:]]
+            v_conj = [w.conjugate() for w in v]
+            x[j] = -sign * alpha
+            for c in cols[j + 1:]:  # c -= v (v* c), with v* v = 2
+                s = sum(map(mul, v_conj, c[j:]))
+                if s:
+                    c[j:] = map(sub, c[j:], map(s.__mul__, v))
+    return order, k
+
+
+def mp_inverse(m: Matrix) -> Matrix:
+    """Moore-Penrose inverse.
+
+    Exact, by rank factorization ``m = F G`` of rank r: ``G* (F* m G*)^-1 F*``
+    (Ben-Israel & Greville, 2003), ``(F* m)^-1 F*`` at full column rank.
+
+    Float, by complete orthogonal decomposition (Businger & Golub 1965; Golub
+    & Van Loan, 4th ed., 5.4), which does not square cond(m): with m scaled
+    by 2**-s into [0.5, 1), QR with column pivoting gives m P = Q [R11 R12;
+    0 0] and the rank k (pivot norms above tolerance(PIVOT_RTOL, m)), an
+    unpivoted QR gives [R11 R12]* = Z [T; 0], and mp(m) = P Z_k T^-* Q_k*
+    2**-s.  NotMpInvertibleError if that leaves the float range.
     """
-    shift = 0
-    if m.backend == FLOAT:
-        shift = math.frexp(m.max_abs())[1]
-        m = _ldexp(m, -shift)
-    factor_f, factor_g, r = rank_factorization(m)
-    if r == 0:
-        return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
-    f_star = factor_f.star()
-    g_star = factor_g.star() if r < m.cols else None
-    core = f_star @ m if g_star is None else f_star @ m @ g_star
-    try:
-        core_inverse = inverse(core)
-    except NotMpInvertibleError:
-        raise NotMpInvertibleError(
-            "numerical rank is ambiguous at working precision; "
-            "MP-inverse not computed") from None
-    dagger = core_inverse @ f_star if g_star is None else g_star @ core_inverse @ f_star
     if m.backend == EXACT:
-        return dagger
-    # Newton polish: quadratically shrinks the m x m - m defects without
-    # leaving the rank-factorization route.
-    for _ in range(_FLOAT_REFINE_STEPS):
-        dagger = dagger.add(dagger).sub(dagger @ m @ dagger)
+        factor_f, factor_g, r = rank_factorization(m)
+        if r == 0:
+            return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
+        f_star = factor_f.star()
+        if r == m.cols:
+            return inverse(f_star @ m) @ f_star
+        g_star = factor_g.star()
+        return g_star @ inverse(f_star @ m @ g_star) @ f_star
+    shift = math.frexp(m.max_abs())[1]
+    m = _ldexp(m, -shift)
+    rows, n = m.shape
+    cols = [list(c) for c in zip(*m.entries)] + _eye(rows)
+    order, k = _householder_qr(cols, n, tolerance(PIVOT_RTOL, m))
+    if k == 0:
+        return Matrix.zeros(n, rows, m.involution, FLOAT)
+    # cols[n + r] is now column r of Q*; the QR of [R11 R12]* leaves column
+    # i of T in z[i] and column j of Z* in z[k + j]
+    z = [[0j] * i + [cols[j][i].conjugate() for j in range(i, n)] for i in range(k)] + _eye(n)
+    _householder_qr(z, k)
+    y = []  # Y = T^-* Q_k*, by forward substitution
+    for i in range(k):
+        row = [q[i] for q in cols[n:]]
+        for t_li, y_l in zip(z[i][:i], y):
+            if t_li:
+                row = map(sub, row, map(t_li.conjugate().__mul__, y_l))
+        y.append(list(map(z[i][i].conjugate().__rtruediv__, row)))
+    x = []  # row j of Z_k Y: Z_k's row j is the conjugate of Z* e_j
+    for z_j in z[k:]:
+        row = [0j] * rows
+        for z_ij, y_i in zip(z_j, y):
+            if z_ij:
+                row = map(add, row, map(z_ij.conjugate().__mul__, y_i))
+        x.append(tuple(row))
+    grid = tuple(row for _, row in sorted(zip(order, x)))  # P moves row j to order[j]
     try:
-        return _ldexp(dagger, -shift)
+        return _ldexp(unchecked(n, rows, m.involution, FLOAT, grid), -shift)
     except OverflowError:
         raise NotMpInvertibleError("MP-inverse exceeds the float range") from None
 

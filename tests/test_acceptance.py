@@ -369,11 +369,10 @@ def test_criterion_8_cli_contract(tmp_path):
 
     bad_instance = tmp_path / "bad.json"
     bad_instance.write_text("{nope")
-    singular = tmp_path / "singular.json"
-    singular.write_text(json.dumps(
+    tiny = tmp_path / "tiny.json"  # mp([[1e-310]]) = 1e310 is beyond the float range
+    tiny.write_text(json.dumps(
         {"version": "1", "type": "matrix", "backend": "float",
-         "involution": "conjugate_transpose",
-         "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-8, 0.0]]]}))
+         "involution": "conjugate_transpose", "matrix": [[[1e-310, 0.0]]]}))
     unsolvable = tmp_path / "unsolvable.json"
     one = ["1", "1", "0", "1"]
     unsolvable.write_text(json.dumps(
@@ -388,7 +387,7 @@ def test_criterion_8_cli_contract(tmp_path):
 
     exit_codes_ok = (
         main(["check", "--input", str(bad_instance)]) == 2
-        and main(["mp", "--input", str(singular)]) == 3
+        and main(["mp", "--input", str(tiny)]) == 3
         and main(["solve", "--input", str(unsolvable),
                   "--output", str(tmp_path / "r4.json")]) == 4
         and main(["solve", "--input", str(GOLDEN / "diag_fail.json"),

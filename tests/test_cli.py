@@ -4,14 +4,13 @@ import random
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from starsolve import formats, matrix
 from starsolve.cli import main
-from starsolve.generate import random_square_instance, random_sym_instance, random_unitary
+from starsolve.generate import random_square_instance, random_sym_instance
 from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -307,13 +306,15 @@ def test_exit_2_gen_infeasible_rejection():
                     "--dims", "2,2,1", "--seed", "0") == 2
 
 
-def test_exit_3_not_mp_invertible(tmp_path):
+def test_mp_of_a_graded_diagonal_exits_0(tmp_path):
+    # diag(1, 1e-8) has rank 2 at any threshold near PIVOT_RTOL: inverted
     doc = {"version": "1", "type": "matrix", "backend": "float",
            "involution": "conjugate_transpose",
            "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-8, 0.0]]]}
-    path = tmp_path / "m.json"
+    path, out = tmp_path / "m.json", tmp_path / "r.json"
     path.write_text(json.dumps(doc))
-    assert run_main("mp", "--input", str(path)) == 3
+    assert run_main("mp", "--input", str(path), "--output", str(out)) == 0
+    assert json.loads(out.read_text())["mp_inverse"][1][1] == [1e8, 0.0]
 
 
 def test_exit_3_mp_inverse_beyond_float_range(tmp_path, capsys):
@@ -452,6 +453,23 @@ def test_cli_product_counts(monkeypatch, tmp_path, argv, expected):
     # raises these counts.
     sub, name, *rest = argv
     assert count_products(monkeypatch, tmp_path, sub, GOLDEN / name, *rest) == (0, expected)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # diag_solvable.json on floats: the float MP-inverse forms no product, so
+    # mp keeps only the 4 of its Penrose residuals, and check and solve lose
+    # the 2 products of each of the 2 exact MP-inverses (a' and b')
+    (("mp",), 4),
+    (("check",), 11),
+    (("solve", "--samples", "3"), 31),
+])
+def test_cli_product_counts_float(monkeypatch, tmp_path, argv, expected):
+    inst = formats.load_instance(str(GOLDEN / "diag_solvable.json"))
+    write_scaled_float(tmp_path / "inst.json", inst, 1.0)
+    formats.save_matrix(inst.operands["a"].to_float(), str(tmp_path / "a.json"))
+    sub, *rest = argv
+    path = tmp_path / ("a.json" if sub == "mp" else "inst.json")
+    assert count_products(monkeypatch, tmp_path, sub, path, *rest) == (0, expected)
 
 
 @pytest.mark.parametrize("kind, seed, argv, expected, code", [
@@ -698,18 +716,15 @@ def test_float_verdicts_are_scale_invariant(tmp_path):
             assert report["verdict"] == exact or report["indeterminate"], (i, k)
 
 
-def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path):
+def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path, graded):
     # b = a = u diag(1, 2^-10, 2^-20) v with exact unitary u and v, and
-    # c = h -/+ h*: the float verdict equals the exact one or is flagged. A
-    # float rank decision may refuse a (exit 3), but most instances are judged.
-    diag = matrix.Matrix.exact([[1, 0, 0], [0, Fraction(1, 2 ** 10), 0],
-                                [0, 0, Fraction(1, 2 ** 20)]])
+    # c = h -/+ h*: the float verdict equals the exact one or is flagged, and
+    # no instance is refused (exit 3).
     exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
     out = tmp_path / "check.json"
     judged = 0
     for seed in range(10):
-        a = random_unitary(random.Random(seed), 3) @ diag @ \
-            random_unitary(random.Random(seed + 100), 3)
+        a = graded(3, 20, seed)
         h = matrix.random_matrix(random.Random(seed), 3, 3)
         for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
             inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
@@ -724,7 +739,36 @@ def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path):
             report = json.loads(out.read_text())
             assert report["verdict"] == exact or report["indeterminate"], (seed, sign)
             judged += 1
-    assert judged >= 12
+    assert judged == 20
+
+
+@pytest.mark.parametrize("s", (20, 24))
+def test_float_solve_on_graded_pairs(tmp_path, graded, s):
+    # b = a of condition number 2^s and a solvable c = h -/+ h*: float solve
+    # is never refused, its verdict equals the exact one or is flagged, and
+    # verify accepts every sample it prints.
+    exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
+    out, sol_path = tmp_path / "solve.json", tmp_path / "x.json"
+    for seed in range(10):
+        a = graded(6, s, seed)
+        h = matrix.random_matrix(random.Random(seed), 6, 6)
+        for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
+            inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
+                                         {"a": a, "b": a, "c": c})
+            formats.save_instance(inst, str(exact_path))
+            exact = check_report(exact_path)["verdict"]
+            write_scaled_float(float_path, inst, 1.0)
+            code = run_main("solve", "--input", str(float_path), "--samples", "2",
+                            "--output", str(out))
+            assert code != 3, (seed, sign)
+            report = json.loads(out.read_text())
+            assert report["verdict"] == exact or report["indeterminate"], (seed, sign)
+            for sample in report.get("samples", []):
+                x = formats.decode_matrix(sample["solution"], matrix.FLOAT,
+                                          matrix.CONJUGATE_TRANSPOSE)
+                formats.save_matrix(x, str(sol_path))
+                assert run_main("verify", "--input", str(float_path),
+                                "--solution", str(sol_path)) == 0, (seed, sign)
 
 
 def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):

@@ -156,9 +156,10 @@ def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__init__", refuse)
     for m, r in operands:
+        exact_only = (inverse(m), *rank_factorization(r)[:2]) if m.backend == EXACT else ()
         for result in (m + m, m - m, -m, m @ r, m.star(), m.scale(3), m.half(),
                        m.block(0, 1, 2, 2), m.paste(1, 1, r.block(0, 0, 2, 2)), m.to_float(),
-                       inverse(m), mp_inverse(r), *rank_factorization(r)[:2]):
+                       mp_inverse(r), *exact_only):
             assert result.backend in BACKENDS
 
 
@@ -378,20 +379,53 @@ def test_mp_inverse_unique_exact(rng):
         assert is_mp_inverse(m, mp_inverse(m))
 
 
-def test_float_ambiguous_rank_raises():
-    # elimination sees rank 2 but the Gram pivots collapse below threshold
+def test_float_graded_diagonal_inverts():
+    # rank 2: the pivot norm 1e-8 is far above tolerance(PIVOT_RTOL, m); a
+    # Gram core m* m would have put 1e-16 against that threshold instead
     m = Matrix.floating([[1.0, 0.0], [0.0, 1e-8]])
-    with pytest.raises(NotMpInvertibleError):
-        mp_inverse(m)
+    d = mp_inverse(m)
+    assert is_mp_inverse(m, d)
+    assert d.equals(Matrix.floating([[1.0, 0.0], [0.0, 1e8]]))
 
 
 def test_float_tiny_scalar_inverts():
-    # the pivot threshold scales with m alone; taken from the [m | I] grid
-    # that inverse() reduces, the identity block would refuse 1e-20
-    m = Matrix.floating([[1e-20]])
-    expected = Matrix.floating([[1e20]])
-    assert inverse(m).equals(expected)
-    assert mp_inverse(m).equals(expected)
+    # the rank threshold scales with m alone, so 1e-20 is no zero
+    assert mp_inverse(Matrix.floating([[1e-20]])).equals(Matrix.floating([[1e20]]))
+    tiny = Matrix.exact([[Fraction(1, 10 ** 20)]])
+    assert inverse(tiny) == Matrix.exact([[10 ** 20]])
+
+
+def test_elimination_refuses_a_float_matrix():
+    # a float matrix has no exact rank; its MP-inverse takes the orthogonal route
+    m = Matrix.identity(2, backend=FLOAT)
+    with pytest.raises(ValueError, match="exact matrix"):
+        inverse(m)
+    with pytest.raises(ValueError, match="exact matrix"):
+        rank_factorization(m)
+
+
+def test_float_mp_inverse_forms_no_product(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("Matrix.mul in the float MP-inverse")
+
+    ms = [random_matrix(random.Random(seed), rows, cols, FLOAT, involution)
+          for seed, (rows, cols) in enumerate(((3, 3), (4, 2), (2, 5)))
+          for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE)]
+    ms.append(ms[2] @ ms[4])  # 4 x 5 of rank 2
+    monkeypatch.setattr(Matrix, "mul", refuse)
+    daggers = [mp_inverse(m) for m in ms]
+    monkeypatch.undo()
+    assert all(is_mp_inverse(m, d) for m, d in zip(ms, daggers))
+
+
+@pytest.mark.parametrize("n", (6, 10))
+@pytest.mark.parametrize("s", (20, 30))
+def test_float_mp_inverse_holds_penrose_on_graded_matrices(graded, n, s):
+    # cond(a) = 2^s: the orthogonal route never forms a* a, whose 2^(2s)
+    # would put the smallest pivots of an elimination under the threshold
+    for seed in range(20):
+        a = graded(n, s, seed).to_float()
+        assert is_mp_inverse(a, mp_inverse(a)), seed
 
 
 @pytest.mark.parametrize("value", [1e-200, 1e200])
