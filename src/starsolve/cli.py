@@ -15,9 +15,15 @@ Exit codes are a stable contract:
     6  `verify` rejected the claimed solution
     7  internal self-check failed (a solution the solver returned did not
        verify, or --oracle's exact certificate failed on it)
+
+A process enters through :func:`run` (the console script and ``python -m
+starsolve.cli``), which freezes the collector once :func:`main` returns, so
+interpreter shutdown does not walk every object the run left alive.
+:func:`main` is the in-process entry and has no process-wide effect.
 """
 
 import argparse
+import gc
 import math
 import random
 import sys
@@ -499,5 +505,15 @@ def main(argv=None) -> int:
         return EXIT_SELF_CHECK
 
 
+def run() -> int:
+    """:func:`main` on ``sys.argv``, then ``gc.freeze()``: the collections
+    of interpreter shutdown skip every object still alive, which the ending
+    process frees anyway.  The collector stays enabled."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

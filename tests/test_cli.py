@@ -1,15 +1,17 @@
+import gc
 import hashlib
 import json
 import random
 import re
 import subprocess
 import sys
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
 from starsolve import formats, matrix
-from starsolve.cli import main
+from starsolve.cli import main, run
 from starsolve.generate import random_square_instance, random_sym_instance
 from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve
 
@@ -945,6 +947,61 @@ def test_console_script_subprocess_roundtrip(tmp_path):
     assert r.returncode == 0, r.stderr
     doc = json.loads(r.stdout)
     assert doc["verdict"] == "solvable"
+    # exits 4 and 5 of a child: the exit code, the report file and the
+    # summary lines all get out of a process that ends with a frozen collector
+    for name in ("diag_unsolvable_solve", "diag_fail_solve"):
+        gen_argv, (command, *flags), code = VERDICT_GOLDENS[name]
+        inst = GOLDEN / "diag_fail.json"
+        if gen_argv:
+            inst = tmp_path / f"{name}_inst.json"
+            assert run_main("gen", *gen_argv, "--output", str(inst)) == 0
+        out = tmp_path / f"{name}.json"
+        r = subprocess.run([sys.executable, "-m", "starsolve.cli", command, "--input", str(inst),
+                            *flags, "--output", str(out)], capture_output=True, text=True)
+        assert r.returncode == code, r.stderr
+        assert r.stdout.endswith(f"report written to {out}\n")
+        assert normalized(out) == (GOLDEN / f"{name}_report.json").read_text()
+
+
+def test_console_script_is_run():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["starsolve"]
+    assert EntryPoint("starsolve", target, "console_scripts").load() is run
+
+
+# the benchmark's CLI child (`python -m starsolve.cli`, by runpy), with an
+# atexit hook that reports the collector as interpreter shutdown finds it
+FROZEN_CHILD = f"""
+import atexit, gc, runpy, sys
+sys.path.insert(0, {str(SRC)!r})
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), gc.isenabled()))
+runpy.run_module("starsolve.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--input", str(GOLDEN / "scalar_minus.json")], 0),
+    (["solve", "--input", str(GOLDEN / "diag_fail.json")], 5),
+    (["solve", "--samples"], 2),  # argparse's own exit
+])
+def test_cli_process_ends_with_the_collector_frozen(argv, code):
+    r = subprocess.run([sys.executable, "-c", FROZEN_CHILD, *argv],
+                       capture_output=True, text=True)
+    assert r.returncode == code, r.stderr
+    word, count, enabled = r.stdout.splitlines()[-1].split()
+    assert (word, int(count) > 0, enabled) == ("frozen", True, "True")
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    out = ["--output", str(tmp_path / "out.json")]
+    inst, a, x = cli_files(tmp_path, matrix.EXACT)
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["gen", "--kind", "minus", *out], ["check", "--input", inst, *out],
+                 ["solve", "--input", inst, "--oracle", *out], ["mp", "--input", a, *out],
+                 ["verify", "--input", inst, "--solution", x, *out]):
+        assert main(argv) == 0, argv
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
 
 
 def test_solution_from_solve_verifies(tmp_path):
