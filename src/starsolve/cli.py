@@ -96,7 +96,7 @@ def _max_abs(m) -> float:
 
 
 def _ring_for(inst: Instance) -> MatrixRing:
-    return MatrixRing(inst.size, inst.backend, inst.involution)
+    return MatrixRing(inst.operands["a"].rows, inst.backend, inst.involution)
 
 
 def _sym_side(kind: str) -> str:
@@ -165,12 +165,12 @@ def _emit(doc: dict, args, summary_lines) -> None:
 def _solve_instance(inst: Instance, rtol: float):
     from .solvers import solve, solve_sym_left, solve_sym_right
     ring = _ring_for(inst)
-    a, b = inst.operand("a"), inst.operand("b")
+    a, b = inst.operands["a"], inst.operands["b"]
     if inst.kind == "sym_right":
         return solve_sym_right(ring, a, b, rtol=rtol)
     if inst.kind == "sym_left":
         return solve_sym_left(ring, a, b, rtol=rtol)
-    return solve(ring, inst.sign, a, b, inst.operand("c"), rtol=rtol)
+    return solve(ring, inst.sign, a, b, inst.operands["c"], rtol=rtol)
 
 
 def _verdict(inst: Instance, rtol: float):
@@ -332,8 +332,8 @@ def _parse_dims(kind: str, raw: Optional[str]):
         dims = tuple(int(p) for p in parts)
     except ValueError:
         raise FormatError(f"--dims must be integers, got {raw!r}")
-    if any(d < 1 for d in dims):
-        raise FormatError(f"--dims must be positive, got {raw!r}")
+    if any(not 0 < d <= sys.maxsize for d in dims):  # no list or range is longer
+        raise FormatError(f"--dims must be between 1 and {sys.maxsize}, got {raw!r}")
     return dims if rect else dims[0]
 
 
@@ -391,9 +391,9 @@ def cmd_verify(args) -> int:
     if x.backend != inst.backend or x.involution != inst.involution:
         raise FormatError("solution tags do not match the instance")
     # the equation in general form, A x B* -/+ B x* A* = C, with x: A.cols x B.cols
-    a, b = inst.operand("a"), inst.operand("b")
+    a, b = inst.operands["a"], inst.operands["b"]
     a, b, rhs = (sym_general_form(_sym_side(inst.kind), a, b) if inst.kind in SYM_KINDS
-                 else (a, b, inst.operand("c")))
+                 else (a, b, inst.operands["c"]))
     if x.shape != (a.cols, b.cols):
         raise FormatError(f"solution must have shape {(a.cols, b.cols)}, got {x.shape}")
 

@@ -9,11 +9,14 @@ Exact scalars serialize as quadruples of decimal strings
 [re_num, re_den, im_num, im_den] so entries never hit integer-width
 limits; float scalars are plain [re, im] pairs.  An exact matrix goes
 straight between those strings and its integer grids (re, im, d), with no
-per-entry scalar: decode brings the parts over the lcm of their
-denominators and leaves one gcd reduction to ``grids.make``, encode divides
-each part and d by their gcd.  Parsing is strict: unknown keys, wrong
-shapes, out-of-enum values and integer strings with anything but an
-optional minus sign and ASCII digits all raise FormatError.
+per-entry scalar: decode hands the parsed parts to ``matrix.from_parts``,
+encode divides each part and d by their gcd.  A float matrix is decoded to
+``complex`` entries and checked once, by ``Matrix(...)``: finite, and real
+under the transpose involution.  An instance is checked once, by
+``make_instance``; ``instance_to_doc`` trusts the Instance it is given.
+Parsing is strict: unknown keys, wrong shapes, out-of-enum values, integer
+strings with anything but an optional minus sign and ASCII digits, and
+files nested too deeply to read all raise FormatError.
 
 The generator family names and GenerationError live here too: the CLI needs
 them for its help text and exit codes at start-up, and loads generate.py
@@ -25,7 +28,7 @@ import math
 import re
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, from_grids
+from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, from_parts
 
 FORMAT_VERSION = "1"
 
@@ -112,26 +115,30 @@ def _parse_quadruple(raw, what: str) -> tuple:
     return parts
 
 
+def _parse_pair(raw, what: str) -> complex:
+    """The ``complex`` of a float entry's [re, im] pair of JSON numbers,
+    not yet checked for finiteness."""
+    if not isinstance(raw, list) or len(raw) != 2:
+        _fail(f"{what} must be a [re, im] pair")
+    for part in raw:
+        if isinstance(part, bool) or not isinstance(part, (int, float)):
+            _fail(f"{what} must hold numbers, got {part!r}")
+    try:
+        return complex(*raw)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise FormatError(f"{what} must be finite") from None
+
+
 def decode_scalar(raw, backend: str, what: str = "entry"):
     if backend == EXACT:
         from fractions import Fraction
         from .scalars import GaussianRational
         re_num, re_den, im_num, im_den = _parse_quadruple(raw, what)
         return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
-    if not isinstance(raw, list) or len(raw) != 2:
-        _fail(f"{what} must be a [re, im] pair")
-    parts = []
-    for part in raw:
-        if isinstance(part, bool) or not isinstance(part, (int, float)):
-            _fail(f"{what} must hold numbers, got {part!r}")
-        try:
-            value = float(part)
-        except OverflowError:  # a JSON integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            _fail(f"{what} must be finite")
-        parts.append(value)
-    return complex(parts[0], parts[1])
+    z = _parse_pair(raw, what)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        _fail(f"{what} must be finite")
+    return z
 
 
 # -- matrices ---------------------------------------------------------------
@@ -151,19 +158,10 @@ def encode_matrix(m: Matrix) -> list:
     return [[encode_scalar(e, m.backend) for e in row] for row in m.entries]
 
 
-def _exact_matrix(quadruples: list, involution: str) -> Matrix:
-    """The exact matrix of parsed entry quadruples: every part over the lcm
-    of all the denominators, reduced once by ``grids.make``."""
-    d = math.lcm(*{den for row in quadruples for _, re_den, _, im_den in row
-                   for den in (re_den, im_den)})
-    real = [[num * (d // den) for num, den, _, _ in row] for row in quadruples]
-    imag = [[num * (d // den) for _, _, num, den in row] for row in quadruples]
-    return from_grids(len(quadruples), len(quadruples[0]), involution, real, imag, d)
-
-
 def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> Matrix:
     if not isinstance(raw, list) or not raw:
         _fail(f"{what} must be a non-empty list of rows")
+    parse = _parse_quadruple if backend == EXACT else _parse_pair
     width = None
     grid = []
     for i, row in enumerate(raw):
@@ -173,14 +171,12 @@ def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> M
             width = len(row)
         elif len(row) != width:
             _fail(f"{what} row {i} has {len(row)} entries, expected {width}")
-        grid.append([_parse_quadruple(e, f"{what}[{i}][{j}]") if backend == EXACT
-                     else decode_scalar(e, backend, f"{what}[{i}][{j}]")
-                     for j, e in enumerate(row)])
+        grid.append([parse(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)])
     try:
         if backend == EXACT:
-            return _exact_matrix(grid, involution)
+            return from_parts(len(grid), width, involution, grid)
         return Matrix.floating(grid, involution)
-    except ValueError as exc:  # e.g. transpose involution with complex entries
+    except ValueError as exc:  # a non-finite float, or transpose with complex entries
         raise FormatError(f"{what}: {exc}") from exc
 
 
@@ -215,7 +211,10 @@ def matrix_from_doc(doc) -> Matrix:
 
 
 class Instance(NamedTuple):
-    """One equation instance: which equation, over what ring, with what data."""
+    """One equation instance: which equation, over what ring, with what data.
+
+    Build one with :func:`make_instance` or :func:`instance_from_doc`, which
+    validate it; the rest of the package trusts it."""
 
     kind: str
     backend: str
@@ -223,14 +222,6 @@ class Instance(NamedTuple):
     operands: Mapping[str, Matrix]
     dims: Optional[Tuple[int, int, int]] = None
     seed: Optional[int] = None
-
-    def operand(self, name: str) -> Matrix:
-        return self.operands[name]
-
-    @property
-    def size(self) -> int:
-        """Size of the ring of c: the row count of a (m for rect kinds)."""
-        return self.operands["a"].rows
 
     @property
     def sign(self) -> str:
@@ -275,7 +266,6 @@ def make_instance(kind: str, backend: str, involution: str,
 
 
 def instance_to_doc(inst: Instance) -> dict:
-    _validate_instance(inst)
     doc = {
         "version": FORMAT_VERSION,
         "kind": inst.kind,
@@ -295,24 +285,13 @@ def instance_from_doc(doc) -> Instance:
     _require_keys(doc, ("version", "kind", "backend", "involution", "operands"),
                   optional=("dims", "seed"), what="instance file")
     _check_version(doc, "instance file")
-    kind = doc["kind"]
-    if kind not in KINDS:
-        _fail(f"kind must be one of {KINDS}, got {kind!r}")
     _check_enums(doc, "instance file")
 
     raw_ops = doc["operands"]
     if not isinstance(raw_ops, dict):
         _fail("operands must be a JSON object")
-    names = OPERAND_NAMES[kind]
-    for name in raw_ops:
-        if name not in names:
-            _fail(f"kind {kind!r} does not take operand {name!r}")
-    operands = {}
-    for name in names:
-        if name not in raw_ops:
-            _fail(f"kind {kind!r} is missing operand {name!r}")
-        operands[name] = decode_matrix(raw_ops[name], doc["backend"],
-                                       doc["involution"], f"operand {name!r}")
+    operands = {name: decode_matrix(raw, doc["backend"], doc["involution"], f"operand {name!r}")
+                for name, raw in raw_ops.items()}
 
     dims = None
     if "dims" in doc:
@@ -329,7 +308,8 @@ def instance_from_doc(doc) -> Instance:
         if isinstance(seed, bool) or not isinstance(seed, int):
             _fail(f"seed must be an integer, got {seed!r}")
 
-    return make_instance(kind, doc["backend"], doc["involution"], operands,
+    # the kind, the operand names, the tags and the shapes: checked once, here
+    return make_instance(doc["kind"], doc["backend"], doc["involution"], operands,
                          dims, seed)
 
 
@@ -357,6 +337,8 @@ def read_doc(path: str):
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: nested too deeply to read ({exc})") from exc
 
 
 def load_instance(path: str) -> Instance:

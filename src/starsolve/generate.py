@@ -8,11 +8,10 @@ draws in the same order as ever, so seeded instances do not change.  Only
 `gen` loads this module on the command line.
 """
 
-import math
 import random
 
 from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
-from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, from_grids,
+from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, from_parts,
                      random_matrix, random_sixths)
 from .rect import RectProblem
 from .solvers import MINUS, PLUS, _check_sign, check_hypotheses, equation_lhs, sym_general_form
@@ -39,12 +38,10 @@ _PYTHAGOREAN = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
 def _sparse(rows: int, cols: int, involution: str, entries: dict) -> Matrix:
     """The exact rows x cols matrix holding the Gaussian rationals
     ``(re, im, d)`` of ``entries`` at their ``(i, j)`` keys, zero elsewhere."""
-    d = math.lcm(*(e for _, _, e in entries.values()))
-    re = [[0] * cols for _ in range(rows)]
-    im = [[0] * cols for _ in range(rows)]
+    parts = [[(0, 1, 0, 1)] * cols for _ in range(rows)]
     for (i, j), (x, y, e) in entries.items():
-        re[i][j], im[i][j] = x * (d // e), y * (d // e)
-    return from_grids(rows, cols, involution, re, im, d)
+        parts[i][j] = (x, e, y, e)
+    return from_parts(rows, cols, involution, parts)
 
 
 def _random_sixths_entry(rng: random.Random, involution: str) -> tuple:

@@ -15,15 +15,6 @@ from .matrix import EXACT, Matrix, unchecked
 from .ring import NotMpInvertibleError
 
 
-def from_entries(entries) -> tuple:
-    """``grids`` of an exact entry grid: ``d`` is the lcm of the denominators
-    of all its parts, which leaves no common factor."""
-    d = math.lcm(*{p.denominator for row in entries for e in row for p in (e.re, e.im)})
-    re = tuple(tuple(e.re.numerator * (d // e.re.denominator) for e in row) for row in entries)
-    im = tuple(tuple(e.im.numerator * (d // e.im.denominator) for e in row) for row in entries)
-    return re, im, d
-
-
 def make(rows: int, cols: int, involution: str, re, im, d: int,
          lowest: bool = False) -> Matrix:
     """Exact matrix over the Gaussian-integer grids ``re``, ``im`` and the

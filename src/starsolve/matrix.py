@@ -15,10 +15,13 @@ zeros, identities and random draws are built as grids too, so
 :mod:`starsolve.scalars` and ``fractions`` load only when code reads an
 exact matrix's ``entries`` or passes Python scalars to :meth:`Matrix.exact`.
 
-One checking rule on both backends: the validating constructors check data
-from outside once, each operation checks its own arguments once before it
-picks a backend, and :func:`unchecked` builds every arithmetic result as
-given, never re-checked (a float overflow travels on as inf or NaN).
+One checking rule on both backends: data from outside is checked once, by
+``Matrix(...)`` (tags, shape and every entry; ``exact`` and ``floating`` only
+work out the shape) or by :func:`from_grids` (int grids), with
+:func:`from_parts` the one builder of exact entry parts; each operation
+checks its own arguments once before it picks a backend; :func:`unchecked`
+builds every arithmetic result and copy as given, never re-checked (a float
+overflow travels on as inf or NaN).
 """
 
 import math
@@ -60,16 +63,19 @@ def finite_complex(value) -> complex:
 
 
 def _coerce_entry(value, backend):
+    """A float entry as a finite ``complex``; an exact one as its parts
+    ``(re_num, re_den, im_num, im_den)``."""
     if isinstance(value, bool):
         raise TypeError(f"bool is not a {backend} matrix entry")
     if backend == EXACT:
         # the per-entry view: scalars (and fractions) load with the first exact entry
         from fractions import Fraction
         from .scalars import GaussianRational
-        if isinstance(value, GaussianRational):
-            return value
         if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
+            return value.numerator, value.denominator, 0, 1
+        if isinstance(value, GaussianRational):
+            re, im = value.re, value.im
+            return re.numerator, re.denominator, im.numerator, im.denominator
         raise TypeError(f"exact matrices take GaussianRational/int/Fraction entries, got {value!r}")
     if isinstance(value, (int, float, complex)):
         return finite_complex(value)
@@ -115,16 +121,19 @@ class Matrix:
     involution: str
     backend: str
 
-    def __init__(self, rows: int, cols: int, entries: tuple,
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence],
                  involution: str = CONJUGATE_TRANSPOSE, backend: str = EXACT):
         _check_header(rows, cols, involution, backend)
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ShapeMismatchError("entry grid does not match declared shape")
+        grid = tuple(tuple(_coerce_entry(e, backend) for e in row) for row in entries)
+        if backend == EXACT:
+            self._set(rows, cols, involution, EXACT, None,
+                      from_parts(rows, cols, involution, grid).grids)
+            return
         if involution == TRANSPOSE:
-            _require_real(v.im if backend == EXACT else v.imag
-                          for v in chain.from_iterable(entries))
-        self._set(rows, cols, involution, backend, entries,
-                  _grid_ops().from_entries(entries) if backend == EXACT else None)
+            _require_real(z.imag for z in chain.from_iterable(grid))
+        self._set(rows, cols, involution, FLOAT, grid, None)
 
     def _set(self, *values):
         for name, value in zip(Matrix.__slots__, values):
@@ -160,26 +169,21 @@ class Matrix:
     def __hash__(self):
         return hash(self._key())
 
-    def __reduce__(self):  # copy and pickle: rebuild through __init__
-        return Matrix, (self.rows, self.cols, self.entries, self.involution, self.backend)
+    def __reduce__(self):  # copy and pickle: the same values, inf and NaN included
+        return unchecked, (self.rows, self.cols, self.involution, self.backend,
+                           self._entries if self.grids is None else None, self.grids)
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def exact(cls, rows: Sequence[Sequence], involution: str = CONJUGATE_TRANSPOSE) -> "Matrix":
         """Exact matrix from nested sequences of GaussianRational/int/Fraction."""
-        grid = tuple(tuple(_coerce_entry(e, EXACT) for e in row) for row in rows)
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        return cls(nrows, ncols, grid, involution, EXACT)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows, involution, EXACT)
 
     @classmethod
     def floating(cls, rows: Sequence[Sequence], involution: str = CONJUGATE_TRANSPOSE) -> "Matrix":
         """Float matrix from nested sequences of numbers; NaN/Inf rejected."""
-        grid = tuple(tuple(_coerce_entry(e, FLOAT) for e in row) for row in rows)
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        return cls(nrows, ncols, grid, involution, FLOAT)
+        return cls(len(rows), len(rows[0]) if rows else 0, rows, involution, FLOAT)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, involution: str = CONJUGATE_TRANSPOSE,
@@ -283,12 +287,11 @@ class Matrix:
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
+        if self.backend == EXACT:  # from_parts checks the transpose rule
+            ((u,),), ((v,),), e = from_parts(1, 1, self.involution, ((s,),)).grids
+            return _grid_ops().times(self, u, v, e)
         if self.involution == TRANSPOSE:
-            _require_real((s.im if self.backend == EXACT else s.imag,))
-        if self.backend == EXACT:
-            ops = _grid_ops()
-            ((u,),), ((v,),), e = ops.from_entries(((s,),))
-            return ops.times(self, u, v, e)
+            _require_real((s.imag,))
         return self._like(tuple(tuple(s * a for a in row) for row in self.entries))
 
     def half(self) -> "Matrix":
@@ -387,13 +390,30 @@ class Matrix:
 
 def from_grids(rows: int, cols: int, involution: str, re, im, d: int) -> Matrix:
     """The exact rows x cols matrix of Gaussian-integer grids from outside
-    (a file, a random draw): rows of ``cols`` ints over ``d > 0``, in any
-    terms.  Checks the tags and the transpose rule once, as the constructor
-    does, then reduces through :func:`starsolve.grids.make`."""
+    (a random draw, :func:`from_parts`): rows of ``cols`` ints over the int
+    ``d > 0``, in any terms.  Checks the tags, the shape, the ints and the
+    transpose rule once, then reduces through :func:`starsolve.grids.make`."""
     _check_header(rows, cols, involution, EXACT)
+    if any(len(grid) != rows or any(len(row) != cols for row in grid) for grid in (re, im)):
+        raise ShapeMismatchError("grids do not match declared shape")
+    if any(x.__class__ is not int for x in chain(*re, *im, (d,))):
+        raise TypeError("exact grids hold ints, bool excluded")
+    if d < 1:
+        raise ValueError(f"denominator must be positive, got {d}")
     if involution == TRANSPOSE:
         _require_real(chain.from_iterable(im))
     return _grid_ops().make(rows, cols, involution, re, im, d)
+
+
+def from_parts(rows: int, cols: int, involution: str, parts) -> Matrix:
+    """The exact matrix of per-entry int parts ``(re_num, re_den, im_num,
+    im_den)``, denominators nonzero of either sign: every part over the lcm
+    of the denominators, then :func:`from_grids`."""
+    d = math.lcm(*{den for row in parts for _, re_den, _, im_den in row
+                   for den in (re_den, im_den)})
+    re = [[x * (d // den) for x, den, _, _ in row] for row in parts]
+    im = [[y * (d // den) for _, _, y, den in row] for row in parts]
+    return from_grids(rows, cols, involution, re, im, d)
 
 
 def unchecked(rows: int, cols: int, involution: str, backend: str, entries,
@@ -578,10 +598,11 @@ def random_matrix(rng: random.Random, rows: int, cols: int,
                   for _ in range(cols)] for _ in range(rows)]
         return from_grids(rows, cols, involution, [[x for x, _ in row] for row in draws],
                           [[y for _, y in row] for row in draws], 6)
+    _check_header(rows, cols, involution, backend)  # the draws are finite and fit the tags
     grid = tuple(tuple(complex(rng.uniform(-1.0, 1.0),
                                0.0 if real_only else rng.uniform(-1.0, 1.0))
                        for _ in range(cols)) for _ in range(rows))
-    return Matrix(rows, cols, grid, involution, backend)
+    return unchecked(rows, cols, involution, backend, grid)
 
 
 # -- the ring -----------------------------------------------------------------

@@ -202,6 +202,8 @@ UNREADABLE_INPUTS = {
          "operands": {"a": [[["1", "1", "0", "1"]]], "b": [[["1", "1", "0", "1"]]],
                       "c": [[["1" + "0" * 5000, "1", "0", "1"]]]}}).encode()),
     "not_utf8": ("check", b"\xff\xfe{}"),
+    # deeper than the JSON decoder recurses
+    "nested_too_deep": ("mp", b"[" * 200_000 + b"]" * 200_000),
 }
 
 
@@ -306,6 +308,28 @@ def test_exit_2_gen_infeasible_rejection():
     # hermitian condition starves rect rejection sampling when p < m
     assert run_main("gen", "--kind", "rect_minus", "--family", "rejection",
                     "--dims", "2,2,1", "--seed", "0") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "minus", "--dims", "99999999999999999999999"),
+    ("--kind", "rect_plus", "--dims", "1,1,99999999999999999999999", "--family", "diagonal"),
+])
+def test_exit_2_gen_dims_beyond_an_index(argv, capsys):
+    # no range or list of such a length exists; sizes that fit an index but
+    # not in memory are not tried here
+    assert run_main("gen", *argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --dims must be between 1 and {sys.maxsize}, got {argv[3]!r}\n"
+
+
+def test_gen_validates_its_instance_once(monkeypatch, tmp_path):
+    calls = []
+    real = formats._validate_instance
+    monkeypatch.setattr(formats, "_validate_instance",
+                        lambda inst: calls.append(inst.kind) or real(inst))
+    assert run_main("gen", "--kind", "rect_minus", "--dims", "1,2,2",
+                    "--output", str(tmp_path / "inst.json")) == 0
+    assert calls == ["rect_minus"]
 
 
 def test_mp_of_a_graded_diagonal_exits_0(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -210,6 +211,41 @@ def test_instance_doc_strictness(mutate):
         instance_from_doc(doc)
 
 
+@pytest.mark.parametrize("mutate, got", [
+    (lambda ops: ops.pop("c"), ('a', 'b')),
+    (lambda ops: ops.update(x=ops["a"]), ('a', 'b', 'c', 'x')),
+])
+def test_missing_or_extra_operand_gets_the_one_message(mutate, got):
+    doc = base_doc()
+    mutate(doc["operands"])
+    with pytest.raises(FormatError) as info:
+        instance_from_doc(doc)
+    assert str(info.value) == f"kind 'rect_minus' needs operands ('a', 'b', 'c'), got {got}"
+
+
+def counting(monkeypatch, owner, name):
+    """Calls to ``owner.name`` from here on, as a list of their arguments."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_float_instance_file_checks_each_entry_once(monkeypatch, tmp_path):
+    path = tmp_path / "inst.json"
+    formats.save_instance(build_instance(3, "minus", FLOAT, CONJUGATE_TRANSPOSE), str(path))
+    finite = counting(monkeypatch, math, "isfinite")
+    inst = formats.load_instance(str(path))
+    assert len(finite) == sum(m.rows * m.cols for m in inst.operands.values()) == 12
+
+
+def test_load_instance_validates_once(monkeypatch, tmp_path):
+    path = tmp_path / "inst.json"
+    formats.save_instance(build_instance(3, "rect_plus", EXACT, TRANSPOSE), str(path))
+    validations = counting(monkeypatch, formats, "_validate_instance")
+    inst = formats.load_instance(str(path))
+    assert validations == [(inst,)]
+
+
 def test_dims_on_square_kind_rejected():
     inst = build_instance(3, "minus", EXACT, CONJUGATE_TRANSPOSE)
     doc = instance_to_doc(inst)
@@ -262,7 +298,7 @@ def test_load_instance_bad_json(tmp_path):
 @pytest.mark.parametrize("kind", ("minus", "sym_left"))
 def test_square_kinds_take_the_rect_shape_rule(kind):
     inst = build_instance(3, kind, EXACT, CONJUGATE_TRANSPOSE)
-    n = inst.size
+    n = inst.operands["a"].rows
     doc = instance_to_doc(inst)
     doc["operands"]["b"] = [row + [["0", "1", "0", "1"]] for row in doc["operands"]["b"]]
     with pytest.raises(FormatError, match=rf"'b' must have shape \({n}, {n}\) "

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsolve import matrix
+from starsolve import formats, matrix
+from starsolve.formats import FormatError
 from starsolve.ring import NotMpInvertibleError
 from starsolve.matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, ShapeMismatchError,
+                              Matrix, MatrixRing, ShapeMismatchError, from_grids,
                               inverse, is_mp_inverse, mp_inverse,
                               random_matrix, rank_factorization)
 from starsolve.scalars import GaussianRational
@@ -97,6 +98,81 @@ def test_matrix_constructor_errors():
         Matrix(0, 0, (), involution="adjoint")
     with pytest.raises(ValueError, match="all-real"):
         Matrix(1, 1, ((I,),), TRANSPOSE)
+
+
+# One refusal table for every validating constructor.  A row is one outside
+# value: as a float entry, as an exact entry, as its (re, im) parts (a
+# from_grids grid over 1, a float file's [re, im] pair), and the involution.
+REFUSALS = {
+    "nan": (math.nan, math.nan, (math.nan, 0), CONJUGATE_TRANSPOSE),
+    "inf": (math.inf, math.inf, (math.inf, 0), CONJUGATE_TRANSPOSE),
+    "modulus_overflow": (complex(1.7e308, 1.7e308), complex(1.7e308, 1.7e308), (1.7e308, 1.7e308),
+                         CONJUGATE_TRANSPOSE),
+    "bool": (True, True, (True, 0), CONJUGATE_TRANSPOSE),
+    "str": ("x", "x", ("x", 0), CONJUGATE_TRANSPOSE),
+    "complex_under_transpose": (1j, I, (0, 1), TRANSPOSE),
+}
+
+# name: (backend, build from a row); decode_matrix reads a float file
+CONSTRUCTORS = {
+    "Matrix(...) float": (FLOAT, lambda f, e, parts, inv: Matrix(1, 1, ((f,),), inv, FLOAT)),
+    "Matrix.floating": (FLOAT, lambda f, e, parts, inv: Matrix.floating([[f]], inv)),
+    "Matrix(...) exact": (EXACT, lambda f, e, parts, inv: Matrix(1, 1, ((e,),), inv, EXACT)),
+    "Matrix.exact": (EXACT, lambda f, e, parts, inv: Matrix.exact([[e]], inv)),
+    "from_grids": (EXACT, lambda f, e, parts, inv: from_grids(1, 1, inv, [[parts[0]]],
+                                                              [[parts[1]]], 1)),
+    "decode_matrix": (None, lambda f, e, parts, inv: formats.decode_matrix([[list(parts)]],
+                                                                           FLOAT, inv)),
+}
+
+
+@pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+@pytest.mark.parametrize("row", sorted(REFUSALS))
+def test_every_validating_constructor_refuses(row, constructor):
+    backend, build = CONSTRUCTORS[constructor]
+    if backend is None:
+        expected = FormatError
+    elif row == "complex_under_transpose":
+        expected = ValueError
+    elif backend == EXACT or row in ("bool", "str"):
+        expected = TypeError  # an exact matrix takes no float, bool or str
+    else:
+        expected = ValueError
+    with pytest.raises(Exception) as info:
+        build(*REFUSALS[row])
+    assert type(info.value) is expected, info.value
+
+
+def test_from_grids_checks_shape_and_denominator():
+    assert from_grids(1, 1, CONJUGATE_TRANSPOSE, [[2]], [[4]], 6).grids == (((1,),), ((2,),), 3)
+    with pytest.raises(ShapeMismatchError):
+        from_grids(2, 1, CONJUGATE_TRANSPOSE, [[1]], [[0]], 1)
+    with pytest.raises(ShapeMismatchError):
+        from_grids(1, 1, CONJUGATE_TRANSPOSE, [[1]], [[0, 0]], 1)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            from_grids(1, 1, CONJUGATE_TRANSPOSE, [[1]], [[0]], d)
+
+
+def test_constructor_takes_entries_as_exact_and_floating_do():
+    rows = ((3, Fraction(-1, 2)), (GaussianRational(Fraction(2, 3), 1), 0))
+    m = Matrix(2, 2, rows)
+    assert m == Matrix.exact(rows)
+    assert m.grids == (((18, -3), (4, 0)), ((0, 0), (6, 0)), 6)
+    assert m.entry(1, 0) == GaussianRational(Fraction(2, 3), 1)
+    f = Matrix(1, 2, ((1, 2.5),), backend=FLOAT)
+    assert f == Matrix.floating([[1, 2.5]])
+    assert [type(z) for z in f.entries[0]] == [complex, complex]
+
+
+def test_copy_and_pickle_keep_an_overflowed_float_entry():
+    # a copy is the same value, built unchecked like the arithmetic result it is
+    big = Matrix.floating([[1e308, 1.0]])
+    m = big + big
+    assert m.entry(0, 0) == complex(math.inf, 0.0)
+    for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert twin == m and twin.entries == m.entries
+    assert math.isnan(pickle.loads(pickle.dumps(m - m)).entry(0, 0).real)
 
 
 def test_mixed_tags_raise():
