@@ -3,6 +3,10 @@
 Subcommands: mp, check, solve, gen, verify.  Instances and matrices travel
 as the versioned JSON documents in formats.py; reports are JSON too, with a
 short human summary on stdout whenever --output redirects the machine copy.
+Every report opens with the same envelope: version, command, generated_at.
+--tol is checked once, in :func:`main`, before a subcommand reads a file.
+`check` and `solve` take their verdict from one solver call and read each
+residual once; a solution is re-verified before it is printed.
 
 Exit codes are a stable contract:
 
@@ -64,10 +68,10 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _resolve_tol(args) -> float:
-    if not 0 < args.tol < math.inf:
-        raise FormatError(f"tolerance must be finite and positive, got {args.tol}")
-    return args.tol
+def _report(command: str, **fields) -> dict:
+    """A report: the envelope every subcommand's report shares, then ``fields``."""
+    return {"version": formats.FORMAT_VERSION, "command": command,
+            "generated_at": _utc_now(), **fields}
 
 
 def _in_band(residual_max: float, tol: Optional[float]) -> bool:
@@ -95,14 +99,6 @@ def _max_abs(m) -> float:
     return _finite(value, "a residual's largest |entry|")
 
 
-def _ring_for(inst: Instance) -> MatrixRing:
-    return MatrixRing(inst.operands["a"].rows, inst.backend, inst.involution)
-
-
-def _sym_side(kind: str) -> str:
-    return "right" if kind == "sym_right" else "left"
-
-
 def _instance_summary(inst: Instance) -> dict:
     return {
         "kind": inst.kind,
@@ -113,42 +109,36 @@ def _instance_summary(inst: Instance) -> dict:
     }
 
 
-def _condition_entries(conditions) -> list:
-    return [{"name": c.name,
-             "ok": c.ok,
-             "residual_max_abs": _max_abs(c.residual)}
-            for c in conditions]
-
-
-def _hypotheses_section(report) -> dict:
-    rc, hc = report.range_condition, report.hermitian_condition
-    return {
-        "range_ok": rc.ok,
-        "hermitian_ok": hc.ok,
-        "range_defect_max_abs": _max_abs(rc.residual),
-        "hermitian_defect_max_abs": _max_abs(hc.residual),
-        "tolerance": None if rc.tol is None else max(_finite(rc.tol, "a tolerance"),
-                                                     _finite(hc.tol, "a tolerance")),
-    }
-
-
 def _verdict_fields(report, conditions) -> dict:
     """The verdict part of a check or solve report; ``report`` is the
-    hypothesis report (None for sym kinds), ``conditions`` those on c."""
+    hypothesis report (None for sym kinds), ``conditions`` those on c.
+    Each residual's largest |entry| and each tolerance is read once, in
+    order: the conditions on c, then the range and hermitian conditions; the
+    first that is not a finite float is the one an exit 2 names."""
     if report is not None and not report.ok:
         verdict, failed = "hypotheses_failed", list(report.failed_names())
     else:
         failed = [c.name for c in conditions if not c.ok]
         verdict = "unsolvable" if failed else "solvable"
     checked = tuple(conditions) + (report.conditions if report is not None else ())
-    in_band = [_in_band(_max_abs(c.residual), _finite(c.tol, "a tolerance"))
-               for c in checked]
+    measured = [(c, _max_abs(c.residual), _finite(c.tol, "a tolerance")) for c in checked]
+    hypotheses = None
+    if report is not None:
+        (rc, range_max, range_tol), (hc, hermitian_max, hermitian_tol) = measured[-2:]
+        hypotheses = {
+            "range_ok": rc.ok,
+            "hermitian_ok": hc.ok,
+            "range_defect_max_abs": range_max,
+            "hermitian_defect_max_abs": hermitian_max,
+            "tolerance": None if range_tol is None else max(range_tol, hermitian_tol),
+        }
     return {
-        "hypotheses": _hypotheses_section(report) if report is not None else None,
+        "hypotheses": hypotheses,
         "verdict": verdict,
         "failed_conditions": failed,
-        "conditions": _condition_entries(conditions),
-        "indeterminate": any(in_band),
+        "conditions": [{"name": c.name, "ok": c.ok, "residual_max_abs": residual_max}
+                       for c, residual_max, _ in measured[:len(conditions)]],
+        "indeterminate": any(_in_band(residual_max, tol) for _, residual_max, tol in measured),
     }
 
 
@@ -164,7 +154,7 @@ def _emit(doc: dict, args, summary_lines) -> None:
 
 def _solve_instance(inst: Instance, rtol: float):
     from .solvers import solve, solve_sym_left, solve_sym_right
-    ring = _ring_for(inst)
+    ring = MatrixRing(inst.operands["a"].rows, inst.backend, inst.involution)
     a, b = inst.operands["a"], inst.operands["b"]
     if inst.kind == "sym_right":
         return solve_sym_right(ring, a, b, rtol=rtol)
@@ -173,54 +163,37 @@ def _solve_instance(inst: Instance, rtol: float):
     return solve(ring, inst.sign, a, b, inst.operands["c"], rtol=rtol)
 
 
-def _verdict(inst: Instance, rtol: float):
-    """(family or None, hypothesis report or None, conditions on c) from one
-    solver call, the verdict path of both `check` and `solve`."""
+def _verdict_report(command: str, inst: Instance, rtol: float):
+    """(family or None, report with the verdict) from one solver call, the
+    verdict path of both `check` and `solve`."""
     from .solvers import HypothesesFailError, UnsolvableError
     try:
         fam = _solve_instance(inst, rtol)
     except HypothesesFailError as exc:
-        return None, exc.report, ()
+        fam, report, conditions = None, exc.report, ()
     except UnsolvableError as exc:
-        return None, exc.report, exc.conditions
-    return fam, fam.report, fam.conditions
-
-
-def _base_report(command: str, inst: Instance, tol_rtol: float) -> dict:
-    return {
-        "version": formats.FORMAT_VERSION,
-        "command": command,
-        "generated_at": _utc_now(),
-        "instance": _instance_summary(inst),
-        "tolerance": tol_rtol if inst.backend == FLOAT else None,
-    }
+        fam, report, conditions = None, exc.report, exc.conditions
+    else:
+        report, conditions = fam.report, fam.conditions
+    return fam, _report(command, instance=_instance_summary(inst),
+                        tolerance=rtol if inst.backend == FLOAT else None,
+                        **_verdict_fields(report, conditions))
 
 
 # -- mp ------------------------------------------------------------------
 
 
 def cmd_mp(args) -> int:
-    rtol = _resolve_tol(args)
     m = formats.load_matrix(args.input)
     dagger = mp_inverse(m)
     names = ("axa_minus_a", "xax_minus_x", "ax_hermitian_defect", "xa_hermitian_defect")
-    defects = penrose_defects(m, dagger)
-    doc = {
-        "version": formats.FORMAT_VERSION,
-        "command": "mp",
-        "generated_at": _utc_now(),
-        "backend": m.backend,
-        "involution": m.involution,
-        "shape": list(m.shape),
-        "mp_inverse": formats.encode_matrix(dagger),
-        "penrose_residuals": {name: _max_abs(d)
-                              for name, d in zip(names, defects)},
-        "tolerance": rtol if m.backend == FLOAT else None,
-    }
-    worst = max(doc["penrose_residuals"].values())
+    residuals = {name: _max_abs(d) for name, d in zip(names, penrose_defects(m, dagger))}
+    doc = _report("mp", backend=m.backend, involution=m.involution, shape=list(m.shape),
+                  mp_inverse=formats.encode_matrix(dagger), penrose_residuals=residuals,
+                  tolerance=args.tol if m.backend == FLOAT else None)
     _emit(doc, args, [
         f"mp-inverse of {m.rows}x{m.cols} {m.backend} matrix ({m.involution})",
-        f"penrose residual max |entry| = {worst:.3e}",
+        f"penrose residual max |entry| = {max(residuals.values()):.3e}",
     ])
     return EXIT_OK
 
@@ -229,11 +202,8 @@ def cmd_mp(args) -> int:
 
 
 def cmd_check(args) -> int:
-    rtol = _resolve_tol(args)
     inst = formats.load_instance(args.input)
-    doc = _base_report("check", inst, rtol)
-    _, report, conditions = _verdict(inst, rtol)
-    doc.update(_verdict_fields(report, conditions))
+    _, doc = _verdict_report("check", inst, args.tol)
     verdict, failed = doc["verdict"], doc["failed_conditions"]
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
              f"verdict: {verdict}" + (f" ({', '.join(failed)})" if failed else "")]
@@ -246,15 +216,21 @@ def cmd_check(args) -> int:
 # -- solve ---------------------------------------------------------------
 
 
+def _reverified_max_abs(fam, x, subject: str) -> float:
+    """The largest |entry| of x's residual, once the family has confirmed
+    that x solves its equation; SelfCheckError names ``subject`` if not."""
+    residual = fam.residual(x)
+    residual_max = _max_abs(residual)  # exit 2 if eq(x) overflowed
+    if not fam.residual_ok(x, residual):
+        raise SelfCheckError(f"{subject} failed re-verification")
+    return residual_max
+
+
 def _sample_section(fam, base_seed: int, count: int) -> list:
     samples = []
-    for i in range(count):
-        seed = base_seed + i
+    for seed in range(base_seed, base_seed + count):
         x = fam.sample(seed)
-        residual = fam.residual(x)
-        residual_max = _max_abs(residual)  # exit 2 if eq(x) overflowed
-        if not fam.residual_ok(x, residual):
-            raise SelfCheckError(f"sample for seed {seed} failed re-verification")
+        residual_max = _reverified_max_abs(fam, x, f"sample for seed {seed}")
         samples.append({
             "seed": seed,
             "solution": formats.encode_matrix(x),
@@ -278,25 +254,19 @@ def _oracle_section(fam) -> dict:
 
 
 def cmd_solve(args) -> int:
-    rtol = _resolve_tol(args)
     if args.samples < 0:
         raise FormatError(f"--samples must be non-negative, got {args.samples}")
     inst = formats.load_instance(args.input)
     if args.oracle and inst.backend != EXACT:
         raise FormatError("--oracle needs the exact backend")
-    doc = _base_report("solve", inst, rtol)
-    fam, report, conditions = _verdict(inst, rtol)
-    doc.update(_verdict_fields(report, conditions))
+    fam, doc = _verdict_report("solve", inst, args.tol)
     if fam is None:
         verdict, failed = doc["verdict"], doc["failed_conditions"]
         _emit(doc, args, [f"{inst.kind} instance: {verdict.replace('_', ' ')} "
                           f"({', '.join(failed)})"])
         return EXIT_HYPOTHESES_FAIL if verdict == "hypotheses_failed" else EXIT_UNSOLVABLE
 
-    residual = fam.residual(fam.x0)
-    residual_max = _max_abs(residual)
-    if not fam.residual_ok(fam.x0, residual):
-        raise SelfCheckError("particular solution failed re-verification")
+    residual_max = _reverified_max_abs(fam, fam.x0, "particular solution")
     # the certificate runs before the samples: where L is broken, its exact
     # witness names the faulty coefficient, and a sample would only fail
     oracle = _oracle_section(fam) if args.oracle else None
@@ -307,12 +277,11 @@ def cmd_solve(args) -> int:
     })
     lines = [f"{inst.kind} instance, {inst.backend} backend, {inst.involution}",
              "verdict: solvable",
-             f"x0 residual max |entry| = {doc['residual_max_abs']:.3e}",
+             f"x0 residual max |entry| = {residual_max:.3e}",
              f"{args.samples} sample solutions verified"]
     if oracle is not None:
         doc["oracle"] = oracle
-        lines.append(f"oracle agreement: ok "
-                     f"(real dimension {doc['oracle']['real_dimension']})")
+        lines.append(f"oracle agreement: ok (real dimension {oracle['real_dimension']})")
     _emit(doc, args, lines)
     return EXIT_OK
 
@@ -354,8 +323,8 @@ def cmd_gen(args) -> int:
     elif kind in SYM_KINDS:
         if args.family is not None:
             raise FormatError("--family does not apply to sym kinds")
-        a, b = random_sym_instance(rng, _sym_side(kind), dims, args.force_solvable,
-                                   args.involution)
+        a, b = random_sym_instance(rng, kind.removeprefix("sym_"), dims,
+                                   args.force_solvable, args.involution)
         operands, inst_dims = {"a": a, "b": b}, None
     else:
         family = args.family or "coisometry"
@@ -385,33 +354,24 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     from .solvers import equation_lhs, residual_tolerance, sym_general_form
-    rtol = _resolve_tol(args)
     inst = formats.load_instance(args.input)
     x = formats.load_matrix(args.solution)
     if x.backend != inst.backend or x.involution != inst.involution:
         raise FormatError("solution tags do not match the instance")
     # the equation in general form, A x B* -/+ B x* A* = C, with x: A.cols x B.cols
     a, b = inst.operands["a"], inst.operands["b"]
-    a, b, rhs = (sym_general_form(_sym_side(inst.kind), a, b) if inst.kind in SYM_KINDS
+    a, b, rhs = (sym_general_form(inst.kind.removeprefix("sym_"), a, b)
+                 if inst.kind in SYM_KINDS
                  else (a, b, inst.operands["c"]))
     if x.shape != (a.cols, b.cols):
         raise FormatError(f"solution must have shape {(a.cols, b.cols)}, got {x.shape}")
 
     residual = equation_lhs(inst.sign, a, b, x).sub(rhs)
     residual_max = _max_abs(residual)
-    tol_abs = _finite(residual_tolerance(rtol, a, b, rhs, x), "the tolerance")
+    tol_abs = _finite(residual_tolerance(args.tol, a, b, rhs, x), "the tolerance")
     verified = residual.is_zero(tol_abs)
-
-    doc = {
-        "version": formats.FORMAT_VERSION,
-        "command": "verify",
-        "generated_at": _utc_now(),
-        "instance": _instance_summary(inst),
-        "solution_shape": list(x.shape),
-        "tolerance": tol_abs,
-        "residual_max_abs": residual_max,
-        "verified": verified,
-    }
+    doc = _report("verify", instance=_instance_summary(inst), solution_shape=list(x.shape),
+                  tolerance=tol_abs, residual_max_abs=residual_max, verified=verified)
     _emit(doc, args, [
         f"residual max |entry| = {residual_max:.3e}",
         "verdict: verified" if verified else "verdict: FAILED",
@@ -493,6 +453,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.tol is not None and not 0 < args.tol < math.inf:  # gen has no --tol
+            raise FormatError(f"tolerance must be finite and positive, got {args.tol}")
         return args.func(args)
     except (FormatError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

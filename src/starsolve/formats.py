@@ -28,7 +28,7 @@ import math
 import re
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, from_parts
+from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, finite_complex, from_parts
 
 FORMAT_VERSION = "1"
 
@@ -136,9 +136,10 @@ def decode_scalar(raw, backend: str, what: str = "entry"):
         re_num, re_den, im_num, im_den = _parse_quadruple(raw, what)
         return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
     z = _parse_pair(raw, what)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        _fail(f"{what} must be finite")
-    return z
+    try:
+        return finite_complex(z)
+    except ValueError as exc:  # a non-finite part or modulus
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 # -- matrices ---------------------------------------------------------------

@@ -282,11 +282,12 @@ def test_huge_skew_instance_still_solvable(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ("inf", "nan", "0", "-1e-9"))
 def test_exit_2_tolerance_not_finite_and_positive(tol, tmp_path, capsys):
-    inst = str(tmp_path / "f.json")
-    run_main("gen", "--kind", "minus", "--backend", "float", "--output", inst)
-    assert run_main("check", "--input", inst, f"--tol={tol}") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: tolerance") and err.count("\n") == 1
+    # no input exists: the tolerance is checked before any file is read
+    missing = str(tmp_path / "missing.json")
+    for argv in (("mp",), ("check",), ("solve",), ("verify", "--solution", missing)):
+        assert run_main(*argv, "--input", missing, f"--tol={tol}") == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerance") and err.count("\n") == 1, argv
 
 
 def test_exit_2_missing_file():
@@ -528,6 +529,30 @@ def test_solve_computes_each_residual_once(monkeypatch, tmp_path):
     assert run_main("solve", "--input", str(GOLDEN / "diag_solvable.json"),
                     "--samples", "3", "--output", str(tmp_path / "r.json")) == 0
     assert len(calls) == 4  # x0 and three samples, once each
+
+
+@pytest.mark.parametrize("backend, expected", [
+    # exact: the report reads each of the 4 residuals (2 conditions on c, the
+    # range and the hermitian one) once; float: the same 4, and 14 in the
+    # solver (8 for the tolerances, 4 zero tests, 2 MP-inverse scalings)
+    ("exact", 4),
+    ("float", 18),
+])
+def test_check_measures_each_residual_once(monkeypatch, tmp_path, backend, expected):
+    path = GOLDEN / "diag_solvable.json"
+    if backend == "float":
+        write_scaled_float(tmp_path / "inst.json", formats.load_instance(str(path)), 1.0)
+        path = tmp_path / "inst.json"
+    calls = []
+    real = matrix.Matrix.max_abs
+
+    def counting(self):
+        calls.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(matrix.Matrix, "max_abs", counting)
+    assert run_main("check", "--input", str(path), "--output", str(tmp_path / "r.json")) == 0
+    assert len(calls) == expected
 
 
 def test_argparse_rejects_unknown_subcommand():
@@ -950,9 +975,16 @@ def test_float_runs_leave_the_exact_arithmetic_unloaded(tmp_path):
 
 
 def test_generated_at_is_a_utc_timestamp(capsys):
-    assert run_main("check", "--input", str(GOLDEN / "scalar_minus.json")) == 0
-    stamp = json.loads(capsys.readouterr().out)["generated_at"]
-    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", stamp)
+    # every report carries the same envelope
+    inst = str(GOLDEN / "rect_minus.json")
+    for argv in (("mp", "--input", str(GOLDEN / "mp_input.json")),
+                 ("check", "--input", inst),
+                 ("solve", "--input", inst),
+                 ("verify", "--input", inst, "--solution", str(GOLDEN / "rect_solution.json"))):
+        assert run_main(*argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["version"] == formats.FORMAT_VERSION and doc["command"] == argv[0]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", doc["generated_at"])
 
 
 # -- round trips through the console entry point -----------------------------------

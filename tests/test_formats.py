@@ -76,7 +76,8 @@ def test_exact_scalar_rejects_malformed(raw):
 
 
 @pytest.mark.parametrize("raw", [[float("inf"), 0.0], [0.0], ["1", 0.0],
-                                 [True, 0.0]])
+                                 [True, 0.0],
+                                 [1.7e308, 1.7e308]])  # finite parts, modulus overflows
 def test_float_scalar_rejects_malformed(raw):
     with pytest.raises(FormatError):
         formats.decode_scalar(raw, FLOAT)

@@ -1,6 +1,7 @@
-"""Every imported name in src/ and tests/ is used, and every function and
-class defined in src/ has a caller (no linter runs in tier-1).  The package
-surface is lazy: ``import starsolve`` loads no submodule."""
+"""Every imported name in src/ and tests/ is used, every function and class
+defined in src/ has a caller, and every parameter in src/ is read (no
+linter runs in tier-1).  The package surface is lazy: ``import starsolve``
+loads no submodule."""
 
 import ast
 import importlib
@@ -98,6 +99,55 @@ def test_every_src_definition_has_a_caller():
                for top in ("src", "tests", "perfbench")}
     others = {**sources["tests"], **sources["perfbench"]}
     assert unreferenced_definitions(sources["src"], others) == []
+
+
+# the ring of c, which perfbench/ still passes to these entry points
+UNREAD_PARAMETERS_ALLOWED = {
+    ("src/starsolve/solvers.py", "check_hypotheses", "ring"),
+    ("src/starsolve/solvers.py", "solve_sym_right", "ring"),
+    ("src/starsolve/solvers.py", "solve_sym_left", "ring"),
+}
+
+
+def unread_parameters(source: str) -> list:
+    """(function, parameter) of each parameter its function's body never
+    reads; dunder methods and a method's receiver (``self``, ``cls``) are
+    skipped."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or (node.name.startswith("__") and node.name.endswith("__"))):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        if id(node) in methods and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list):
+            params = params[1:]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(node.name, p) for p in params if p not in read]
+    return found
+
+
+def test_scanner_sees_unread_parameters():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + kw['x']\n"
+              "def g(x):\n    def h():\n        return x\n    return h\n"
+              "class C:\n    def __init__(self, unused): pass\n"
+              "    @classmethod\n    def make(cls, n): return n\n"
+              "    @staticmethod\n    def s(self): pass\n")
+    assert unread_parameters(source) == [("f", "b"), ("f", "c"), ("f", "rest"),
+                                         ("s", "self")]
+
+
+def test_every_parameter_is_read():
+    found = {(str(path.relative_to(ROOT)), *entry)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for entry in unread_parameters(path.read_text())}
+    assert found == UNREAD_PARAMETERS_ALLOWED
 
 
 # -- the lazy package surface -----------------------------------------------------
