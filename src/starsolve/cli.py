@@ -36,7 +36,7 @@ from typing import Optional
 
 from . import formats
 from .formats import (FormatError, GenerationError, Instance, KINDS, PAIR_FAMILIES,
-                      RECT_FAMILIES, RECT_KINDS, SQUARE_KINDS, SYM_KINDS)
+                      RECT_FAMILIES, RECT_KINDS, SYM_KINDS)
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
                      RTOL, MatrixRing, mp_inverse, penrose_defects)
 from .ring import NotMpInvertibleError
@@ -190,7 +190,7 @@ def cmd_mp(args) -> int:
     residuals = {name: _max_abs(d) for name, d in zip(names, penrose_defects(m, dagger))}
     doc = _report("mp", backend=m.backend, involution=m.involution, shape=list(m.shape),
                   mp_inverse=formats.encode_matrix(dagger), penrose_residuals=residuals,
-                  tolerance=args.tol if m.backend == FLOAT else None)
+                  tolerance=None)
     _emit(doc, args, [
         f"mp-inverse of {m.rows}x{m.cols} {m.backend} matrix ({m.involution})",
         f"penrose residual max |entry| = {max(residuals.values()):.3e}",
@@ -313,26 +313,23 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     sign = formats.sign_of(kind)
 
-    if kind in SQUARE_KINDS:
-        family = args.family or "unitary"
-        if family not in PAIR_FAMILIES:
-            raise FormatError(f"--family must be one of {PAIR_FAMILIES} for {kind!r}")
-        a, b, c = random_square_instance(rng, sign, dims, family,
-                                         args.force_solvable, args.involution)
-        operands, inst_dims = {"a": a, "b": b, "c": c}, None
-    elif kind in SYM_KINDS:
+    if kind in SYM_KINDS:
         if args.family is not None:
             raise FormatError("--family does not apply to sym kinds")
         a, b = random_sym_instance(rng, kind.removeprefix("sym_"), dims,
                                    args.force_solvable, args.involution)
         operands, inst_dims = {"a": a, "b": b}, None
     else:
-        family = args.family or "coisometry"
-        if family not in RECT_FAMILIES:
-            raise FormatError(f"--family must be one of {RECT_FAMILIES} for {kind!r}")
-        problem = random_rect_instance(rng, dims, family, args.force_solvable,
-                                       args.involution, sign)
-        operands, inst_dims = {"a": problem.a, "b": problem.b, "c": problem.c}, dims
+        rect = kind in RECT_KINDS
+        families, default = (RECT_FAMILIES, "coisometry") if rect else (PAIR_FAMILIES, "unitary")
+        family = args.family or default
+        if family not in families:
+            raise FormatError(f"--family must be one of {families} for {kind!r}")
+        problem = (random_rect_instance(rng, dims, family, args.force_solvable,
+                                        args.involution, sign) if rect
+                   else random_square_instance(rng, sign, dims, family, args.force_solvable,
+                                               args.involution))
+        operands, inst_dims = problem._asdict(), dims if rect else None
 
     if args.backend == FLOAT:
         operands = {name: m.to_float() for name, m in operands.items()}
@@ -389,9 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "cases over exact or float matrix rings.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--output", help="write the JSON report here "
                        "(summary goes to stdout); default prints JSON")
+
+    def common(p):
+        output(p)
         p.add_argument("--tol", type=float, default=RTOL,
                        help=f"relative float tolerance: each float zero test "
                             f"allows this times the scale of its residual's "
@@ -399,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mp = sub.add_parser("mp", help="Moore-Penrose inverse of one matrix")
     p_mp.add_argument("--input", required=True, help="matrix file (JSON)")
-    common(p_mp)
-    p_mp.set_defaults(func=cmd_mp)
+    output(p_mp)  # no decision of mp_inverse reads a tolerance
+    p_mp.set_defaults(func=cmd_mp, tol=None)
 
     p_check = sub.add_parser("check", help="hypotheses and solvability verdict, "
                                            "without printing a solution")
@@ -453,7 +453,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tol is not None and not 0 < args.tol < math.inf:  # gen has no --tol
+        if args.tol is not None and not 0 < args.tol < math.inf:  # gen and mp have no --tol
             raise FormatError(f"tolerance must be finite and positive, got {args.tol}")
         return args.func(args)
     except (FormatError, GenerationError, OSError) as exc:

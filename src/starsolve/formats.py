@@ -49,6 +49,8 @@ _INT_RE = re.compile(r"-?[0-9]+")
 
 def sign_of(kind: str) -> str:
     """Sign of the general-form equation a x b* -/+ b x* a* = c of a kind."""
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     return "plus" if kind in ("plus", "sym_right", "sym_left", "rect_plus") else "minus"
 
 
@@ -130,6 +132,7 @@ def _parse_pair(raw, what: str) -> complex:
 
 
 def decode_scalar(raw, backend: str, what: str = "entry"):
+    _check_backend(backend, what)
     if backend == EXACT:
         from fractions import Fraction
         from .scalars import GaussianRational
@@ -160,6 +163,7 @@ def encode_matrix(m: Matrix) -> list:
 
 
 def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> Matrix:
+    _check_backend(backend, what)
     if not isinstance(raw, list) or not raw:
         _fail(f"{what} must be a non-empty list of rows")
     parse = _parse_quadruple if backend == EXACT else _parse_pair
@@ -181,9 +185,13 @@ def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> M
         raise FormatError(f"{what}: {exc}") from exc
 
 
+def _check_backend(backend: str, what: str) -> None:
+    if backend not in BACKENDS:
+        _fail(f"{what} backend must be one of {BACKENDS}, got {backend!r}")
+
+
 def _check_enums(doc: Mapping, what: str) -> None:
-    if doc["backend"] not in BACKENDS:
-        _fail(f"{what} backend must be one of {BACKENDS}, got {doc['backend']!r}")
+    _check_backend(doc["backend"], what)
     if doc["involution"] not in INVOLUTIONS:
         _fail(f"{what} involution must be one of {INVOLUTIONS}, got {doc['involution']!r}")
 

@@ -14,7 +14,8 @@ from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
 from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, from_parts,
                      random_matrix, random_sixths)
 from .rect import RectProblem
-from .solvers import MINUS, PLUS, _check_sign, check_hypotheses, equation_lhs, sym_general_form
+from .solvers import (MINUS, PLUS, _check_side, _check_sign, check_hypotheses, equation_lhs,
+                      sym_general_form)
 
 _MAX_TRIES = 500
 
@@ -118,12 +119,13 @@ def random_pair(rng: random.Random, size: int, family: str,
 
 def random_square_instance(rng: random.Random, sign: str, size: int, family: str,
                            force_solvable: bool = True,
-                           involution: str = CONJUGATE_TRANSPOSE):
-    """(a, b, c) with the hypotheses holding; c forced solvable or random
-    with the matching symmetry (so the interesting condition stays in play)."""
+                           involution: str = CONJUGATE_TRANSPOSE) -> RectProblem:
+    """The problem (a, b, c) at dims (n, n, n) with the hypotheses holding;
+    c forced solvable or random with the matching symmetry (so the
+    interesting condition stays in play)."""
     _check_sign(sign)
     a, b = random_pair(rng, size, family, involution)
-    return a, b, _random_c(rng, sign, a, b, force_solvable)
+    return RectProblem(a, b, _random_c(rng, sign, a, b, force_solvable))
 
 
 def _random_c(rng: random.Random, sign: str, a: Matrix, b: Matrix,
@@ -146,8 +148,7 @@ def random_sym_instance(rng: random.Random, side: str, size: int,
     the time: a zeroed row starves the column space (right side), a zeroed
     column the row space (left side).
     """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+    _check_side(side)
     a = random_matrix(rng, size, size, EXACT, involution)
     if size > 1 and rng.random() < 0.6:
         kill = rng.randrange(size)

@@ -17,7 +17,7 @@ Note the shape normalization: B must be m x p for A X B* to exist; the
 p x m convention seen elsewhere refers to B*.
 """
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .matrix import RTOL, Matrix, MatrixRing
 from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, solve
@@ -25,16 +25,17 @@ from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, 
 Dims = Tuple[int, int, int]
 
 
-class RectProblem:
+class RectProblem(NamedTuple("_Operands", [("a", Matrix), ("b", Matrix), ("c", Matrix)])):
     """Operands of A X B* - B X* A* = C with A: m x n, B: m x p, C: m x m.
 
-    Immutable and validated on construction; two problems are equal when
-    their operands are.
+    An immutable named triple, equal and hashed by its operands (so equal
+    to the plain tuple (a, b, c)); every way to build one (the constructor,
+    ``_make``, ``_replace``, copy, pickle) goes through the check in ``__new__``.
     """
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ()
 
-    def __init__(self, a: Matrix, b: Matrix, c: Matrix):
+    def __new__(cls, a: Matrix, b: Matrix, c: Matrix):
         for other in (b, c):
             a._check_tags(other)
         m = a.rows
@@ -43,28 +44,11 @@ class RectProblem:
                 f"need A: m x n, B: m x p, C: m x m; got {a.shape}, {b.shape}, {c.shape}")
         if m < 1 or a.cols < 1 or b.cols < 1:
             raise ValueError("all of m, n, p must be at least 1")
-        for name, value in zip(RectProblem.__slots__, (a, b, c)):
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, a, b, c)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RectProblem is immutable")
-
-    def _operands(self) -> tuple:
-        return (self.a, self.b, self.c)
-
-    def __eq__(self, other):
-        if other.__class__ is not RectProblem:
-            return NotImplemented
-        return self._operands() == other._operands()
-
-    def __hash__(self):
-        return hash(self._operands())
-
-    def __reduce__(self):  # copy and pickle: rebuild through __init__
-        return RectProblem, self._operands()
-
-    def __repr__(self):
-        return f"RectProblem(a={self.a!r}, b={self.b!r}, c={self.c!r})"
+    @classmethod
+    def _make(cls, iterable) -> "RectProblem":  # the inherited one skips __new__
+        return cls(*iterable)
 
     @property
     def dims(self) -> Dims:

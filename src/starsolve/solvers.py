@@ -48,6 +48,11 @@ def _check_sign(sign: str):
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
 
 
+def _check_side(side: str):
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+
+
 class Condition(NamedTuple):
     """One named check; ``residual`` is the matrix that must vanish."""
 
@@ -283,13 +288,13 @@ def sym_general_form(side: str, a: Matrix, b: Matrix) -> tuple:
     """(A, B, C) with the symmetric equation written as A x B* + B x* A* = C:
     (1, a, b) for x a* + a x* = b ("right"), (a*, 1, b) for a* x + x* a = b
     ("left")."""
+    _check_side(side)
     one = Matrix.identity(a.rows, a.involution, a.backend)
     return (one, a, b) if side == "right" else (a.star(), one, b)
 
 
 def _solve_sym(side: str, a: Matrix, b: Matrix, rtol: float) -> SolutionFamily:
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
+    general = sym_general_form(side, a, b)  # refuses an unknown side first
     a_dagger = matrix.mp_inverse(a)
     one = Matrix.identity(a.rows, a.involution, a.backend)
     if side == "right":
@@ -305,8 +310,7 @@ def _solve_sym(side: str, a: Matrix, b: Matrix, rtol: float) -> SolutionFamily:
     one_plus_proj, ad_star = one + proj, a_dagger.star()
     g, h = ((one_plus_proj.half(), ad_star) if side == "right"
             else (ad_star.half(), one_plus_proj))
-    return SolutionFamily(PLUS, *sym_general_form(side, a, b), g, h, "sym_" + side,
-                          None, conditions, rtol)
+    return SolutionFamily(PLUS, *general, g, h, "sym_" + side, None, conditions, rtol)
 
 
 def solve_sym_right(ring: MatrixRing, a: Matrix, b: Matrix,

@@ -204,6 +204,15 @@ UNREADABLE_INPUTS = {
     "not_utf8": ("check", b"\xff\xfe{}"),
     # deeper than the JSON decoder recurses
     "nested_too_deep": ("mp", b"[" * 200_000 + b"]" * 200_000),
+    "matrix_file_not_an_object": ("mp", b"[]"),
+    "matrix_empty": ("mp", json.dumps(dict(float_matrix_doc([0, 0]), matrix=[])).encode()),
+    "matrix_not_a_list": ("mp", json.dumps(dict(float_matrix_doc([0, 0]), matrix="1")).encode()),
+    "matrix_row_empty": ("mp", json.dumps(dict(float_matrix_doc([0, 0]), matrix=[[]])).encode()),
+    "matrix_file_type_not_matrix": ("mp", json.dumps(dict(float_matrix_doc([0, 0]),
+                                                          type="vector")).encode()),
+    "operands_not_an_object": ("check", json.dumps(
+        {"version": "1", "kind": "minus", "backend": "exact",
+         "involution": "conjugate_transpose", "operands": []}).encode()),
 }
 
 
@@ -284,10 +293,15 @@ def test_huge_skew_instance_still_solvable(command, tmp_path, capsys):
 def test_exit_2_tolerance_not_finite_and_positive(tol, tmp_path, capsys):
     # no input exists: the tolerance is checked before any file is read
     missing = str(tmp_path / "missing.json")
-    for argv in (("mp",), ("check",), ("solve",), ("verify", "--solution", missing)):
+    for argv in (("check",), ("solve",), ("verify", "--solution", missing)):
         assert run_main(*argv, "--input", missing, f"--tol={tol}") == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: tolerance") and err.count("\n") == 1, argv
+    # mp has no --tol: no decision of mp_inverse reads one
+    with pytest.raises(SystemExit) as exc:
+        run_main("mp", "--input", missing, f"--tol={tol}")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_exit_2_missing_file():
@@ -321,6 +335,20 @@ def test_exit_2_gen_dims_beyond_an_index(argv, capsys):
     assert run_main("gen", *argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: --dims must be between 1 and {sys.maxsize}, got {argv[3]!r}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--kind", "minus", "--dims", "2,2"), "--dims must be n for 'minus', got '2,2'"),
+    (("--kind", "rect_plus", "--dims", "2"), "--dims must be m,n,p for 'rect_plus', got '2'"),
+    (("--kind", "plus", "--dims", "two"), "--dims must be integers, got 'two'"),
+    (("--kind", "minus", "--family", "coisometry"),
+     "--family must be one of ('unitary', 'equal', 'diagonal', 'rejection') for 'minus'"),
+    (("--kind", "rect_minus", "--family", "unitary"),
+     "--family must be one of ('coisometry', 'diagonal', 'rejection') for 'rect_minus'"),
+])
+def test_exit_2_gen_refuses_dims_and_family(argv, err, capsys):
+    assert run_main("gen", *argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_gen_validates_its_instance_once(monkeypatch, tmp_path):
@@ -394,6 +422,20 @@ def test_exit_6_verify_rejects_non_solution(tmp_path):
     doc = json.loads(out.read_text())
     assert not doc["verified"]
     assert doc["residual_max_abs"] > 0
+
+
+@pytest.mark.parametrize("solution, err", [
+    ({"backend": "float", "matrix": [[[0.0, 0.0]]]}, "solution tags do not match the instance"),
+    ({"backend": "exact", "matrix": [[["0", "1", "0", "1"]] * 2]},
+     "solution must have shape (1, 1), got (1, 2)"),
+])
+def test_exit_2_verify_refuses_the_solution(solution, err, tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"version": "1", "type": "matrix",
+                                "involution": "conjugate_transpose", **solution}))
+    assert run_main("verify", "--input", str(GOLDEN / "scalar_minus.json"),
+                    "--solution", str(path)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_exit_2_gen_coisometry_needs_n_at_least_m(capsys):

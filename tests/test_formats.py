@@ -83,6 +83,16 @@ def test_float_scalar_rejects_malformed(raw):
         formats.decode_scalar(raw, FLOAT)
 
 
+@pytest.mark.parametrize("decode", [
+    lambda backend: formats.decode_scalar(["1", "1", "0", "1"], backend),
+    lambda backend: formats.decode_matrix([[["1", "1", "0", "1"]]], backend,
+                                          CONJUGATE_TRANSPOSE),
+], ids=["decode_scalar", "decode_matrix"])
+def test_decoders_refuse_an_unknown_backend(decode):
+    with pytest.raises(FormatError, match="backend must be one of"):
+        decode("bogus")
+
+
 def test_huge_integers_survive():
     big = Fraction(10**40 + 1, 10**39)
     z = GaussianRational(big, Fraction(0))
@@ -275,6 +285,11 @@ def test_sign_property():
     assert build_instance(1, "plus", EXACT, CONJUGATE_TRANSPOSE).sign == "plus"
     assert build_instance(1, "sym_left", EXACT, CONJUGATE_TRANSPOSE).sign == "plus"
     assert build_instance(1, "rect_plus", EXACT, CONJUGATE_TRANSPOSE).sign == "plus"
+
+
+def test_sign_of_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        formats.sign_of("bogus")
 
 
 def test_file_helpers_roundtrip(tmp_path):

@@ -61,6 +61,10 @@ def test_shape_mismatch_raises():
         a.add(b)
     with pytest.raises(ShapeMismatchError):
         b.mul(b)
+    with pytest.raises(ShapeMismatchError):
+        a.sub(b)
+    with pytest.raises(ShapeMismatchError, match="square"):
+        inverse(a)
     assert (a @ b).shape == (1, 1)
 
 
@@ -557,6 +561,8 @@ def test_ring_rejects_unknown_tags():
         MatrixRing(2, backend="quad")
     with pytest.raises(ValueError, match="unknown involution"):
         MatrixRing(2, involution="adjoint")
+    with pytest.raises(ValueError, match="size >= 1"):
+        MatrixRing(0)
 
 
 def test_ring_is_zero_accepts_rectangular():

@@ -72,6 +72,13 @@ def test_linearize_rejects_float():
         linearize(MINUS, Matrix.floating([[1.0]]), Matrix.floating([[1.0]]))
 
 
+def test_linearize_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="share their row count"):
+        linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(1, 2))
+    with pytest.raises(ValueError, match="C must be 2x2"):
+        linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(2, 2), Matrix.zeros(2, 1))
+
+
 def test_transpose_involution_drops_imaginary_coordinates():
     a = Matrix.exact([[1]], involution=TRANSPOSE)
     system = linearize(MINUS, a, a)
@@ -427,3 +434,15 @@ def test_unknown_family_rejected():
     rng = random.Random(71)
     with pytest.raises(ValueError):
         random_pair(rng, 2, "nope", CONJUGATE_TRANSPOSE)
+    with pytest.raises(ValueError, match="unknown rect family"):
+        random_rect_instance(rng, (2, 2, 2), "nope")
+
+
+def test_generators_refuse_bad_arguments():
+    rng = random.Random(73)
+    with pytest.raises(ValueError, match="at least as many columns"):
+        random_coisometry(rng, 3, 2)
+    with pytest.raises(ValueError, match="sign must be one of"):
+        random_square_instance(rng, "times", 2, "unitary")
+    with pytest.raises(ValueError, match="side must be"):
+        random_sym_instance(rng, "middle", 2)

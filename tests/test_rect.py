@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.generate import random_rect_instance
+from starsolve.generate import random_rect_instance, random_square_instance
 from starsolve.matrix import (TRANSPOSE, Matrix, is_mp_inverse, mp_inverse,
                               random_matrix)
 from starsolve.rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
@@ -53,6 +53,40 @@ def test_rect_problem_value_semantics():
     with pytest.raises(AttributeError):
         prob.c = prob.c.neg()
     assert repr(prob).startswith("RectProblem(a=Matrix[2x3 exact")
+
+
+def test_rect_problem_replace_and_make_check_shapes():
+    prob = random_rect_instance(random.Random(5), (2, 3, 2), "coisometry")
+    assert prob._replace(c=prob.c.neg()) == RectProblem(prob.a, prob.b, prob.c.neg())
+    assert RectProblem._make(iter(prob)) == prob
+    with pytest.raises(ValueError, match="need A: m x n"):
+        prob._replace(c=prob.a)
+    with pytest.raises(ValueError, match="need A: m x n"):
+        RectProblem._make([prob.a, prob.b, prob.a])
+
+
+def test_square_instance_is_the_rect_problem_at_n_n_n():
+    problem = random_square_instance(random.Random(7), MINUS, 3, "unitary")
+    assert type(problem) is RectProblem and problem.dims == (3, 3, 3)
+    a, b, c = problem
+    assert problem == (a, b, c) == RectProblem(a, b, c)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RectProblem(Matrix.zeros(0, 1), Matrix.zeros(0, 1), Matrix.zeros(0, 0)),
+     "at least 1"),  # m = 0
+    (lambda: RectProblem(Matrix.zeros(1, 0), Matrix.zeros(1, 1), Matrix.zeros(1, 1)),
+     "at least 1"),  # n = 0
+    (lambda: RectProblem(Matrix.zeros(1, 1), Matrix.zeros(1, 0), Matrix.zeros(1, 1)),
+     "at least 1"),  # p = 0
+    (lambda: embed_mp(Matrix.zeros(1, 2), Matrix.zeros(3, 1), (1, 2, 3)),
+     "expected A-dagger 2x1"),
+    (lambda: extract_solution(Matrix.zeros(5, 5), (1, 2, 3)), "expected a 6-square matrix"),
+    (lambda: embed_solution(Matrix.zeros(3, 2), (1, 2, 3)), "expected X of shape 2x3"),
+])
+def test_rect_shapes_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_embedding_block_layout():

@@ -17,7 +17,7 @@ from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
                                equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
-                               solve_sym_right)
+                               solve_sym_right, sym_general_form)
 
 I = GaussianRational(Fraction(0), Fraction(1))
 RING2 = MatrixRing(2)
@@ -417,6 +417,12 @@ def test_sym_nonhermitian_rhs_rejected():
         with pytest.raises(UnsolvableError) as exc:
             solver(RING2, a, b)
         assert "b_star_neq_b" in exc.value.failed
+
+
+def test_sym_general_form_refuses_an_unknown_side():
+    a = Matrix.exact([[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="side must be"):
+        sym_general_form("lft", a, a)
 
 
 def test_sym_helper_matches_solvers():
