@@ -4,8 +4,10 @@ An exact :class:`~starsolve.matrix.Matrix` holds ``grids = (re, im, d)``:
 row tuples of ints over one positive denominator, entry ``(re + im i) / d``,
 in lowest terms (``gcd(d, every part) = 1``), so equal values have equal
 grids.  Every exact matrix operation, and the exact elimination, runs here
-on plain ints and builds no ``Fraction``.  ``matrix`` imports this module
-on first exact use, so a float-only process never compiles it.
+on plain ints and builds no ``Fraction``.  ``matrix`` checks the arguments
+of each operation and imports this module on first exact use, so a
+float-only process never compiles it, as an exact-only one never compiles
+:mod:`starsolve.floats`.
 """
 
 import math
@@ -73,6 +75,18 @@ def star(m: Matrix) -> Matrix:
     re, im, d = m.grids
     return make(m.cols, m.rows, m.involution, list(zip(*re)) or [()] * m.cols,
                 [[-y for y in col] for col in zip(*im)] or [()] * m.cols, d, lowest=True)
+
+
+def max_abs(m: Matrix) -> float:
+    # x / d rounds correctly, as float(Fraction) does.
+    re, im, d = m.grids
+    return max((math.hypot(x / d, y / d) for rr, ir in zip(re, im) for x, y in zip(rr, ir)),
+               default=0.0)
+
+
+def is_zero(m: Matrix) -> bool:
+    re, im, _ = m.grids
+    return not any(map(any, re)) and not any(map(any, im))
 
 
 def block(m: Matrix, row0: int, col0: int, rows: int, cols: int) -> Matrix:

@@ -1,19 +1,23 @@
 """Dense matrices over Gaussian rationals or complex floats, with involution.
 
 Matrices under conjugate-transpose or plain-transpose involution are the
-rings with involution the solvers work in.  This module holds their
-arithmetic, the Moore-Penrose inverse (by rank factorization when exact,
-by complete orthogonal decomposition on floats) and the Penrose checks.
-Rectangular matrices use the same type; only :class:`MatrixRing` insists
-on squareness.  Plain-transpose matrices have real entries, on which the
-MP-inverse always exists.
+rings with involution the solvers work in.  This module holds the
+:class:`Matrix` type, the checks of every value and operation, and the
+dispatch to one backend's arithmetic; the Moore-Penrose inverse (by rank
+factorization when exact, by complete orthogonal decomposition on floats)
+and the Penrose checks.  Rectangular matrices use the same type; only
+:class:`MatrixRing` insists on squareness.  Plain-transpose matrices have
+real entries, on which the MP-inverse always exists.
 
-An exact matrix is held as Gaussian-integer grids over one denominator;
-its arithmetic and its fraction-free elimination, the only one, live in
-:mod:`starsolve.grids`, which a float-only process never loads.  Exact
-zeros, identities and random draws are built as grids too, so
-:mod:`starsolve.scalars` and ``fractions`` load only when code reads an
-exact matrix's ``entries`` or passes Python scalars to :meth:`Matrix.exact`.
+Each backend's arithmetic lives in its own module, imported on first use,
+so a process that works in one backend never compiles the other's: exact
+matrices are Gaussian-integer grids over one denominator, whose arithmetic
+and fraction-free elimination, the only one, live in :mod:`starsolve.grids`;
+float matrices are complex entries, whose arithmetic and decomposition live
+in :mod:`starsolve.floats`.  Exact zeros, identities and random draws are
+built as grids too, so :mod:`starsolve.scalars` and ``fractions`` load only
+when code reads an exact matrix's ``entries`` or passes Python scalars to
+:meth:`Matrix.exact`.
 
 One checking rule on both backends: data from outside is checked once, by
 ``Matrix(...)`` (tags, shape and every entry; ``exact`` and ``floating`` only
@@ -23,14 +27,10 @@ checks its own arguments once before it picks a backend; :func:`unchecked`
 builds every arithmetic result and copy as given, never re-checked (a float
 overflow travels on as inf or NaN).
 """
-
 import math
 import random
 from itertools import chain
-from operator import add, mul, sub
 from typing import Optional, Sequence
-
-from .ring import NotMpInvertibleError
 
 EXACT = "exact"
 FLOAT = "float"
@@ -91,11 +91,15 @@ def _check_header(rows: int, cols: int, involution: str, backend: str):
         raise ShapeMismatchError("negative dimension")
 
 
-def _grid_ops():
-    """The exact arithmetic, :mod:`starsolve.grids`, imported on first use,
-    so that a float-only process never compiles it."""
-    from . import grids
-    return grids
+def _ops(backend: str):
+    """The arithmetic of ``backend``, :mod:`starsolve.grids` (exact) or
+    :mod:`starsolve.floats`, imported on first use, so that a process that
+    works in one backend never compiles the other's."""
+    if backend == EXACT:
+        from . import grids as ops
+    else:
+        from . import floats as ops
+    return ops
 
 
 def _require_real(imaginary_parts):
@@ -216,9 +220,6 @@ class Matrix:
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
-    def _like(self, grid) -> "Matrix":
-        return unchecked(self.rows, self.cols, self.involution, self.backend, grid)
-
     def _check_tags(self, other: "Matrix"):
         if self.backend != other.backend or self.involution != other.involution:
             raise BackendMismatchError(
@@ -231,74 +232,42 @@ class Matrix:
         self._check_tags(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"add: {self.shape} vs {other.shape}")
-        if self.backend == EXACT:
-            return _grid_ops().add(self, other, 1)
-        grid = tuple(tuple(a + b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.entries, other.entries))
-        return self._like(grid)
+        return _ops(self.backend).add(self, other, 1)
 
     def sub(self, other: "Matrix") -> "Matrix":
         self._check_tags(other)
         if self.shape != other.shape:
             raise ShapeMismatchError(f"sub: {self.shape} vs {other.shape}")
-        if self.backend == EXACT:
-            return _grid_ops().add(self, other, -1)
-        grid = tuple(tuple(a - b for a, b in zip(ra, rb))
-                     for ra, rb in zip(self.entries, other.entries))
-        return self._like(grid)
+        return _ops(self.backend).add(self, other, -1)
 
     def neg(self) -> "Matrix":
         if self.backend == EXACT:
-            return _grid_ops().times(self, -1, 0, 1)
-        return self._like(tuple(tuple(-a for a in row) for row in self.entries))
+            return _ops(EXACT).times(self, -1, 0, 1)
+        return _ops(FLOAT).neg(self)
 
     def mul(self, other: "Matrix") -> "Matrix":
         self._check_tags(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(f"mul: {self.shape} @ {other.shape}")
-        if self.backend == EXACT:
-            return _grid_ops().mul(self, other)
-        zero = complex(0.0)
-        ocols = other.cols
-        right = other.entries
-        out = []
-        for lrow in self.entries:
-            orow = [zero] * ocols
-            for k in range(self.cols):
-                lik = lrow[k]
-                if not lik:
-                    continue
-                rrow = right[k]
-                for j in range(ocols):
-                    orow[j] = orow[j] + lik * rrow[j]
-            out.append(tuple(orow))
-        return unchecked(self.rows, ocols, self.involution, self.backend, tuple(out))
+        return _ops(self.backend).mul(self, other)
 
     def star(self) -> "Matrix":
-        if self.backend == EXACT:
-            return _grid_ops().star(self)
-        # zip(*rows) yields the columns; with no rows there is nothing to zip.
-        cols = zip(*self.entries) if self.rows else ((),) * self.cols
-        if self.involution == CONJUGATE_TRANSPOSE:
-            grid = tuple(tuple(e.conjugate() for e in col) for col in cols)
-        else:
-            grid = tuple(cols)
-        return unchecked(self.cols, self.rows, self.involution, self.backend, grid)
+        return _ops(self.backend).star(self)
 
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
         if self.backend == EXACT:  # from_parts checks the transpose rule
             ((u,),), ((v,),), e = from_parts(1, 1, self.involution, ((s,),)).grids
-            return _grid_ops().times(self, u, v, e)
+            return _ops(EXACT).times(self, u, v, e)
         if self.involution == TRANSPOSE:
             _require_real((s.imag,))
-        return self._like(tuple(tuple(s * a for a in row) for row in self.entries))
+        return _ops(FLOAT).scale(self, s)
 
     def half(self) -> "Matrix":
         """Multiply every entry by one half (the central inverse of 2)."""
         if self.backend == EXACT:
-            return _grid_ops().times(self, 1, 0, 2)
-        return self._like(tuple(tuple(0.5 * a for a in row) for row in self.entries))
+            return _ops(EXACT).times(self, 1, 0, 2)
+        return _ops(FLOAT).half(self)
 
     def __add__(self, other):
         return self.add(other)
@@ -317,16 +286,7 @@ class Matrix:
     def max_abs(self) -> float:
         """The largest |entry| (0.0 when empty); NaN when any entry is NaN,
         which ``max`` alone would skip unless it came first."""
-        if self.backend == EXACT:
-            # x / d rounds correctly, as float(Fraction) does.
-            re, im, d = self.grids
-            values = [math.hypot(x / d, y / d) for rr, ir in zip(re, im)
-                      for x, y in zip(rr, ir)]
-        else:
-            values = [abs(e) for row in self.entries for e in row]
-        if any(map(math.isnan, values)):
-            return math.nan
-        return max(values, default=0.0)
+        return _ops(self.backend).max_abs(self)
 
     def equals(self, other: "Matrix") -> bool:
         """Entrywise equality: structural on the exact backend; on the float
@@ -336,18 +296,13 @@ class Matrix:
             raise ShapeMismatchError(f"equals: {self.shape} vs {other.shape}")
         if self.backend == EXACT:
             return self.grids == other.grids
-        tol = tolerance(RTOL, self, other)
-        return all(abs(a - b) <= tol for ra, rb in zip(self.entries, other.entries)
-                   for a, b in zip(ra, rb))
+        return _ops(FLOAT).equals(self, other, tolerance(RTOL, self, other))
 
     def is_zero(self, tol: Optional[float] = None) -> bool:
         """Every entry is zero: exactly when ``tol`` is None (what
         :func:`tolerance` gives on the exact backend), else within ``tol``."""
         if tol is None:
-            if self.backend == EXACT:
-                re, im, _ = self.grids
-                return not any(map(any, re)) and not any(map(any, im))
-            return all(not e for row in self.entries for e in row)
+            return _ops(self.backend).is_zero(self)
         return self.max_abs() <= tol
 
     # -- blocks and conversion ----------------------------------------------
@@ -355,24 +310,14 @@ class Matrix:
     def block(self, row0: int, col0: int, rows: int, cols: int) -> "Matrix":
         if min(row0, col0, rows, cols) < 0 or row0 + rows > self.rows or col0 + cols > self.cols:
             raise ShapeMismatchError("block out of range")
-        if self.backend == EXACT:
-            return _grid_ops().block(self, row0, col0, rows, cols)
-        grid = tuple(tuple(self.entries[row0 + i][col0 + j] for j in range(cols))
-                     for i in range(rows))
-        return unchecked(rows, cols, self.involution, self.backend, grid)
+        return _ops(self.backend).block(self, row0, col0, rows, cols)
 
     def paste(self, row0: int, col0: int, sub: "Matrix") -> "Matrix":
         """New matrix with ``sub`` written at offset (row0, col0)."""
         self._check_tags(sub)
         if min(row0, col0) < 0 or row0 + sub.rows > self.rows or col0 + sub.cols > self.cols:
             raise ShapeMismatchError("paste out of range")
-        if self.backend == EXACT:
-            return _grid_ops().paste(self, row0, col0, sub)
-        grid = [list(row) for row in self.entries]
-        for i in range(sub.rows):
-            for j in range(sub.cols):
-                grid[row0 + i][col0 + j] = sub.entries[i][j]
-        return self._like(tuple(tuple(row) for row in grid))
+        return _ops(self.backend).paste(self, row0, col0, sub)
 
     def to_float(self) -> "Matrix":
         if self.backend == FLOAT:
@@ -402,7 +347,7 @@ def from_grids(rows: int, cols: int, involution: str, re, im, d: int) -> Matrix:
         raise ValueError(f"denominator must be positive, got {d}")
     if involution == TRANSPOSE:
         _require_real(chain.from_iterable(im))
-    return _grid_ops().make(rows, cols, involution, re, im, d)
+    return _ops(EXACT).make(rows, cols, involution, re, im, d)
 
 
 def from_parts(rows: int, cols: int, involution: str, parts) -> Matrix:
@@ -451,7 +396,7 @@ def rank_factorization(m: Matrix):
     the reduced row echelon form, r is the rank (0: empty factors)."""
     if m.backend != EXACT:
         raise ValueError("rank_factorization takes an exact matrix")
-    return _grid_ops().rank_factorization(m)
+    return _ops(EXACT).rank_factorization(m)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -460,51 +405,7 @@ def inverse(m: Matrix) -> Matrix:
         raise ValueError("inverse takes an exact matrix")
     if not m.is_square:
         raise ShapeMismatchError("inverse needs a square matrix")
-    return _grid_ops().inverse(m)
-
-
-def _ldexp(m: Matrix, k: int) -> Matrix:
-    """Float ``m`` times 2**k, by math.ldexp on each part: exact inside the
-    normal range, OverflowError past its top, zeros unsigned (+ 0.0)."""
-    grid = tuple(tuple(complex(math.ldexp(e.real, k) + 0.0, math.ldexp(e.imag, k) + 0.0)
-                       for e in row) for row in m.entries)
-    return unchecked(m.rows, m.cols, m.involution, FLOAT, grid)
-
-
-def _eye(n):
-    """The n x n float identity as a list of columns."""
-    return [[complex(i == j) for i in range(n)] for j in range(n)]
-
-
-def _householder_qr(cols, n, tol=None):
-    """Householder QR of the first ``n`` float columns of ``cols`` in place,
-    R in their upper triangle; each reflection also acts on the columns past
-    ``n``.  With ``tol``, each step brings the column of largest remaining
-    norm forward, until it is at most ``tol``.  Gives (column order, rank)."""
-    order = list(range(n))
-    k = min(n, len(cols[0]) if cols else 0)
-    for j in range(k):
-        if tol is None:
-            alpha = math.hypot(*map(abs, cols[j][j:]))
-        else:
-            norms = [math.hypot(*map(abs, c[j:])) for c in cols[j:n]]
-            alpha = max(norms)
-            if alpha <= tol:
-                return order, j
-            p = j + norms.index(alpha)
-            cols[j], cols[p], order[j], order[p] = cols[p], cols[j], order[p], order[j]
-        x = cols[j]
-        if any(x[j + 1:]):  # else no reflection is needed
-            sign = x[j] / abs(x[j]) if x[j] else complex(1.0)
-            scale = 1.0 / math.sqrt(alpha * (alpha + abs(x[j])))
-            v = [(x[j] + sign * alpha) * scale] + [e * scale for e in x[j + 1:]]
-            v_conj = [w.conjugate() for w in v]
-            x[j] = -sign * alpha
-            for c in cols[j + 1:]:  # c -= v (v* c), with v* v = 2
-                s = sum(map(mul, v_conj, c[j:]))
-                if s:
-                    c[j:] = map(sub, c[j:], map(s.__mul__, v))
-    return order, k
+    return _ops(EXACT).inverse(m)
 
 
 def mp_inverse(m: Matrix) -> Matrix:
@@ -513,52 +414,21 @@ def mp_inverse(m: Matrix) -> Matrix:
     Exact, by rank factorization ``m = F G`` of rank r: ``G* (F* m G*)^-1 F*``
     (Ben-Israel & Greville, 2003), ``(F* m)^-1 F*`` at full column rank.
 
-    Float, by complete orthogonal decomposition (Businger & Golub 1965; Golub
-    & Van Loan, 4th ed., 5.4), which does not square cond(m): with m scaled
-    by 2**-s into [0.5, 1), QR with column pivoting gives m P = Q [R11 R12;
-    0 0] and the rank k (pivot norms above tolerance(PIVOT_RTOL, m)), an
-    unpivoted QR gives [R11 R12]* = Z [T; 0], and mp(m) = P Z_k T^-* Q_k*
-    2**-s.  NotMpInvertibleError if that leaves the float range.
+    Float, by complete orthogonal decomposition
+    (:func:`starsolve.floats.mp_inverse`), which does not square cond(m) and
+    takes the rank from pivot norms above tolerance(PIVOT_RTOL, m).
+    NotMpInvertibleError if the inverse leaves the float range.
     """
-    if m.backend == EXACT:
-        factor_f, factor_g, r = rank_factorization(m)
-        if r == 0:
-            return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
-        f_star = factor_f.star()
-        if r == m.cols:
-            return inverse(f_star @ m) @ f_star
-        g_star = factor_g.star()
-        return g_star @ inverse(f_star @ m @ g_star) @ f_star
-    shift = math.frexp(m.max_abs())[1]
-    m = _ldexp(m, -shift)
-    rows, n = m.shape
-    cols = [list(c) for c in zip(*m.entries)] + _eye(rows)
-    order, k = _householder_qr(cols, n, tolerance(PIVOT_RTOL, m))
-    if k == 0:
-        return Matrix.zeros(n, rows, m.involution, FLOAT)
-    # cols[n + r] is now column r of Q*; the QR of [R11 R12]* leaves column
-    # i of T in z[i] and column j of Z* in z[k + j]
-    z = [[0j] * i + [cols[j][i].conjugate() for j in range(i, n)] for i in range(k)] + _eye(n)
-    _householder_qr(z, k)
-    y = []  # Y = T^-* Q_k*, by forward substitution
-    for i in range(k):
-        row = [q[i] for q in cols[n:]]
-        for t_li, y_l in zip(z[i][:i], y):
-            if t_li:
-                row = map(sub, row, map(t_li.conjugate().__mul__, y_l))
-        y.append(list(map(z[i][i].conjugate().__rtruediv__, row)))
-    x = []  # row j of Z_k Y: Z_k's row j is the conjugate of Z* e_j
-    for z_j in z[k:]:
-        row = [0j] * rows
-        for z_ij, y_i in zip(z_j, y):
-            if z_ij:
-                row = map(add, row, map(z_ij.conjugate().__mul__, y_i))
-        x.append(tuple(row))
-    grid = tuple(row for _, row in sorted(zip(order, x)))  # P moves row j to order[j]
-    try:
-        return _ldexp(unchecked(n, rows, m.involution, FLOAT, grid), -shift)
-    except OverflowError:
-        raise NotMpInvertibleError("MP-inverse exceeds the float range") from None
+    if m.backend != EXACT:
+        return _ops(FLOAT).mp_inverse(m)
+    factor_f, factor_g, r = rank_factorization(m)
+    if r == 0:
+        return Matrix.zeros(m.cols, m.rows, m.involution, m.backend)
+    f_star = factor_f.star()
+    if r == m.cols:
+        return inverse(f_star @ m) @ f_star
+    g_star = factor_g.star()
+    return g_star @ inverse(f_star @ m @ g_star) @ f_star
 
 
 def penrose_defects(a: Matrix, b: Matrix) -> list:

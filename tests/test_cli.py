@@ -904,8 +904,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # stay integer grids from file to file, so no child needs the per-entry
 # scalars (and fractions, decimal, numbers), and no module needs __future__
 WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "starsolve.rect",
-           "starsolve.solvers", "starsolve.scalars", "fractions", "decimal", "numbers",
-           "__future__", "dataclasses", "inspect", "datetime")
+           "starsolve.solvers", "starsolve.floats", "starsolve.scalars", "fractions", "decimal",
+           "numbers", "__future__", "dataclasses", "inspect", "datetime")
 
 STARTUP_CHILD = f"""
 import json, sys
@@ -913,15 +913,15 @@ sys.path.insert(0, {str(SRC)!r})
 import starsolve.cli
 for argv in json.loads(sys.argv[1]):
     assert starsolve.cli.main(argv) == 0, argv
-print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]))
+print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
 """
 
 
-def loaded_by(runs) -> list:
-    """The WATCHED modules loaded by a fresh child that runs each argv."""
+def loaded_by(runs, watched=WATCHED) -> list:
+    """The ``watched`` modules loaded by a fresh child that runs each argv."""
     # -S: no site hooks, so only what the package itself imports is loaded
-    r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, json.dumps(runs)],
-                       capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, json.dumps(runs),
+                        json.dumps(watched)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 
@@ -946,12 +946,15 @@ def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
     assert loaded_by([]) == []
     for backend in matrix.BACKENDS:
         inst, a, x = cli_files(tmp_path, backend)
+        # a float run computes in the float arithmetic, an exact run never does
+        arithmetic = ["starsolve.floats"] if backend == matrix.FLOAT else []
         # mp runs no solver; check, solve and verify only the solvers
-        assert loaded_by([["mp", "--input", a, *out]]) == [], backend
+        assert loaded_by([["mp", "--input", a, *out]]) == arithmetic, backend
         assert loaded_by([["check", "--input", inst, *out], ["solve", "--input", inst, *out],
                           ["verify", "--input", inst, "--solution", x, *out]]
-                         ) == ["starsolve.solvers"], backend
-        # gen needs the generators (and RectProblem), not the elimination
+                         ) == ["starsolve.solvers", *arithmetic], backend
+        # gen needs the generators (and RectProblem), not the elimination; it
+        # draws exact values and converts them, so it computes with no floats
         assert loaded_by([["gen", "--kind", "minus", "--backend", backend, *out]]) == [
             "starsolve.generate", "starsolve.rect", "starsolve.solvers"], backend
     # solve --oracle needs the certificate, not the elimination
@@ -997,23 +1000,16 @@ def test_exact_cli_runs_construct_no_fraction(tmp_path):
     assert json.loads(r.stdout.splitlines()[-1]) == [0, 1]
 
 
-FLOAT_CHILD = f"""
-import sys
-sys.path.insert(0, {str(SRC)!r})
-import starsolve.cli
-inst, a, out = sys.argv[1:]
-for argv in (["check", "--input", inst], ["solve", "--input", inst], ["mp", "--input", a]):
-    assert starsolve.cli.main(argv + ["--output", out]) == 0
-print("starsolve.grids" in sys.modules)
-"""
+ARITHMETIC = {matrix.EXACT: "starsolve.grids", matrix.FLOAT: "starsolve.floats"}
 
 
-def test_float_runs_leave_the_exact_arithmetic_unloaded(tmp_path):
-    inst, a, _ = cli_files(tmp_path, matrix.FLOAT)
-    r = subprocess.run([sys.executable, "-S", "-c", FLOAT_CHILD, inst, a,
-                        str(tmp_path / "out.json")], capture_output=True, text=True)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "False"
+@pytest.mark.parametrize("backend", matrix.BACKENDS)
+def test_runs_leave_the_other_arithmetic_unloaded(tmp_path, backend):
+    out = ["--output", str(tmp_path / "out.json")]
+    inst, a, x = cli_files(tmp_path, backend)
+    runs = [["check", "--input", inst, *out], ["solve", "--input", inst, *out],
+            ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out]]
+    assert loaded_by(runs, tuple(ARITHMETIC.values())) == [ARITHMETIC[backend]]
 
 
 def test_generated_at_is_a_utc_timestamp(capsys):
