@@ -4,6 +4,8 @@ Subcommands: mp, check, solve, gen, verify.  Instances and matrices travel
 as the versioned JSON documents in formats.py; reports are JSON too, with a
 short human summary on stdout whenever --output redirects the machine copy.
 Every report opens with the same envelope: version, command, generated_at.
+A report carries its matrices (x0, each sample's solution, mp_inverse) as
+``Matrix`` values, which formats encodes one at a time as it writes them.
 --tol is checked once, in :func:`main`, before a subcommand reads a file.
 `check` and `solve` take their verdict from one solver call and read each
 residual once; a solution is re-verified before it is printed.
@@ -189,8 +191,7 @@ def cmd_mp(args) -> int:
     names = ("axa_minus_a", "xax_minus_x", "ax_hermitian_defect", "xa_hermitian_defect")
     residuals = {name: _max_abs(d) for name, d in zip(names, penrose_defects(m, dagger))}
     doc = _report("mp", backend=m.backend, involution=m.involution, shape=list(m.shape),
-                  mp_inverse=formats.encode_matrix(dagger), penrose_residuals=residuals,
-                  tolerance=None)
+                  mp_inverse=dagger, penrose_residuals=residuals, tolerance=None)
     _emit(doc, args, [
         f"mp-inverse of {m.rows}x{m.cols} {m.backend} matrix ({m.involution})",
         f"penrose residual max |entry| = {max(residuals.values()):.3e}",
@@ -233,7 +234,7 @@ def _sample_section(fam, base_seed: int, count: int) -> list:
         residual_max = _reverified_max_abs(fam, x, f"sample for seed {seed}")
         samples.append({
             "seed": seed,
-            "solution": formats.encode_matrix(x),
+            "solution": x,
             "residual_max_abs": residual_max,
             "verified": True,
         })
@@ -271,7 +272,7 @@ def cmd_solve(args) -> int:
     # witness names the faulty coefficient, and a sample would only fail
     oracle = _oracle_section(fam) if args.oracle else None
     doc.update({
-        "x0": formats.encode_matrix(fam.x0),
+        "x0": fam.x0,
         "residual_max_abs": residual_max,
         "samples": _sample_section(fam, args.seed, args.samples),
     })

@@ -15,8 +15,15 @@ encode divides each part and d by their gcd.  A float matrix is decoded to
 under the transpose involution.  An instance is checked once, by
 ``make_instance``; ``instance_to_doc`` trusts the Instance it is given.
 Parsing is strict: unknown keys, wrong shapes, out-of-enum values, integer
-strings with anything but an optional minus sign and ASCII digits, and
-files nested too deeply to read all raise FormatError.
+strings with anything but an optional minus sign and ASCII digits, integer
+literals too long to convert, and files nested too deeply to read all raise
+FormatError.
+
+A document to write may hold ``Matrix`` values where its matrices go: the
+CLI's reports carry them as they are, and one encoder turns each into its
+``encode_matrix`` lists only when it reaches it, so at most one matrix of a
+report exists as lists at a time.  ``dumps_doc`` joins the encoder's chunks
+a batch at a time and never holds a list of every chunk.
 
 The generator family names and GenerationError live here too: the CLI needs
 them for its help text and exit codes at start-up, and loads generate.py
@@ -26,6 +33,7 @@ only for `gen`.
 import json
 import math
 import re
+from itertools import chain, islice
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, finite_complex, from_parts
@@ -325,14 +333,38 @@ def instance_from_doc(doc) -> Instance:
 # -- files --------------------------------------------------------------------
 
 
+def _encode_default(value) -> list:
+    """The encoder's hook for a value json has no rule for: a Matrix becomes
+    its ``encode_matrix`` lists; anything else raises json's own TypeError."""
+    if isinstance(value, Matrix):
+        return encode_matrix(value)
+    return json.JSONEncoder.default(_ENCODER, value)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False,
+                            default=_encode_default)
+
+# chunks per joined batch: a few KB of text, against 5,532 chunks in a
+# float n=16 solve report
+_BATCH = 512
+
+
 def dumps_doc(doc) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing
+    newline; a ``Matrix`` in ``doc`` is written as ``encode_matrix`` of it.
+    The text equals ``json.dumps`` of ``doc`` with its matrices encoded;
+    the encoder's chunks are joined ``_BATCH`` at a time, so no list of
+    every chunk exists and the peak is about twice the text: the batches
+    and their join.  A non-finite float raises ValueError, a value of
+    another type json's TypeError."""
+    chunks = chain(_ENCODER.iterencode(doc), ("\n",))
+    return "".join(iter(lambda: "".join(islice(chunks, _BATCH)), ""))
 
 
 def write_doc(doc, path: str) -> None:
-    """Write ``dumps_doc(doc)`` to ``path``; a doc that fails to serialize
-    leaves an existing file untouched."""
+    """Write ``dumps_doc(doc)`` to ``path``.  The whole text is made before
+    the file is opened, so a doc that fails to serialize leaves an existing
+    file untouched."""
     text = dumps_doc(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -348,6 +380,8 @@ def read_doc(path: str):
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     except RecursionError as exc:
         raise FormatError(f"{path}: nested too deeply to read ({exc})") from exc
+    except ValueError as exc:  # e.g. an integer literal of more digits than int() converts
+        raise FormatError(f"{path}: not readable as JSON ({exc})") from exc
 
 
 def load_instance(path: str) -> Instance:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -83,6 +84,51 @@ def test_golden_diag_solve(tmp_path):
     assert normalized(out) == (GOLDEN / "diag_solve_report.json").read_text()
     doc = json.loads(out.read_text())
     assert doc["x0"][0][0] == ["0", "1", "1", "1"]  # diag(i, 0)
+
+
+def _float_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    assert run_main("gen", "--kind", "minus", "--dims", "3", "--seed", "4",
+                    "--force-solvable", "--backend", "float", "--output", str(inst)) == 0
+    return inst
+
+
+def test_golden_float_solve(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_main("solve", "--input", str(_float_instance(tmp_path)), "--samples", "2",
+                    "--output", str(out)) == 0
+    assert normalized(out) == (GOLDEN / "float_solve_report.json").read_text()
+
+
+def test_golden_float_mp(tmp_path):
+    # c, not a: the unitary family's a has an inverse of 0s and units
+    c = formats.load_instance(str(_float_instance(tmp_path))).operands["c"]
+    matrix_path, out = tmp_path / "c.json", tmp_path / "r.json"
+    formats.save_matrix(c, str(matrix_path))
+    assert run_main("mp", "--input", str(matrix_path), "--output", str(out)) == 0
+    assert normalized(out) == (GOLDEN / "float_mp_report.json").read_text()
+
+
+@pytest.mark.parametrize("which", ("solve_report", "instance"))
+def test_writing_a_float_n16_document_peaks_near_twice_its_text(which, monkeypatch, tmp_path):
+    # four 16 x 16 matrices in an 88 KB report; three in a 49 KB instance
+    inst = tmp_path / "inst.json"
+    assert run_main("gen", "--kind", "minus", "--dims", "16", "--seed", "1",
+                    "--force-solvable", "--backend", "float", "--output", str(inst)) == 0
+    if which == "instance":
+        doc = formats.instance_to_doc(formats.load_instance(str(inst)))
+    else:
+        docs = []
+        monkeypatch.setattr(formats, "write_doc", lambda doc, path: docs.append(doc))
+        assert run_main("solve", "--input", str(inst), "--output", str(tmp_path / "r.json")) == 0
+        doc, = docs
+    tracemalloc.start()
+    try:
+        text = formats.dumps_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
 
 
 # a refusal, an unsolvable verdict and both symmetric kinds: (gen argv of the
@@ -201,6 +247,14 @@ UNREADABLE_INPUTS = {
          "involution": "conjugate_transpose",
          "operands": {"a": [[["1", "1", "0", "1"]]], "b": [[["1", "1", "0", "1"]]],
                       "c": [[["1" + "0" * 5000, "1", "0", "1"]]]}}).encode()),
+    # integer literals beyond the 4,300 digits that int() converts from text
+    "seed_literal_too_long": ("check", json.dumps(
+        {"version": "1", "kind": "minus", "backend": "exact",
+         "involution": "conjugate_transpose", "seed": 0,
+         "operands": {name: [[["1", "1", "0", "1"]]] for name in "abc"}}
+    ).replace('"seed": 0', '"seed": ' + "1" * 5000).encode()),
+    "float_literal_too_long": ("mp", json.dumps(float_matrix_doc([0, 0])).replace(
+        "[[[0, 0]]]", "[[[" + "1" * 5000 + ", 0]]]").encode()),
     "not_utf8": ("check", b"\xff\xfe{}"),
     # deeper than the JSON decoder recurses
     "nested_too_deep": ("mp", b"[" * 200_000 + b"]" * 200_000),

@@ -13,7 +13,7 @@ from starsolve.formats import (FormatError, instance_from_doc, instance_to_doc,
 from starsolve.generate import (random_rect_instance, random_sym_instance,
                                 random_square_instance)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, random_matrix)
+                              Matrix, random_matrix, unchecked)
 from starsolve.scalars import GaussianRational
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -325,6 +325,43 @@ def test_square_kinds_take_the_rect_shape_rule(kind):
 def test_write_doc_keeps_the_file_when_serializing_fails(tmp_path):
     path = tmp_path / "report.json"
     path.write_text("previous report\n")
-    with pytest.raises(ValueError):
-        formats.write_doc({"residual_max_abs": float("nan")}, str(path))
-    assert path.read_text() == "previous report\n"
+    # a NaN field, and a float matrix whose entry overflowed in arithmetic
+    # (which builds it unchecked), met only as the encoder reaches it
+    overflowed = unchecked(1, 1, CONJUGATE_TRANSPOSE, FLOAT, ((complex(1e308 * 10, 0),),))
+    for doc in ({"residual_max_abs": float("nan")}, {"x0": overflowed}):
+        with pytest.raises(ValueError):
+            formats.write_doc(doc, str(path))
+        assert path.read_text() == "previous report\n"
+
+
+def _encoded(value):
+    """``value`` with each Matrix in it replaced by ``encode_matrix`` of it."""
+    if isinstance(value, Matrix):
+        return formats.encode_matrix(value)
+    if isinstance(value, dict):
+        return {key: _encoded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_encoded(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("backend", (EXACT, FLOAT))
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+def test_dumps_doc_equals_json_dumps_of_the_encoded_matrices(backend, involution):
+    rng = random.Random(5)
+
+    def m(rows, cols):
+        return random_matrix(rng, rows, cols, backend, involution)
+
+    doc = {"x0": m(2, 3), "tolerance": None, "verified": True, "residual_max_abs": 1.5e-12,
+           "samples": [{"seed": 0, "solution": m(3, 3)}, m(1, 1), []],
+           "nested": {"deeper": {"z": m(2, 2), "a": "text \u00fc"}, "empty": {}},
+           "large": m(12, 12)}  # more chunks than one batch joins
+    for value in (doc, m(2, 2), [], {}):
+        expected = json.dumps(_encoded(value), sort_keys=True, indent=2, allow_nan=False)
+        assert formats.dumps_doc(value) == expected + "\n"
+
+
+def test_dumps_doc_refuses_an_unknown_type_as_json_does():
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        formats.dumps_doc({"x": object()})
