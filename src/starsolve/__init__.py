@@ -25,17 +25,17 @@ _SURFACE = {
     "formats": ("GenerationError",),
     "generate": ("random_rect_instance", "random_sym_instance", "random_square_instance"),
     "matrix": ("BACKENDS", "CONJUGATE_TRANSPOSE", "EXACT", "FLOAT", "INVOLUTIONS",
-               "TRANSPOSE", "Matrix", "MatrixRing", "mp_inverse", "random_matrix"),
+               "TRANSPOSE", "Matrix", "mp_inverse"),
     "oracle": ("OracleResult", "linearize", "oracle_solve", "verify_family_against_oracle"),
     "rect": ("RectProblem", "check_rect_hypotheses", "embed", "embed_mp",
              "embed_solution", "extract_solution", "solve_rect",
              "solve_rect_via_embedding"),
-    "ring": ("NotMpInvertibleError",),
+    "ring": ("MatrixRing", "NotMpInvertibleError"),
     "scalars": ("GaussianRational",),
     "solvers": ("Condition", "HypothesesFailError", "HypothesisReport", "MINUS", "PLUS",
                 "SolutionFamily", "UnsolvableError", "check_hypotheses", "equation_lhs",
-                "particular", "solvability_conditions", "solve", "solve_sym_left",
-                "solve_sym_right"),
+                "particular", "random_matrix", "solvability_conditions", "solve",
+                "solve_sym_left", "solve_sym_right"),
 }
 _MODULE_OF = {name: module for module, names in _SURFACE.items() for name in names}
 

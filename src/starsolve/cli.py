@@ -31,22 +31,23 @@ interpreter shutdown does not walk every object the run left alive.
 import argparse
 import gc
 import math
-import random
 import sys
 import time
 from typing import Optional
 
 from . import formats
 from .formats import (FormatError, GenerationError, Instance, KINDS, PAIR_FAMILIES,
-                      RECT_FAMILIES, RECT_KINDS, SYM_KINDS)
+                      RECT_FAMILIES, SYM_KINDS)
 from .matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, INVOLUTIONS,
-                     RTOL, MatrixRing, mp_inverse, penrose_defects)
-from .ring import NotMpInvertibleError
+                     RTOL, mp_inverse, penrose_defects)
+from .ring import MatrixRing, NotMpInvertibleError
 
 # starsolve.solvers is imported inside the functions that run it, since `mp`
 # does not; starsolve.generate inside cmd_gen and starsolve.certify inside
 # _oracle_section only: no other subcommand runs them, and each CLI process
-# would pay for loading them.  No subcommand runs starsolve.oracle.
+# would pay for loading them, without .pyc files for compiling them too.
+# So the body of `gen` lives in starsolve.generate, and this module keeps
+# only its parser and a lazy dispatch.  No subcommand runs starsolve.oracle.
 
 # float residuals within [tol/BAND, tol*BAND] are too close to call
 INDETERMINATE_BAND = 1e3
@@ -290,60 +291,9 @@ def cmd_solve(args) -> int:
 # -- gen -----------------------------------------------------------------
 
 
-def _parse_dims(kind: str, raw: Optional[str]):
-    """--dims: "m,n,p" as a tuple for rect kinds, else "n" as an int (default 2)."""
-    rect = kind in RECT_KINDS
-    count = 3 if rect else 1
-    parts = ["2"] * count if raw is None else raw.split(",")
-    if len(parts) != count:
-        raise FormatError(f"--dims must be {'m,n,p' if rect else 'n'} for {kind!r}, "
-                          f"got {raw!r}")
-    try:
-        dims = tuple(int(p) for p in parts)
-    except ValueError:
-        raise FormatError(f"--dims must be integers, got {raw!r}")
-    if any(not 0 < d <= sys.maxsize for d in dims):  # no list or range is longer
-        raise FormatError(f"--dims must be between 1 and {sys.maxsize}, got {raw!r}")
-    return dims if rect else dims[0]
-
-
 def cmd_gen(args) -> int:
-    from .generate import random_rect_instance, random_sym_instance, random_square_instance
-    kind = args.kind
-    dims = _parse_dims(kind, args.dims)
-    rng = random.Random(args.seed)
-    sign = formats.sign_of(kind)
-
-    if kind in SYM_KINDS:
-        if args.family is not None:
-            raise FormatError("--family does not apply to sym kinds")
-        a, b = random_sym_instance(rng, kind.removeprefix("sym_"), dims,
-                                   args.force_solvable, args.involution)
-        operands, inst_dims = {"a": a, "b": b}, None
-    else:
-        rect = kind in RECT_KINDS
-        families, default = (RECT_FAMILIES, "coisometry") if rect else (PAIR_FAMILIES, "unitary")
-        family = args.family or default
-        if family not in families:
-            raise FormatError(f"--family must be one of {families} for {kind!r}")
-        problem = (random_rect_instance(rng, dims, family, args.force_solvable,
-                                        args.involution, sign) if rect
-                   else random_square_instance(rng, sign, dims, family, args.force_solvable,
-                                               args.involution))
-        operands, inst_dims = problem._asdict(), dims if rect else None
-
-    if args.backend == FLOAT:
-        operands = {name: m.to_float() for name, m in operands.items()}
-    inst = formats.make_instance(kind, args.backend, args.involution, operands,
-                                 inst_dims, args.seed)
-    doc = formats.instance_to_doc(inst)
-    if args.output:
-        formats.write_doc(doc, args.output)
-        shape = f"dims {dims}" if kind in RECT_KINDS else f"size {dims}"
-        print(f"wrote {kind} instance ({args.backend}, {args.involution}, "
-              f"{shape}, seed {args.seed}) to {args.output}")
-    else:
-        sys.stdout.write(formats.dumps_doc(doc))
+    from . import generate  # only `gen` compiles the generators and the rest of its code
+    generate.cmd_gen(args)
     return EXIT_OK
 
 

@@ -9,7 +9,7 @@ Exact scalars serialize as quadruples of decimal strings
 [re_num, re_den, im_num, im_den] so entries never hit integer-width
 limits; float scalars are plain [re, im] pairs.  An exact matrix goes
 straight between those strings and its integer grids (re, im, d), with no
-per-entry scalar: decode hands the parsed parts to ``matrix.from_parts``,
+per-entry scalar: decode hands the parsed parts to ``grids.from_parts``,
 encode divides each part and d by their gcd.  A float matrix is decoded to
 ``complex`` entries and checked once, by ``Matrix(...)``: finite, and real
 under the transpose involution.  An instance is checked once, by
@@ -36,7 +36,7 @@ import re
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, finite_complex, from_parts
+from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, finite_complex
 
 FORMAT_VERSION = "1"
 
@@ -187,6 +187,7 @@ def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> M
         grid.append([parse(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)])
     try:
         if backend == EXACT:
+            from .grids import from_parts  # the exact arithmetic: a float run never loads it
             return from_parts(len(grid), width, involution, grid)
         return Matrix.floating(grid, involution)
     except ValueError as exc:  # a non-finite float, or transpose with complex entries

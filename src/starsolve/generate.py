@@ -4,18 +4,26 @@ Every generator produces exact instances that satisfy the solvers'
 standing hypotheses by construction; random pairs almost never do at rank
 deficiency, so each family seeds structure deliberately.  Every matrix is
 built straight as an integer grid, with no per-entry scalar, from the same
-draws in the same order as ever, so seeded instances do not change.  Only
-`gen` loads this module on the command line.
+draws in the same order as ever, so seeded instances do not change.
+
+The body of the CLI's `gen` lives here too (:func:`cmd_gen`, which parses
+``--dims`` and ``--family`` and writes the instance): only `gen` loads this
+module on the command line, so no other subcommand compiles that code.
 """
 
 import random
+import sys
+from typing import Optional
 
-from .formats import GenerationError, PAIR_FAMILIES, RECT_FAMILIES
-from .matrix import (CONJUGATE_TRANSPOSE, EXACT, Matrix, MatrixRing, from_parts,
-                     random_matrix, random_sixths)
+from . import formats
+from .formats import (FormatError, GenerationError, PAIR_FAMILIES, RECT_FAMILIES, RECT_KINDS,
+                      SYM_KINDS)
+from .grids import from_parts
+from .matrix import CONJUGATE_TRANSPOSE, EXACT, FLOAT, Matrix
 from .rect import RectProblem
+from .ring import MatrixRing
 from .solvers import (MINUS, PLUS, _check_side, _check_sign, check_hypotheses, equation_lhs,
-                      sym_general_form)
+                      random_matrix, random_sixths, sym_general_form)
 
 _MAX_TRIES = 500
 
@@ -209,3 +217,63 @@ def random_rect_instance(rng: random.Random, dims, family: str,
     _check_sign(sign)
     a, b = random_rect_pair(rng, dims, family, involution)
     return RectProblem(a, b, _random_c(rng, sign, a, b, force_solvable))
+
+
+# -- the CLI's `gen` ----------------------------------------------------------
+
+
+def _parse_dims(kind: str, raw: Optional[str]):
+    """--dims: "m,n,p" as a tuple for rect kinds, else "n" as an int (default 2)."""
+    rect = kind in RECT_KINDS
+    count = 3 if rect else 1
+    parts = ["2"] * count if raw is None else raw.split(",")
+    if len(parts) != count:
+        raise FormatError(f"--dims must be {'m,n,p' if rect else 'n'} for {kind!r}, "
+                          f"got {raw!r}")
+    try:
+        dims = tuple(int(p) for p in parts)
+    except ValueError:
+        raise FormatError(f"--dims must be integers, got {raw!r}")
+    if any(not 0 < d <= sys.maxsize for d in dims):  # no list or range is longer
+        raise FormatError(f"--dims must be between 1 and {sys.maxsize}, got {raw!r}")
+    return dims if rect else dims[0]
+
+
+def cmd_gen(args) -> None:
+    """Draw the instance the `gen` arguments ask for and write it; a
+    parameter error raises FormatError or GenerationError."""
+    kind = args.kind
+    dims = _parse_dims(kind, args.dims)
+    rng = random.Random(args.seed)
+    sign = formats.sign_of(kind)
+
+    if kind in SYM_KINDS:
+        if args.family is not None:
+            raise FormatError("--family does not apply to sym kinds")
+        a, b = random_sym_instance(rng, kind.removeprefix("sym_"), dims,
+                                   args.force_solvable, args.involution)
+        operands, inst_dims = {"a": a, "b": b}, None
+    else:
+        rect = kind in RECT_KINDS
+        families, default = (RECT_FAMILIES, "coisometry") if rect else (PAIR_FAMILIES, "unitary")
+        family = default if args.family is None else args.family
+        if family not in families:
+            raise FormatError(f"--family must be one of {families} for {kind!r}")
+        problem = (random_rect_instance(rng, dims, family, args.force_solvable,
+                                        args.involution, sign) if rect
+                   else random_square_instance(rng, sign, dims, family, args.force_solvable,
+                                               args.involution))
+        operands, inst_dims = problem._asdict(), dims if rect else None
+
+    if args.backend == FLOAT:
+        operands = {name: m.to_float() for name, m in operands.items()}
+    inst = formats.make_instance(kind, args.backend, args.involution, operands,
+                                 inst_dims, args.seed)
+    doc = formats.instance_to_doc(inst)
+    if args.output:
+        formats.write_doc(doc, args.output)
+        shape = f"dims {dims}" if kind in RECT_KINDS else f"size {dims}"
+        print(f"wrote {kind} instance ({args.backend}, {args.involution}, "
+              f"{shape}, seed {args.seed}) to {args.output}")
+    else:
+        sys.stdout.write(formats.dumps_doc(doc))

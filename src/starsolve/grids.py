@@ -8,12 +8,18 @@ on plain ints and builds no ``Fraction``.  ``matrix`` checks the arguments
 of each operation and imports this module on first exact use, so a
 float-only process never compiles it, as an exact-only one never compiles
 :mod:`starsolve.floats`.
+
+The builders of exact matrices from outside live here too:
+:func:`from_grids` checks int grids once (a random draw, a generator) and
+:func:`from_parts` is the one builder from per-entry int parts (a file,
+``Matrix(...)``); so is the conversion of an exact matrix to floats.
 """
 
 import math
 from itertools import chain
 
-from .matrix import EXACT, Matrix, unchecked
+from .matrix import (EXACT, FLOAT, TRANSPOSE, Matrix, ShapeMismatchError, _check_header,
+                     _require_real, unchecked)
 from .ring import NotMpInvertibleError
 
 
@@ -30,6 +36,43 @@ def make(rows: int, cols: int, involution: str, re, im, d: int,
             d //= g
     return unchecked(rows, cols, involution, EXACT, None,
                      (tuple(map(tuple, re)), tuple(map(tuple, im)), d))
+
+
+def from_grids(rows: int, cols: int, involution: str, re, im, d: int) -> Matrix:
+    """The exact rows x cols matrix of Gaussian-integer grids from outside
+    (a random draw, :func:`from_parts`): rows of ``cols`` ints over the int
+    ``d > 0``, in any terms.  Checks the tags, the shape, the ints and the
+    transpose rule once, then reduces through :func:`make`."""
+    _check_header(rows, cols, involution, EXACT)
+    if any(len(grid) != rows or any(len(row) != cols for row in grid) for grid in (re, im)):
+        raise ShapeMismatchError("grids do not match declared shape")
+    if any(x.__class__ is not int for x in chain(*re, *im, (d,))):
+        raise TypeError("exact grids hold ints, bool excluded")
+    if d < 1:
+        raise ValueError(f"denominator must be positive, got {d}")
+    if involution == TRANSPOSE:
+        _require_real(chain.from_iterable(im))
+    return make(rows, cols, involution, re, im, d)
+
+
+def from_parts(rows: int, cols: int, involution: str, parts) -> Matrix:
+    """The exact matrix of per-entry int parts ``(re_num, re_den, im_num,
+    im_den)``, denominators nonzero of either sign: every part over the lcm
+    of the denominators, then :func:`from_grids`."""
+    d = math.lcm(*{den for row in parts for _, re_den, _, im_den in row
+                   for den in (re_den, im_den)})
+    re = [[x * (d // den) for x, den, _, _ in row] for row in parts]
+    im = [[y * (d // den) for _, _, y, den in row] for row in parts]
+    return from_grids(rows, cols, involution, re, im, d)
+
+
+def to_float(m: Matrix) -> Matrix:
+    """The float matrix of the exact ``m``."""
+    # x / d rounds correctly, as float(Fraction) does: the same floats.
+    re, im, d = m.grids
+    grid = tuple(tuple(complex(x / d, y / d) for x, y in zip(rr, ir))
+                 for rr, ir in zip(re, im))
+    return unchecked(m.rows, m.cols, m.involution, FLOAT, grid)
 
 
 def times(m: Matrix, u: int, v: int, e: int) -> Matrix:

@@ -6,29 +6,34 @@ rings with involution the solvers work in.  This module holds the
 dispatch to one backend's arithmetic; the Moore-Penrose inverse (by rank
 factorization when exact, by complete orthogonal decomposition on floats)
 and the Penrose checks.  Rectangular matrices use the same type; only
-:class:`MatrixRing` insists on squareness.  Plain-transpose matrices have
-real entries, on which the MP-inverse always exists.
+:class:`~starsolve.ring.MatrixRing` insists on squareness.  Plain-transpose
+matrices have real entries, on which the MP-inverse always exists.
 
 Each backend's arithmetic lives in its own module, imported on first use,
 so a process that works in one backend never compiles the other's: exact
-matrices are Gaussian-integer grids over one denominator, whose arithmetic
-and fraction-free elimination, the only one, live in :mod:`starsolve.grids`;
-float matrices are complex entries, whose arithmetic and decomposition live
-in :mod:`starsolve.floats`.  Exact zeros, identities and random draws are
-built as grids too, so :mod:`starsolve.scalars` and ``fractions`` load only
-when code reads an exact matrix's ``entries`` or passes Python scalars to
-:meth:`Matrix.exact`.
+matrices are Gaussian-integer grids over one denominator, whose arithmetic,
+fraction-free elimination (the only one), builders from outside data and
+conversion to floats live in :mod:`starsolve.grids`; float matrices are
+complex entries, whose arithmetic and decomposition live in
+:mod:`starsolve.floats`.  Exact zeros, identities and random draws are built
+as grids too, so :mod:`starsolve.scalars` and ``fractions``, which hold the
+per-entry view, load only when code reads an exact matrix's ``entries`` or
+passes Python scalars to :meth:`Matrix.exact`.
 
 One checking rule on both backends: data from outside is checked once, by
 ``Matrix(...)`` (tags, shape and every entry; ``exact`` and ``floating`` only
-work out the shape) or by :func:`from_grids` (int grids), with
-:func:`from_parts` the one builder of exact entry parts; each operation
-checks its own arguments once before it picks a backend; :func:`unchecked`
-builds every arithmetic result and copy as given, never re-checked (a float
-overflow travels on as inf or NaN).
+work out the shape) or by :func:`starsolve.grids.from_grids` (int grids),
+with :func:`starsolve.grids.from_parts` the one builder of exact entry
+parts; each operation checks its own arguments once before it picks a
+backend; :func:`unchecked` builds every arithmetic result and copy as given,
+never re-checked (a float overflow travels on as inf or NaN).
+
+Two names defined elsewhere also resolve here, on first access, because the
+benchmark harness (perfbench/) reaches them as ``matrix.*``:
+:class:`~starsolve.ring.MatrixRing` and
+:func:`~starsolve.solvers.random_matrix`.
 """
 import math
-import random
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -69,14 +74,8 @@ def _coerce_entry(value, backend):
         raise TypeError(f"bool is not a {backend} matrix entry")
     if backend == EXACT:
         # the per-entry view: scalars (and fractions) load with the first exact entry
-        from fractions import Fraction
-        from .scalars import GaussianRational
-        if isinstance(value, (int, Fraction)):
-            return value.numerator, value.denominator, 0, 1
-        if isinstance(value, GaussianRational):
-            re, im = value.re, value.im
-            return re.numerator, re.denominator, im.numerator, im.denominator
-        raise TypeError(f"exact matrices take GaussianRational/int/Fraction entries, got {value!r}")
+        from .scalars import entry_parts
+        return entry_parts(value)
     if isinstance(value, (int, float, complex)):
         return finite_complex(value)
     raise TypeError(f"float matrices take int/float/complex entries, got {value!r}")
@@ -133,7 +132,7 @@ class Matrix:
         grid = tuple(tuple(_coerce_entry(e, backend) for e in row) for row in entries)
         if backend == EXACT:
             self._set(rows, cols, involution, EXACT, None,
-                      from_parts(rows, cols, involution, grid).grids)
+                      _ops(EXACT).from_parts(rows, cols, involution, grid).grids)
             return
         if involution == TRANSPOSE:
             _require_real(z.imag for z in chain.from_iterable(grid))
@@ -153,12 +152,8 @@ class Matrix:
     def entries(self) -> tuple:
         """Row tuples of the entries, row-major."""
         if self._entries is None:
-            from fractions import Fraction
-            from .scalars import GaussianRational
-            re, im, d = self.grids
-            object.__setattr__(self, "_entries", tuple(
-                tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(rr, ir))
-                for rr, ir in zip(re, im)))
+            from .scalars import grid_entries
+            object.__setattr__(self, "_entries", grid_entries(*self.grids))
         return self._entries
 
     def _key(self) -> tuple:
@@ -257,7 +252,7 @@ class Matrix:
     def scale(self, scalar) -> "Matrix":
         s = _coerce_entry(scalar, self.backend)
         if self.backend == EXACT:  # from_parts checks the transpose rule
-            ((u,),), ((v,),), e = from_parts(1, 1, self.involution, ((s,),)).grids
+            ((u,),), ((v,),), e = _ops(EXACT).from_parts(1, 1, self.involution, ((s,),)).grids
             return _ops(EXACT).times(self, u, v, e)
         if self.involution == TRANSPOSE:
             _require_real((s.imag,))
@@ -320,45 +315,11 @@ class Matrix:
         return _ops(self.backend).paste(self, row0, col0, sub)
 
     def to_float(self) -> "Matrix":
-        if self.backend == FLOAT:
-            return self
-        # x / d rounds correctly, as float(Fraction) does: the same floats.
-        re, im, d = self.grids
-        grid = tuple(tuple(complex(x / d, y / d) for x, y in zip(rr, ir))
-                     for rr, ir in zip(re, im))
-        return unchecked(self.rows, self.cols, self.involution, FLOAT, grid)
+        return self if self.backend == FLOAT else _ops(EXACT).to_float(self)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
         return f"Matrix[{self.rows}x{self.cols} {self.backend}/{self.involution}]({body})"
-
-
-def from_grids(rows: int, cols: int, involution: str, re, im, d: int) -> Matrix:
-    """The exact rows x cols matrix of Gaussian-integer grids from outside
-    (a random draw, :func:`from_parts`): rows of ``cols`` ints over the int
-    ``d > 0``, in any terms.  Checks the tags, the shape, the ints and the
-    transpose rule once, then reduces through :func:`starsolve.grids.make`."""
-    _check_header(rows, cols, involution, EXACT)
-    if any(len(grid) != rows or any(len(row) != cols for row in grid) for grid in (re, im)):
-        raise ShapeMismatchError("grids do not match declared shape")
-    if any(x.__class__ is not int for x in chain(*re, *im, (d,))):
-        raise TypeError("exact grids hold ints, bool excluded")
-    if d < 1:
-        raise ValueError(f"denominator must be positive, got {d}")
-    if involution == TRANSPOSE:
-        _require_real(chain.from_iterable(im))
-    return _ops(EXACT).make(rows, cols, involution, re, im, d)
-
-
-def from_parts(rows: int, cols: int, involution: str, parts) -> Matrix:
-    """The exact matrix of per-entry int parts ``(re_num, re_den, im_num,
-    im_den)``, denominators nonzero of either sign: every part over the lcm
-    of the denominators, then :func:`from_grids`."""
-    d = math.lcm(*{den for row in parts for _, re_den, _, im_den in row
-                   for den in (re_den, im_den)})
-    re = [[x * (d // den) for x, den, _, _ in row] for row in parts]
-    im = [[y * (d // den) for _, _, y, den in row] for row in parts]
-    return from_grids(rows, cols, involution, re, im, d)
 
 
 def unchecked(rows: int, cols: int, involution: str, backend: str, entries,
@@ -446,59 +407,16 @@ def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
     return all(d.is_zero(tol) for d, tol in zip(penrose_defects(a, b), tols))
 
 
-# -- random draws -----------------------------------------------------------
+# -- names that moved ----------------------------------------------------------
 
 
-def random_sixths(rng: random.Random) -> int:
-    """A small random rational r as the integer 6 r: numerator in [-9, 9]
-    (``randint``), then denominator in {1, 2, 3} (``choice``)."""
-    numerator = rng.randint(-9, 9)
-    return numerator * (6 // rng.choice((1, 2, 3)))
-
-
-def random_matrix(rng: random.Random, rows: int, cols: int,
-                  backend: str = EXACT, involution: str = CONJUGATE_TRANSPOSE) -> Matrix:
-    """Random entries drawn row by row, real part then imaginary part (none
-    under the transpose involution): exact ones by :func:`random_sixths`,
-    straight into a grid over the denominator 6; float ones uniform in
-    [-1, 1]."""
-    real_only = involution == TRANSPOSE
-    if backend == EXACT:
-        draws = [[(random_sixths(rng), 0 if real_only else random_sixths(rng))
-                  for _ in range(cols)] for _ in range(rows)]
-        return from_grids(rows, cols, involution, [[x for x, _ in row] for row in draws],
-                          [[y for _, y in row] for row in draws], 6)
-    _check_header(rows, cols, involution, backend)  # the draws are finite and fit the tags
-    grid = tuple(tuple(complex(rng.uniform(-1.0, 1.0),
-                               0.0 if real_only else rng.uniform(-1.0, 1.0))
-                       for _ in range(cols)) for _ in range(rows))
-    return unchecked(rows, cols, involution, backend, grid)
-
-
-# -- the ring -----------------------------------------------------------------
-
-
-class MatrixRing:
-    """The ring of square matrices of one size, backend and involution.
-
-    The solvers take it as the ring of c; none of them reads it.
-    """
-
-    def __init__(self, size: int, backend: str = EXACT,
-                 involution: str = CONJUGATE_TRANSPOSE):
-        if size < 1:
-            raise ValueError("matrix ring needs size >= 1")
-        self.size = size
-        self.backend = backend
-        self.involution = involution
-        self._zero = Matrix.zeros(size, size, involution, backend)
-        self._one = Matrix.identity(size, involution, backend)
-
-    def __repr__(self):
-        return f"MatrixRing(size={self.size}, backend={self.backend!r}, involution={self.involution!r})"
-
-    def zero(self) -> Matrix:
-        return self._zero
-
-    def one(self) -> Matrix:
-        return self._one
+def __getattr__(name):
+    """``MatrixRing`` and ``random_matrix``, from their defining modules
+    (PEP 562): the benchmark harness reaches them as ``matrix.*``."""
+    if name == "MatrixRing":
+        from .ring import MatrixRing as value
+    elif name == "random_matrix":
+        from .solvers import random_matrix as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return value

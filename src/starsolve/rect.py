@@ -19,7 +19,8 @@ p x m convention seen elsewhere refers to B*.
 
 from typing import NamedTuple, Tuple
 
-from .matrix import RTOL, Matrix, MatrixRing
+from .matrix import RTOL, Matrix
+from .ring import MatrixRing
 from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, solve
 
 Dims = Tuple[int, int, int]

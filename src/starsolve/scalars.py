@@ -4,11 +4,15 @@
 ``fractions.Fraction`` components, so every arithmetic result is reduced and
 comparison is structural.  A ``Matrix`` stores Gaussian-integer grids over
 one denominator and computes on them with plain ints; files, random draws,
-zeros, identities and the generators go straight to those grids.  This
-module, and ``fractions`` with it, loads only when code reads an exact
-matrix's ``entries`` or ``entry()``, or passes Python scalars to
-``Matrix.exact``: no CLI subcommand does.  The float backend is the
-built-in ``complex``, validated by ``matrix.finite_complex``.
+zeros, identities and the generators go straight to those grids.  The two
+crossings between a matrix and its entries live here too: the int parts of
+an exact entry given as a Python scalar (:func:`entry_parts`, for
+``Matrix(...)`` and ``Matrix.scale``) and the entries of exact grids
+(:func:`grid_entries`, for ``Matrix.entries``).  This module, and
+``fractions`` with it, loads only when code reads an exact matrix's
+``entries`` or ``entry()``, or passes Python scalars to ``Matrix.exact``:
+no CLI subcommand does.  The float backend is the built-in ``complex``,
+validated by ``matrix.finite_complex``.
 """
 
 import math
@@ -150,3 +154,25 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 GR_HALF = GaussianRational(Fraction(1, 2))
+
+
+# -- the per-entry view of an exact Matrix -------------------------------------
+
+
+def entry_parts(value) -> tuple:
+    """The ints ``(re_num, re_den, im_num, im_den)`` of an exact entry given
+    as an int, a ``Fraction`` or a GaussianRational (``matrix`` refuses a
+    bool first)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator, 0, 1
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        return re.numerator, re.denominator, im.numerator, im.denominator
+    raise TypeError(f"exact matrices take GaussianRational/int/Fraction entries, got {value!r}")
+
+
+def grid_entries(re, im, d: int) -> tuple:
+    """Row tuples of the entries ``(x + y i) / d`` of the exact grids
+    ``(re, im, d)``, row-major."""
+    return tuple(tuple(GaussianRational(Fraction(x, d), Fraction(y, d)) for x, y in zip(rr, ir))
+                 for rr, ir in zip(re, im))

@@ -17,14 +17,13 @@ from starsolve.generate import (GenerationError, PAIR_FAMILIES, random_pair,
                                 random_rect_instance, random_sym_instance,
                                 random_square_instance)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              MatrixRing, is_mp_inverse, mp_inverse,
-                              penrose_defects, random_matrix)
+                              is_mp_inverse, mp_inverse, penrose_defects)
 from starsolve.oracle import oracle_solve, verify_family_against_oracle
 from starsolve.rect import (embed, embed_mp, extract_solution, solve_rect,
                             solve_rect_via_embedding)
-from starsolve.ring import NotMpInvertibleError
+from starsolve.ring import MatrixRing, NotMpInvertibleError
 from starsolve.solvers import (MINUS, PLUS, UnsolvableError, check_hypotheses,
-                               equation_lhs, solvability_conditions, solve,
+                               equation_lhs, random_matrix, solvability_conditions, solve,
                                solve_sym_left, solve_sym_right)
 
 GOLDEN = Path(__file__).parent / "golden"

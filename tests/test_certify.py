@@ -17,9 +17,10 @@ from starsolve.certify import certify_family
 from starsolve.generate import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                                 random_rect_instance, random_square_instance,
                                 random_sym_instance)
-from starsolve.matrix import CONJUGATE_TRANSPOSE, TRANSPOSE, Matrix, MatrixRing
+from starsolve.matrix import CONJUGATE_TRANSPOSE, TRANSPOSE, Matrix
 from starsolve.oracle import oracle_solve, verify_family_against_oracle
 from starsolve.rect import solve_rect
+from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve, solve_sym_left, solve_sym_right
 

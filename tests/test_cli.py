@@ -1,10 +1,12 @@
 import gc
 import hashlib
+import io
 import json
 import random
 import re
 import subprocess
 import sys
+import tokenize
 import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -14,7 +16,8 @@ import pytest
 from starsolve import formats, matrix
 from starsolve.cli import main, run
 from starsolve.generate import random_square_instance, random_sym_instance
-from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve
+from starsolve.ring import MatrixRing
+from starsolve.solvers import MINUS, PLUS, SolutionFamily, random_matrix, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -403,6 +406,17 @@ def test_exit_2_gen_dims_beyond_an_index(argv, capsys):
 def test_exit_2_gen_refuses_dims_and_family(argv, err, capsys):
     assert run_main("gen", *argv) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("argv, families", [
+    (("--kind", "minus"), ('unitary', 'equal', 'diagonal', 'rejection')),
+    (("--kind", "rect_plus", "--dims", "2,2,2"), ('coisometry', 'diagonal', 'rejection')),
+])
+def test_exit_2_gen_refuses_an_empty_family(argv, families, capsys):
+    # an empty name is a name, not an absent one: refused, as sym kinds refuse it
+    assert run_main("gen", *argv, "--family", "") == 2
+    assert capsys.readouterr().err == (f"error: --family must be one of {families} "
+                                       f"for {argv[1]!r}\n")
 
 
 def test_gen_validates_its_instance_once(monkeypatch, tmp_path):
@@ -872,7 +886,7 @@ def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path, graded):
     judged = 0
     for seed in range(10):
         a = graded(3, 20, seed)
-        h = matrix.random_matrix(random.Random(seed), 3, 3)
+        h = random_matrix(random.Random(seed), 3, 3)
         for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
             inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
                                          {"a": a, "b": a, "c": c})
@@ -898,7 +912,7 @@ def test_float_solve_on_graded_pairs(tmp_path, graded, s):
     out, sol_path = tmp_path / "solve.json", tmp_path / "x.json"
     for seed in range(10):
         a = graded(6, s, seed)
-        h = matrix.random_matrix(random.Random(seed), 6, 6)
+        h = random_matrix(random.Random(seed), 6, 6)
         for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
             inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
                                          {"a": a, "b": a, "c": c})
@@ -991,7 +1005,7 @@ def cli_files(tmp_path, backend) -> tuple:
     formats.save_instance(formats.make_instance("minus", backend, a.involution, ops, None, 3),
                           paths[0])
     formats.save_matrix(ops["a"], paths[1])
-    formats.save_matrix(solve(matrix.MatrixRing(3, backend), MINUS, *ops.values()).x0, paths[2])
+    formats.save_matrix(solve(MatrixRing(3, backend), MINUS, *ops.values()).x0, paths[2])
     return paths
 
 
@@ -1064,6 +1078,59 @@ def test_runs_leave_the_other_arithmetic_unloaded(tmp_path, backend):
     runs = [["check", "--input", inst, *out], ["solve", "--input", inst, *out],
             ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out]]
     assert loaded_by(runs, tuple(ARITHMETIC.values())) == [ARITHMETIC[backend]]
+
+
+# -- compile size per child -----------------------------------------------------
+
+# With no .pyc files, as the benchmark runs, a CLI child compiles every
+# starsolve module it loads, and its peak memory follows the largest one.
+MAX_MODULE_TOKENS = 3_000
+# each module under src/starsolve/, by the name it has in sys.modules
+MODULE_FILES = {("starsolve" if path.stem == "__init__" else f"starsolve.{path.stem}"): path
+                for path in sorted((SRC / "starsolve").glob("*.py"))}
+
+
+def token_count(source: str) -> int:
+    """Tokens of Python source as Python 3.11's ``tokenize`` counts them.
+    From 3.12 on, ``tokenize`` splits an f-string into FSTRING_START ...
+    FSTRING_END; that run counts as one token here, as 3.11's one STRING."""
+    start, end = getattr(tokenize, "FSTRING_START", None), getattr(tokenize, "FSTRING_END", None)
+    count = depth = 0
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == start:
+            count += not depth
+            depth += 1
+        elif tok.type == end:
+            depth -= 1
+        elif not depth:
+            count += 1
+    return count
+
+
+def test_token_count_counts_an_f_string_as_one_token():
+    # x = <f-string> + "s" NEWLINE ENDMARKER, on every Python version
+    assert token_count('x = f"{a!r} and {f\'{b}\'}" + "s"\n') == 7
+
+
+def test_no_cli_child_compiles_a_module_over_the_ceiling(tmp_path):
+    out = ["--output", str(tmp_path / "out.json")]
+    runs = [["gen", "--kind", kind, *dims, *backend, *out]
+            for kind, dims in (("minus", ()), ("rect_plus", ("--dims", "2,3,2")), ("sym_left", ()))
+            for backend in ((), ("--backend", matrix.FLOAT))]
+    for backend in matrix.BACKENDS:
+        inst, a, x = cli_files(tmp_path, backend)
+        runs += [["check", "--input", inst, *out], ["solve", "--input", inst, *out],
+                 ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out]]
+    runs.append(["solve", "--input", str(GOLDEN / "scalar_minus.json"), "--oracle", *out])
+    tokens = {name: token_count(path.read_text()) for name, path in MODULE_FILES.items()}
+    over = {}  # each module over the ceiling: the first run that compiles it
+    for argv in runs:
+        loaded = loaded_by([argv], tuple(MODULE_FILES))
+        assert "starsolve.cli" in loaded, argv
+        for name in loaded:
+            if tokens[name] > MAX_MODULE_TOKENS:
+                over.setdefault(f"{name}: {tokens[name]} tokens", " ".join(argv[:3]))
+    assert over == {}, f"CLI children compile modules over {MAX_MODULE_TOKENS} tokens"
 
 
 def test_generated_at_is_a_utc_timestamp(capsys):

@@ -13,8 +13,9 @@ from starsolve.formats import (FormatError, instance_from_doc, instance_to_doc,
 from starsolve.generate import (random_rect_instance, random_sym_instance,
                                 random_square_instance)
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, random_matrix, unchecked)
+                              Matrix, unchecked)
 from starsolve.scalars import GaussianRational
+from starsolve.solvers import random_matrix
 
 seeds = st.integers(min_value=0, max_value=10**6)
 backends = st.sampled_from((EXACT, FLOAT))

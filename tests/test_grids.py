@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from starsolve.generate import random_square_instance
 from starsolve.grids import gauss_jordan
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE, Matrix, inverse,
-                              mp_inverse, random_matrix, rank_factorization)
+                              mp_inverse, rank_factorization)
 from starsolve.oracle import linearize
 from starsolve.ring import NotMpInvertibleError
 from starsolve.scalars import GR_HALF, GR_ZERO, GaussianRational
-from starsolve.solvers import MINUS, PLUS
+from starsolve.solvers import MINUS, PLUS, random_matrix
 
 involutions = st.sampled_from((CONJUGATE_TRANSPOSE, TRANSPOSE))
 sizes = st.integers(min_value=0, max_value=4)

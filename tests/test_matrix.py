@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from starsolve import formats, matrix
 from starsolve.formats import FormatError
-from starsolve.ring import NotMpInvertibleError
+from starsolve.grids import from_grids
+from starsolve.ring import MatrixRing, NotMpInvertibleError
 from starsolve.matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, MatrixRing, ShapeMismatchError, from_grids,
-                              inverse, is_mp_inverse, mp_inverse,
-                              random_matrix, rank_factorization)
+                              Matrix, ShapeMismatchError, inverse, is_mp_inverse,
+                              mp_inverse, rank_factorization)
 from starsolve.scalars import GaussianRational
+from starsolve.solvers import random_matrix
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

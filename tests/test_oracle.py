@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from starsolve.generate import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                                 random_coisometry, random_pair, random_rect_instance,
                                 random_sym_instance, random_square_instance, random_unitary)
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix,
-                              MatrixRing, inverse, random_matrix, rank_factorization)
+from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, inverse,
+                              rank_factorization)
 from starsolve.oracle import linearize, oracle_solve, verify_family_against_oracle
 from starsolve.rect import solve_rect
+from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (MINUS, PLUS, UnsolvableError, check_hypotheses,
-                               equation_lhs, solve, solve_sym_left, solve_sym_right)
+                               equation_lhs, random_matrix, solve, solve_sym_left,
+                               solve_sym_right)
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

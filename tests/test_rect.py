@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsolve.generate import random_rect_instance, random_square_instance
-from starsolve.matrix import (TRANSPOSE, Matrix, is_mp_inverse, mp_inverse,
-                              random_matrix)
+from starsolve.matrix import TRANSPOSE, Matrix, is_mp_inverse, mp_inverse
 from starsolve.rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
                             embed_solution, extract_solution, solve_rect,
                             solve_rect_via_embedding)
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs
+from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs, random_matrix
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

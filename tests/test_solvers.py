@@ -7,15 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
-                              Matrix, MatrixRing, is_mp_inverse, mp_inverse,
-                              random_matrix, tolerance)
+                              Matrix, is_mp_inverse, mp_inverse, tolerance)
 from starsolve.formats import PAIR_FAMILIES, RECT_FAMILIES
 from starsolve.generate import (random_pair, random_rect_instance, random_square_instance,
                                 random_sym_instance)
+from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
-                               equation_lhs, particular,
+                               equation_lhs, particular, random_matrix,
                                solvability_conditions, solve, solve_sym_left,
                                solve_sym_right, sym_general_form)
 
