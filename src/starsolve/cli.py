@@ -221,9 +221,9 @@ def cmd_check(args) -> int:
 def _reverified_max_abs(fam, x, subject: str) -> float:
     """The largest |entry| of x's residual, once the family has confirmed
     that x solves its equation; SelfCheckError names ``subject`` if not."""
-    residual = fam.residual(x)
-    residual_max = _max_abs(residual)  # exit 2 if eq(x) overflowed
-    if not fam.residual_ok(x, residual):
+    judged = fam.judge(x)
+    residual_max = _max_abs(judged.residual)  # exit 2 if eq(x) overflowed
+    if not judged.ok:
         raise SelfCheckError(f"{subject} failed re-verification")
     return residual_max
 
@@ -301,7 +301,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .solvers import equation_lhs, residual_tolerance, sym_general_form
+    from .solvers import equation_lhs, residual_condition, sym_general_form
     inst = formats.load_instance(args.input)
     x = formats.load_matrix(args.solution)
     if x.backend != inst.backend or x.involution != inst.involution:
@@ -314,17 +314,16 @@ def cmd_verify(args) -> int:
     if x.shape != (a.cols, b.cols):
         raise FormatError(f"solution must have shape {(a.cols, b.cols)}, got {x.shape}")
 
-    residual = equation_lhs(inst.sign, a, b, x).sub(rhs)
-    residual_max = _max_abs(residual)
-    tol_abs = _finite(residual_tolerance(args.tol, a, b, rhs, x), "the tolerance")
-    verified = residual.is_zero(tol_abs)
+    judged = residual_condition(equation_lhs(inst.sign, a, b, x).sub(rhs), args.tol, a, b, rhs, x)
+    residual_max = _max_abs(judged.residual)
     doc = _report("verify", instance=_instance_summary(inst), solution_shape=list(x.shape),
-                  tolerance=tol_abs, residual_max_abs=residual_max, verified=verified)
+                  tolerance=_finite(judged.tol, "the tolerance"),
+                  residual_max_abs=residual_max, verified=judged.ok)
     _emit(doc, args, [
         f"residual max |entry| = {residual_max:.3e}",
-        "verdict: verified" if verified else "verdict: FAILED",
+        "verdict: verified" if judged.ok else "verdict: FAILED",
     ])
-    return EXIT_OK if verified else EXIT_VERIFY_FAIL
+    return EXIT_OK if judged.ok else EXIT_VERIFY_FAIL
 
 
 # -- wiring ----------------------------------------------------------------

@@ -78,12 +78,6 @@ def max_abs(m: Matrix) -> float:
     return max(values, default=0.0)
 
 
-def equals(left: Matrix, right: Matrix, tol: float) -> bool:
-    """Every entry of ``left - right`` within ``tol``."""
-    return all(abs(a - b) <= tol for ra, rb in zip(left.entries, right.entries)
-               for a, b in zip(ra, rb))
-
-
 def is_zero(m: Matrix) -> bool:
     return all(not e for row in m.entries for e in row)
 

@@ -283,16 +283,6 @@ class Matrix:
         which ``max`` alone would skip unless it came first."""
         return _ops(self.backend).max_abs(self)
 
-    def equals(self, other: "Matrix") -> bool:
-        """Entrywise equality: structural on the exact backend; on the float
-        one, each entry within ``tolerance(RTOL, self, other)``."""
-        self._check_tags(other)
-        if self.shape != other.shape:
-            raise ShapeMismatchError(f"equals: {self.shape} vs {other.shape}")
-        if self.backend == EXACT:
-            return self.grids == other.grids
-        return _ops(FLOAT).equals(self, other, tolerance(RTOL, self, other))
-
     def is_zero(self, tol: Optional[float] = None) -> bool:
         """Every entry is zero: exactly when ``tol`` is None (what
         :func:`tolerance` gives on the exact backend), else within ``tol``."""

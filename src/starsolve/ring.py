@@ -7,7 +7,7 @@ work on :class:`~starsolve.matrix.Matrix` directly and take a
 :class:`MatrixRing` as the ring of c without reading it.
 """
 
-from .matrix import CONJUGATE_TRANSPOSE, EXACT, Matrix
+from .matrix import CONJUGATE_TRANSPOSE, EXACT, Matrix, _check_header
 
 
 class NotMpInvertibleError(Exception):
@@ -24,17 +24,14 @@ class MatrixRing:
                  involution: str = CONJUGATE_TRANSPOSE):
         if size < 1:
             raise ValueError("matrix ring needs size >= 1")
-        self.size = size
-        self.backend = backend
-        self.involution = involution
-        self._zero = Matrix.zeros(size, size, involution, backend)
-        self._one = Matrix.identity(size, involution, backend)
+        _check_header(size, size, involution, backend)
+        self.size, self.backend, self.involution = size, backend, involution
 
     def __repr__(self):
         return f"MatrixRing(size={self.size}, backend={self.backend!r}, involution={self.involution!r})"
 
     def zero(self) -> Matrix:
-        return self._zero
+        return Matrix.zeros(self.size, self.size, self.involution, self.backend)
 
     def one(self) -> Matrix:
-        return self._one
+        return Matrix.identity(self.size, self.involution, self.backend)

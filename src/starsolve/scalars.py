@@ -134,10 +134,6 @@ class GaussianRational:
         # Float approximation; used only for display and tolerance scaling.
         return math.hypot(float(self.re), float(self.im))
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 

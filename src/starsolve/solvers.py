@@ -202,15 +202,16 @@ def equation_lhs(sign: str, a: Matrix, b: Matrix, x: Matrix) -> Matrix:
     return left - right if sign == MINUS else left + right
 
 
-def residual_tolerance(rtol: float, a: Matrix, b: Matrix, c: Matrix,
-                       x: Matrix) -> Optional[float]:
-    """Absolute tolerance for the residual a x b* -/+ b x* a* - c at x.
+def residual_condition(residual: Matrix, rtol: float, a: Matrix, b: Matrix, c: Matrix,
+                       x: Matrix) -> Condition:
+    """The zero test of ``residual``, the residual a x b* -/+ b x* a* - c at x.
 
-    The one rule for judging a claimed solution, shared by SolutionFamily
-    and the CLI's ``verify``: the residual's terms are the products a x b*,
-    b x* a* and c, so it is judged against |a| |x| |b| and |c| (max abs).
+    The one rule for judging a claimed solution, shared by
+    SolutionFamily.judge and the CLI's ``verify``: exact on the exact
+    backend; else, as the residual's terms are the products a x b*, b x* a*
+    and c, against |a| |x| |b| and |c| (max abs).
     """
-    return matrix.tolerance(rtol, (a, x, b), c)
+    return _condition("residual", residual, rtol, (a, x, b), c)
 
 
 class SolutionFamily:
@@ -257,13 +258,9 @@ class SolutionFamily:
         """a x b* -/+ b x* a* - c; zero iff x solves the equation."""
         return equation_lhs(self.sign, self.a, self.b, x) - self.c
 
-    def residual_ok(self, x: Matrix, residual: Matrix) -> bool:
-        """Whether ``residual`` (the residual at x) vanishes: exactly on the
-        exact backend, else within ``residual_tolerance`` at ``rtol``."""
-        return residual.is_zero(residual_tolerance(self.rtol, self.a, self.b, self.c, x))
-
-    def is_solution(self, x: Matrix) -> bool:
-        return self.residual_ok(x, self.residual(x))
+    def judge(self, x: Matrix) -> Condition:
+        """Whether x solves the equation, by :func:`residual_condition` at ``rtol``."""
+        return residual_condition(self.residual(x), self.rtol, self.a, self.b, self.c, x)
 
     def sample(self, seed: int) -> Matrix:
         """Deterministic family member x0 + L(v), v small and drawn from the seed."""
@@ -332,13 +329,12 @@ def sym_general_form(side: str, a: Matrix, b: Matrix) -> tuple:
 def _solve_sym(side: str, a: Matrix, b: Matrix, rtol: float) -> SolutionFamily:
     general = sym_general_form(side, a, b)  # refuses an unknown side first
     a_dagger = matrix.mp_inverse(a)
-    one = Matrix.identity(a.rows, a.involution, a.backend)
     if side == "right":
+        one, name = general[0], "E_condition"  # (1, a, b)
         proj = one - a @ a_dagger
-        name = "E_condition"
     else:
+        one, name = general[1], "F_condition"  # (a*, 1, b)
         proj = one - a_dagger @ a
-        name = "F_condition"
     conditions = (_condition("b_star_neq_b", b.star() - b, rtol, b),
                   _condition(name, proj @ b @ proj, rtol, b))
     if not all(cond.ok for cond in conditions):

@@ -102,8 +102,8 @@ def test_criterion_2_derived_element_identities(derived):
             is_mp_inverse(d, d_dagger),
             (d_dagger @ b).is_zero(),
             (b.star() @ (d @ d_dagger)).is_zero(),
-            (d @ d_dagger @ a).equals(d),
-            (d_dagger @ a).equals(d_dagger @ d),
+            d @ d_dagger @ a == d,
+            d_dagger @ a == d_dagger @ d,
         )
         if not all(identities):
             bad += 1
@@ -150,7 +150,7 @@ def test_criterion_3_solvability_iff(iff_suite):
             continue
         if fam is not None:
             solvable += 1
-            if not equation_lhs(sign, a, b, fam.x0).equals(c):
+            if equation_lhs(sign, a, b, fam.x0) != c:
                 substitution_failures += 1
     ok = mismatches == 0 and substitution_failures == 0
     _report(3, "solvability iff oracle", ok,
@@ -208,7 +208,7 @@ def test_criterion_5_symmetric_corollaries():
                     lhs = (x @ a.star()).add(a @ x.star())
                 else:
                     lhs = (a.star() @ x).add(x.star() @ a)
-                if not lhs.equals(b):
+                if lhs != b:
                     bad_substitutions += 1
     ok = bad_verdicts == 0 and bad_substitutions == 0
     _report(5, "symmetric corollaries", ok,
@@ -263,11 +263,11 @@ def test_criterion_6_embedding():
         if fam is None:
             continue
         extracted = extract_solution(sq_fam.x0, prob.dims)
-        if not extracted.equals(fam.x0):
+        if extracted != fam.x0:
             bad_coincide += 1
         direct_ok = fam.residual(fam.x0).is_zero()
         embedded_ok = equation_lhs(sign, triple.a, triple.b,
-                                   sq_fam.x0).equals(triple.c)
+                                   sq_fam.x0) == triple.c
         if not (direct_ok and embedded_ok):
             bad_verify += 1
     ok = (bad_penrose == 0 and bad_agreement == 0 and bad_coincide == 0

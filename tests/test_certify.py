@@ -168,7 +168,7 @@ def test_perturbed_x0_fails_the_certificate():
     caught = 0
     for fam in diagonal_families():
         bad = perturbed_x0(fam)
-        if fam.is_solution(bad.x0):
+        if fam.judge(bad.x0).ok:
             continue  # the perturbation lies in the kernel (as for b = 0)
         certificate = certify_family(bad)
         assert not certificate.ok and not certificate.x0_ok
@@ -214,8 +214,9 @@ def test_cli_certifies_before_it_draws_samples(monkeypatch, tmp_path, capsys):
 def test_cli_exits_7_on_a_perturbed_x0_through_the_certificate(monkeypatch, tmp_path, capsys):
     # solve's own re-verification of x0 is switched off: the certificate's
     # exact residual still catches the fault
-    fam = next(f for f in diagonal_families() if not f.is_solution(perturbed_x0(f).x0))
-    monkeypatch.setattr(SolutionFamily, "residual_ok", lambda self, x, residual: True)
+    fam = next(f for f in diagonal_families() if not f.judge(perturbed_x0(f).x0).ok)
+    judge = SolutionFamily.judge
+    monkeypatch.setattr(SolutionFamily, "judge", lambda self, x: judge(self, x)._replace(ok=True))
     assert solve_with(monkeypatch, tmp_path, perturbed_x0(fam)) == 7
     err = capsys.readouterr().err
     assert err.startswith("error: internal self-check failed: oracle certificate failed")

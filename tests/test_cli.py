@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import itertools
 import json
 import random
 import re
@@ -520,7 +521,8 @@ def test_exit_2_negative_samples(capsys):
 
 
 def test_exit_7_self_check_failure(monkeypatch, capsys):
-    monkeypatch.setattr(SolutionFamily, "residual_ok", lambda self, x, residual: False)
+    judge = SolutionFamily.judge
+    monkeypatch.setattr(SolutionFamily, "judge", lambda self, x: judge(self, x)._replace(ok=False))
     assert run_main("solve", "--input", str(GOLDEN / "scalar_minus.json")) == 7
     err = capsys.readouterr().err
     assert err.startswith("error: internal self-check failed")
@@ -933,35 +935,44 @@ def test_float_solve_on_graded_pairs(tmp_path, graded, s):
 
 
 def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
-    # One equation-residual rule for solve's self-check and for verify: the x0
-    # that solve prints at --tol T passes verify at --tol T, and check agrees
-    # with solve on the verdict, also on an instance scaled by 1e-6.
+    # One equation-residual rule for solve's self-check and for verify: every
+    # x0 and sample that solve prints at --tol T passes verify at --tol T with
+    # the residual solve printed, bit for bit, and check agrees with solve on
+    # the verdict; on both backends and involutions, the float instances
+    # scaled by 1e-6.
     tol = ("--tol", "1e-12")
     exact_path, float_path = tmp_path / "exact.json", tmp_path / "float.json"
-    sol_path, out = tmp_path / "x0.json", tmp_path / "solve.json"
+    sol_path, out = tmp_path / "x.json", tmp_path / "solve.json"
     solved = 0
-    for kind in ("minus", "plus", "sym_right", "sym_left", "rect_minus"):
-        for seed, force in ((0, True), (1, True), (2, False)):
-            argv = ["gen", "--kind", kind, "--seed", str(seed), "--dims",
-                    "2,3,2" if kind.startswith("rect") else "3",
-                    "--output", str(exact_path)]
+    for kind, dims in (("minus", "3"), ("plus", "3"), ("sym_right", "3"), ("sym_left", "3"),
+                       ("rect_minus", "2,3,2"), ("rect_plus", "2,2,3")):
+        for involution, (seed, force) in itertools.product(
+                matrix.INVOLUTIONS, ((0, True), (1, True), (2, False))):
+            argv = ["gen", "--kind", kind, "--seed", str(seed), "--dims", dims,
+                    "--involution", involution, "--output", str(exact_path)]
             assert run_main(*argv, *(["--force-solvable"] if force else [])) == 0
             write_scaled_float(float_path, formats.load_instance(str(exact_path)), 1e-6)
-            code = run_main("solve", "--input", str(float_path), "--samples", "1",
-                            "--output", str(out), *tol)
-            doc = json.loads(out.read_text())
-            assert check_report(float_path, *tol)["verdict"] == doc["verdict"]
-            if force:
-                assert code == 0, (kind, seed)
-            if code != 0:
-                continue
-            solved += 1
-            x0 = formats.decode_matrix(doc["x0"], matrix.FLOAT,
-                                       doc["instance"]["involution"])
-            formats.save_matrix(x0, str(sol_path))
-            assert run_main("verify", "--input", str(float_path),
-                            "--solution", str(sol_path), *tol) == 0, (kind, seed)
-    assert solved >= 10
+            for backend, path in ((matrix.EXACT, exact_path), (matrix.FLOAT, float_path)):
+                case = (kind, involution, seed, backend)
+                code = run_main("solve", "--input", str(path), "--samples", "2",
+                                "--output", str(out), *tol)
+                doc = json.loads(out.read_text())
+                assert check_report(path, *tol)["verdict"] == doc["verdict"], case
+                if force:
+                    assert code == 0, case
+                if code != 0:
+                    continue
+                solved += 1
+                printed = [(doc["x0"], doc["residual_max_abs"])]
+                printed += [(s["solution"], s["residual_max_abs"]) for s in doc["samples"]]
+                for raw, residual_max in printed:
+                    formats.save_matrix(formats.decode_matrix(raw, backend, involution),
+                                        str(sol_path))
+                    assert run_main("verify", "--input", str(path), "--solution",
+                                    str(sol_path), "--output", str(out), *tol) == 0, case
+                    verified = json.loads(out.read_text())["residual_max_abs"]
+                    assert verified.hex() == residual_max.hex(), case
+    assert solved >= 48
 
 
 # -- start-up imports -----------------------------------------------------------------

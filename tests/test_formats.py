@@ -107,7 +107,7 @@ def test_huge_integers_survive():
 def test_matrix_doc_roundtrip():
     m = random_matrix(random.Random(1), 2, 3)
     doc = matrix_to_doc(m)
-    assert matrix_from_doc(doc).equals(m)
+    assert matrix_from_doc(doc) == m
     assert doc["type"] == "matrix"
 
 
@@ -302,7 +302,7 @@ def test_file_helpers_roundtrip(tmp_path):
     mpath = tmp_path / "m.json"
     m = inst.operands["a"]
     formats.save_matrix(m, str(mpath))
-    assert formats.load_matrix(str(mpath)).equals(m)
+    assert formats.load_matrix(str(mpath)) == m
 
 
 def test_load_instance_bad_json(tmp_path):

@@ -94,8 +94,8 @@ def test_exact_operations_match_entrywise_reference(data, rows, cols, inner, inv
         assert_lowest_terms(result)
         assert result.entries == expected
         assert result == Matrix(result.rows, result.cols, expected, involution)
-    assert a.equals(b) == (a.entries == b.entries)
-    assert a.equals(Matrix(rows, cols, a.entries, involution))
+    assert (a == b) == (a.entries == b.entries)
+    assert a == Matrix(rows, cols, a.entries, involution)
     assert a.is_zero() == all(not e for row in a.entries for e in row)
     assert a.max_abs() == max((abs(e) for row in a.entries for e in row), default=0.0)
     floats = a.to_float()
@@ -161,9 +161,9 @@ def test_exact_operations_build_no_fraction(monkeypatch):
     results = [a @ b, a + b, a - b, -a, a.star(), a.half(), a.scale(scalar),
                a.block(1, 1, 3, 2), a.paste(0, 0, b.block(0, 0, 2, 2)), a.to_float(),
                inverse(a), mp_inverse(a), *rank_factorization(a)[:2]]
-    verdicts = [(a - a).is_zero(), a.equals(b), a == b, hash(a), a.max_abs()]
+    verdicts = [(a - a).is_zero(), a == b, hash(a), a.max_abs()]
     assert calls == []
-    assert len(results) == 14 and len(verdicts) == 5
+    assert len(results) == 14 and len(verdicts) == 4
     results[0].entries  # the per-entry view builds Fractions, and the patch counts them
     assert calls
 

@@ -93,12 +93,24 @@ def test_scanner_sees_unreferenced_definitions():
     assert unreferenced_definitions({"lib": lib}, callers) == [("lib", "dead")]
 
 
+# definitions only tests call, each a reference the tests compare against
+CALLED_BY_TESTS_ONLY = {
+    # the per-entry decoder that the grid codec is checked against
+    ("src/starsolve/formats.py", "decode_scalar"),
+    # the Penrose judgement the tests apply to every float MP-inverse
+    ("src/starsolve/matrix.py", "is_mp_inverse"),
+    # called by NamedTuple._replace, which copies a RectProblem
+    ("src/starsolve/rect.py", "_make"),
+}
+
+
 def test_every_src_definition_has_a_caller():
+    # callers are src/ and perfbench/: a name only tests call is not needed
     sources = {top: {str(path.relative_to(ROOT)): path.read_text()
                      for path in sorted((ROOT / top).rglob("*.py"))}
-               for top in ("src", "tests", "perfbench")}
-    others = {**sources["tests"], **sources["perfbench"]}
-    assert unreferenced_definitions(sources["src"], others) == []
+               for top in ("src", "perfbench")}
+    found = unreferenced_definitions(sources["src"], sources["perfbench"])
+    assert set(found) == CALLED_BY_TESTS_ONLY
 
 
 # the ring of c, which perfbench/ still passes to these entry points

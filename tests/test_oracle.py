@@ -334,7 +334,7 @@ def test_image_check_catches_identity_perturbation(name, sign, involution):
     coefficient, factor, delta = COEFFICIENTS[name]
     bad = copy.copy(fam)
     setattr(bad, factor, getattr(fam, factor) + delta(fam))
-    assert coefficient(bad).equals(coefficient(fam) + Matrix.identity(3, involution))
+    assert coefficient(bad) == coefficient(fam) + Matrix.identity(3, involution)
     agreement = verify_family_against_oracle(bad, oracle_solve(sign, a, b, c))
     assert not agreement.as_dict()["homogeneous_images_in_kernel"]
     assert any("depends on v" in w for w in agreement.witnesses)
@@ -377,13 +377,13 @@ def test_random_unitary_is_unitary():
     for involution in (CONJUGATE_TRANSPOSE, TRANSPOSE):
         for size in (1, 2, 3):
             u = random_unitary(rng, size, involution)
-            assert (u @ u.star()).equals(Matrix.identity(size, involution))
+            assert u @ u.star() == Matrix.identity(size, involution)
 
 
 def test_random_coisometry_rows_orthonormal():
     rng = random.Random(43)
     u = random_coisometry(rng, 2, 4, CONJUGATE_TRANSPOSE)
-    assert (u @ u.star()).equals(Matrix.identity(2))
+    assert u @ u.star() == Matrix.identity(2)
 
 
 def test_pair_families_satisfy_hypotheses():

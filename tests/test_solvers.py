@@ -95,8 +95,8 @@ def test_derived_element_identities(derived):
         d, d_dagger = derived(rep)
         assert (d_dagger @ b).is_zero()
         assert (b.star() @ (d @ d_dagger)).is_zero()
-        assert (d @ d_dagger @ a).equals(d)
-        assert (d_dagger @ a).equals(d_dagger @ d)
+        assert d @ d_dagger @ a == d
+        assert d_dagger @ a == d_dagger @ d
 
 
 def test_d_dagger_is_the_mp_inverse_of_d(derived):
@@ -157,9 +157,9 @@ def test_homogeneous_identity_pair_splits_parts():
     # and L averages v onto the matching part
     one, zero = RING2.one(), RING2.zero()
     v = Matrix.exact([[1, I], [0, 2]])
-    assert solve(RING2, MINUS, one, one, zero).homogeneous(v).equals(
+    assert solve(RING2, MINUS, one, one, zero).homogeneous(v) == (
         (v + v.star()).half())
-    assert solve(RING2, PLUS, one, one, zero).homogeneous(v).equals(
+    assert solve(RING2, PLUS, one, one, zero).homogeneous(v) == (
         (v - v.star()).half())
 
 
@@ -174,7 +174,7 @@ def test_particular_diagonal_pinned():
     c = Matrix.exact([[4 * I, 0], [0, 0]])
     rep = check_hypotheses(RING2, a, b)
     x0 = particular(MINUS, rep, c)
-    assert x0.equals(Matrix.exact([[I, 0], [0, 0]]))
+    assert x0 == Matrix.exact([[I, 0], [0, 0]])
 
 
 # -- solve -------------------------------------------------------------------------
@@ -183,9 +183,9 @@ def test_particular_diagonal_pinned():
 def test_solve_scalar_family():
     fam = solve(RING1, MINUS, scalar(1), scalar(1), scalar(2 * I))
     assert fam.x0.entry(0, 0) == I
-    assert fam.is_solution(fam.x0)
+    assert fam.judge(fam.x0).ok
     for seed in range(4):
-        assert fam.is_solution(fam.sample(seed))
+        assert fam.judge(fam.sample(seed)).ok
 
 
 def test_family_sample_deterministic():
@@ -227,7 +227,7 @@ def test_homogeneous_map_is_idempotent_for_every_kind():
         for fam in families:
             v = random_matrix(rng, 3, 3)
             h = fam.homogeneous(v)
-            assert fam.homogeneous(h).equals(h), fam.kind
+            assert fam.homogeneous(h) == h, fam.kind
             assert equation_lhs(fam.sign, fam.a, fam.b, h).is_zero(), fam.kind
 
 
@@ -255,12 +255,12 @@ def test_solve_forced_instances_roundtrip(seed, sign, family, involution, size):
     x_hat = random_matrix(rng, size, size, EXACT, involution)
     c = equation_lhs(sign, a, b, x_hat)
     fam = solve(ring, sign, a, b, c)
-    assert fam.is_solution(fam.x0)
+    assert fam.judge(fam.x0).ok
     v = random_matrix(rng, size, size, EXACT, involution)
-    assert fam.is_solution(fam.at(v))
+    assert fam.judge(fam.at(v)).ok
     # L fixes homogeneous solutions: x_hat - x0 solves the zero equation
     h = x_hat.sub(fam.x0)
-    assert fam.homogeneous(h).equals(h)
+    assert fam.homogeneous(h) == h
 
 
 @given(seeds)
@@ -388,7 +388,7 @@ def test_sym_right_pinned():
     a = Matrix.exact([[1, 1], [0, 0]])
     b = (a @ a.star()).add(a @ a.star())
     fam = solve_sym_right(RING2, a, b)
-    assert fam.is_solution(fam.x0)
+    assert fam.judge(fam.x0).ok
     assert fam.kind == "sym_right"
     assert fam.report is None
 
@@ -440,7 +440,7 @@ def test_sym_helper_matches_solvers():
                 assert not all(c.ok for c in conds)
             else:
                 conds = fam.conditions
-                assert all(c.ok for c in conds) and fam.is_solution(fam.x0)
+                assert all(c.ok for c in conds) and fam.judge(fam.x0).ok
             assert tuple(isinstance(c, Condition) for c in conds) == (True, True)
 
 
@@ -451,10 +451,10 @@ def test_sym_right_agrees_with_general_plus_form():
         a, b = random_sym_instance(rng, "right", 2, force_solvable=True)
         fam_sym = solve_sym_right(RING2, a, b)
         fam_gen = solve(RING2, PLUS, RING2.one(), a, b)
-        assert fam_gen.is_solution(fam_sym.x0)
-        assert fam_sym.is_solution(fam_gen.x0)
+        assert fam_gen.judge(fam_sym.x0).ok
+        assert fam_sym.judge(fam_gen.x0).ok
         v = random_matrix(rng, 2, 2)
-        assert fam_gen.is_solution(fam_sym.at(v))
+        assert fam_gen.judge(fam_sym.at(v)).ok
 
 
 def test_sym_left_solutions_star_relate_to_right():
@@ -465,9 +465,9 @@ def test_sym_left_solutions_star_relate_to_right():
         fam = solve_sym_left(RING2, a, b)
         x = fam.x0
         lhs = (a.star() @ x).add(x.star() @ a)
-        assert lhs.equals(b)
+        assert lhs == b
         y = x.star()
-        assert (y @ a).add(a.star() @ y.star()).equals(b)
+        assert (y @ a).add(a.star() @ y.star()) == b
 
 
 def test_condition_tolerance_recorded_for_float():
@@ -515,4 +515,4 @@ def test_extreme_scale_unitary_instances_solve():
             a, b, c = random_square_instance(rng, MINUS, 3, "unitary")
             af, bf, cf = (m.to_float().scale(scale) for m in (a, b, c))
             fam = solve(float_ring, MINUS, af, bf, cf)
-            assert fam.is_solution(fam.x0)
+            assert fam.judge(fam.x0).ok
