@@ -22,10 +22,10 @@ __version__ = "0.1.0"
 # defining module of each public name
 _SURFACE = {
     "certify": ("OracleAgreement", "certify_family"),
+    "draws": ("random_matrix",),
     "formats": ("GenerationError",),
     "generate": ("random_rect_instance", "random_sym_instance", "random_square_instance"),
-    "matrix": ("BACKENDS", "CONJUGATE_TRANSPOSE", "EXACT", "FLOAT", "INVOLUTIONS",
-               "TRANSPOSE", "Matrix", "mp_inverse"),
+    "matrix": ("Matrix", "mp_inverse"),
     "oracle": ("OracleResult", "linearize", "oracle_solve", "verify_family_against_oracle"),
     "rect": ("RectProblem", "check_rect_hypotheses", "embed", "embed_mp",
              "embed_solution", "extract_solution", "solve_rect",
@@ -34,8 +34,9 @@ _SURFACE = {
     "scalars": ("GaussianRational",),
     "solvers": ("Condition", "HypothesesFailError", "HypothesisReport", "MINUS", "PLUS",
                 "SolutionFamily", "UnsolvableError", "check_hypotheses", "equation_lhs",
-                "particular", "random_matrix", "solvability_conditions", "solve",
-                "solve_sym_left", "solve_sym_right"),
+                "particular", "solvability_conditions", "solve", "solve_sym_left",
+                "solve_sym_right"),
+    "tags": ("BACKENDS", "CONJUGATE_TRANSPOSE", "EXACT", "FLOAT", "INVOLUTIONS", "TRANSPOSE"),
 }
 _MODULE_OF = {name: module for module, names in _SURFACE.items() for name in names}
 

@@ -28,8 +28,8 @@ from itertools import product
 from operator import add
 from typing import NamedTuple, Optional
 
-from .matrix import EXACT, TRANSPOSE
 from .solvers import MINUS, SolutionFamily
+from .tags import EXACT, TRANSPOSE
 
 
 class OracleAgreement(NamedTuple):

@@ -9,15 +9,13 @@ Exact scalars serialize as quadruples of decimal strings
 [re_num, re_den, im_num, im_den] so entries never hit integer-width
 limits; float scalars are plain [re, im] pairs.  An exact matrix goes
 straight between those strings and its integer grids (re, im, d), with no
-per-entry scalar: decode hands the parsed parts to ``grids.from_parts``,
-encode divides each part and d by their gcd.  A float matrix is decoded to
-``complex`` entries and checked once, by ``Matrix(...)``: finite, and real
-under the transpose involution.  An instance is checked once, by
-``make_instance``; ``instance_to_doc`` trusts the Instance it is given.
-Parsing is strict: unknown keys, wrong shapes, out-of-enum values, integer
-strings with anything but an optional minus sign and ASCII digits, integer
-literals too long to convert, and files nested too deeply to read all raise
-FormatError.
+per-entry scalar, in :mod:`starsolve.quadruples`, which only an exact run
+loads.  An instance is checked once, by ``make_instance``;
+``instance_to_doc`` trusts the Instance it is given.  Reading is strict and
+lives in :mod:`starsolve.parse`, which the loaders import on first use, so
+`gen`, which only writes, never compiles it; ``decode_matrix`` still
+resolves here, on first access, because the benchmark harness (perfbench/)
+reaches it as ``formats.decode_matrix``.
 
 A document to write may hold ``Matrix`` values where its matrices go: the
 CLI's reports carry them as they are, and one encoder turns each into its
@@ -25,18 +23,24 @@ CLI's reports carry them as they are, and one encoder turns each into its
 report exists as lists at a time.  ``dumps_doc`` joins the encoder's chunks
 a batch at a time and never holds a list of every chunk.
 
-The generator family names and GenerationError live here too: the CLI needs
-them for its help text and exit codes at start-up, and loads generate.py
-only for `gen`.
+Every CLI report opens with the same envelope, version, command and
+generated_at, and carries each residual or tolerance as a finite JSON
+float; those shared pieces of the report-writing subcommands live here, as
+do the CLI's exit codes, the generator family names, GenerationError and
+SelfCheckError: the CLI needs the names for its help text and the errors for
+its exit codes at start-up, and loads each subcommand's body (generate.py
+for `gen`) only when that subcommand runs.
 """
 
 import json
 import math
-import re
+import sys
+import time
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, Optional, Tuple
 
-from .matrix import BACKENDS, EXACT, INVOLUTIONS, Matrix, finite_complex
+from .matrix import Matrix
+from .tags import EXACT
 
 FORMAT_VERSION = "1"
 
@@ -51,8 +55,6 @@ RECT_FAMILIES = ("coisometry", "diagonal", "rejection")
 
 # operand names, in serialization order, for each kind: a sym kind has no c
 OPERAND_NAMES = {kind: ("a", "b") if kind in SYM_KINDS else ("a", "b", "c") for kind in KINDS}
-
-_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def sign_of(kind: str) -> str:
@@ -71,35 +73,12 @@ class GenerationError(Exception):
     bounded rejection sampler ran out of attempts."""
 
 
+class SelfCheckError(Exception):
+    """A solution the CLI was about to print failed its own re-verification."""
+
+
 def _fail(msg: str) -> None:
     raise FormatError(msg)
-
-
-def _require_keys(doc: Mapping, required, optional=(), what: str = "document") -> None:
-    if not isinstance(doc, dict):
-        _fail(f"{what} must be a JSON object")
-    for key in required:
-        if key not in doc:
-            _fail(f"{what} is missing required key {key!r}")
-    allowed = set(required) | set(optional)
-    for key in doc:
-        if key not in allowed:
-            _fail(f"{what} has unknown key {key!r}")
-
-
-def _check_version(doc: Mapping, what: str) -> None:
-    if doc.get("version") != FORMAT_VERSION:
-        _fail(f"{what} version must be {FORMAT_VERSION!r}, got {doc.get('version')!r}")
-
-
-def _parse_int_string(raw, what: str) -> int:
-    # int() tolerates "1_000" and whitespace; the format does not
-    if not isinstance(raw, str) or not _INT_RE.fullmatch(raw):
-        _fail(f"{what} must be a decimal integer string, got {raw!r}")
-    try:
-        return int(raw)
-    except ValueError as exc:  # more digits than the interpreter converts
-        raise FormatError(f"{what}: {exc}") from exc
 
 
 # -- scalars ----------------------------------------------------------------
@@ -113,96 +92,14 @@ def encode_scalar(value, backend: str):
     return [float(value.real), float(value.imag)]
 
 
-def _parse_quadruple(raw, what: str) -> tuple:
-    """The ints (re_num, re_den, im_num, im_den) of an exact entry; the
-    denominators are nonzero, of either sign, and the terms need not be
-    lowest."""
-    if not isinstance(raw, list) or len(raw) != 4:
-        _fail(f"{what} must be a [re_num, re_den, im_num, im_den] quadruple")
-    parts = tuple(_parse_int_string(part, what) for part in raw)
-    if parts[1] == 0 or parts[3] == 0:
-        _fail(f"{what} has a zero denominator")
-    return parts
-
-
-def _parse_pair(raw, what: str) -> complex:
-    """The ``complex`` of a float entry's [re, im] pair of JSON numbers,
-    not yet checked for finiteness."""
-    if not isinstance(raw, list) or len(raw) != 2:
-        _fail(f"{what} must be a [re, im] pair")
-    for part in raw:
-        if isinstance(part, bool) or not isinstance(part, (int, float)):
-            _fail(f"{what} must hold numbers, got {part!r}")
-    try:
-        return complex(*raw)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise FormatError(f"{what} must be finite") from None
-
-
-def decode_scalar(raw, backend: str, what: str = "entry"):
-    _check_backend(backend, what)
-    if backend == EXACT:
-        from fractions import Fraction
-        from .scalars import GaussianRational
-        re_num, re_den, im_num, im_den = _parse_quadruple(raw, what)
-        return GaussianRational(Fraction(re_num, re_den), Fraction(im_num, im_den))
-    z = _parse_pair(raw, what)
-    try:
-        return finite_complex(z)
-    except ValueError as exc:  # a non-finite part or modulus
-        raise FormatError(f"{what}: {exc}") from exc
-
-
 # -- matrices ---------------------------------------------------------------
-
-
-def _encode_part(x: int, d: int) -> list:
-    """[num, den] of x / d in lowest terms, den > 0 (d > 0)."""
-    k = math.gcd(x, d)
-    return [str(x // k), str(d // k)]
 
 
 def encode_matrix(m: Matrix) -> list:
     if m.backend == EXACT:
-        real, imag, d = m.grids
-        return [[_encode_part(x, d) + _encode_part(y, d) for x, y in zip(rr, ir)]
-                for rr, ir in zip(real, imag)]
+        from .quadruples import encode_grids  # the exact codec: a float run never loads it
+        return encode_grids(*m.grids)
     return [[encode_scalar(e, m.backend) for e in row] for row in m.entries]
-
-
-def decode_matrix(raw, backend: str, involution: str, what: str = "matrix") -> Matrix:
-    _check_backend(backend, what)
-    if not isinstance(raw, list) or not raw:
-        _fail(f"{what} must be a non-empty list of rows")
-    parse = _parse_quadruple if backend == EXACT else _parse_pair
-    width = None
-    grid = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or not row:
-            _fail(f"{what} row {i} must be a non-empty list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            _fail(f"{what} row {i} has {len(row)} entries, expected {width}")
-        grid.append([parse(e, f"{what}[{i}][{j}]") for j, e in enumerate(row)])
-    try:
-        if backend == EXACT:
-            from .grids import from_parts  # the exact arithmetic: a float run never loads it
-            return from_parts(len(grid), width, involution, grid)
-        return Matrix.floating(grid, involution)
-    except ValueError as exc:  # a non-finite float, or transpose with complex entries
-        raise FormatError(f"{what}: {exc}") from exc
-
-
-def _check_backend(backend: str, what: str) -> None:
-    if backend not in BACKENDS:
-        _fail(f"{what} backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def _check_enums(doc: Mapping, what: str) -> None:
-    _check_backend(doc["backend"], what)
-    if doc["involution"] not in INVOLUTIONS:
-        _fail(f"{what} involution must be one of {INVOLUTIONS}, got {doc['involution']!r}")
 
 
 def matrix_to_doc(m: Matrix) -> dict:
@@ -215,24 +112,14 @@ def matrix_to_doc(m: Matrix) -> dict:
     }
 
 
-def matrix_from_doc(doc) -> Matrix:
-    _require_keys(doc, ("version", "type", "backend", "involution", "matrix"),
-                  what="matrix file")
-    _check_version(doc, "matrix file")
-    if doc["type"] != "matrix":
-        _fail(f"matrix file type must be 'matrix', got {doc['type']!r}")
-    _check_enums(doc, "matrix file")
-    return decode_matrix(doc["matrix"], doc["backend"], doc["involution"])
-
-
 # -- instances ---------------------------------------------------------------
 
 
 class Instance(NamedTuple):
     """One equation instance: which equation, over what ring, with what data.
 
-    Build one with :func:`make_instance` or :func:`instance_from_doc`, which
-    validate it; the rest of the package trusts it."""
+    Build one with :func:`make_instance` or ``parse.instance_from_doc``,
+    which validate it; the rest of the package trusts it."""
 
     kind: str
     backend: str
@@ -299,38 +186,6 @@ def instance_to_doc(inst: Instance) -> dict:
     return doc
 
 
-def instance_from_doc(doc) -> Instance:
-    _require_keys(doc, ("version", "kind", "backend", "involution", "operands"),
-                  optional=("dims", "seed"), what="instance file")
-    _check_version(doc, "instance file")
-    _check_enums(doc, "instance file")
-
-    raw_ops = doc["operands"]
-    if not isinstance(raw_ops, dict):
-        _fail("operands must be a JSON object")
-    operands = {name: decode_matrix(raw, doc["backend"], doc["involution"], f"operand {name!r}")
-                for name, raw in raw_ops.items()}
-
-    dims = None
-    if "dims" in doc:
-        raw_dims = doc["dims"]
-        if (not isinstance(raw_dims, list) or len(raw_dims) != 3
-                or any(isinstance(d, bool) or not isinstance(d, int) or d < 1
-                       for d in raw_dims)):
-            _fail(f"dims must be a [m, n, p] list of positive integers, got {raw_dims!r}")
-        dims = tuple(raw_dims)
-
-    seed = None
-    if "seed" in doc:
-        seed = doc["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            _fail(f"seed must be an integer, got {seed!r}")
-
-    # the kind, the operand names, the tags and the shapes: checked once, here
-    return make_instance(doc["kind"], doc["backend"], doc["involution"], operands,
-                         dims, seed)
-
-
 # -- files --------------------------------------------------------------------
 
 
@@ -371,21 +226,8 @@ def write_doc(doc, path: str) -> None:
         fh.write(text)
 
 
-def read_doc(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    except RecursionError as exc:
-        raise FormatError(f"{path}: nested too deeply to read ({exc})") from exc
-    except ValueError as exc:  # e.g. an integer literal of more digits than int() converts
-        raise FormatError(f"{path}: not readable as JSON ({exc})") from exc
-
-
 def load_instance(path: str) -> Instance:
+    from .parse import instance_from_doc, read_doc  # reading: `gen` never loads it
     return instance_from_doc(read_doc(path))
 
 
@@ -394,8 +236,79 @@ def save_instance(inst: Instance, path: str) -> None:
 
 
 def load_matrix(path: str) -> Matrix:
+    from .parse import matrix_from_doc, read_doc
     return matrix_from_doc(read_doc(path))
 
 
 def save_matrix(m: Matrix, path: str) -> None:
     write_doc(matrix_to_doc(m), path)
+
+
+# -- reports -----------------------------------------------------------------
+
+# the CLI's exit codes (see cli), which main and the subcommands return
+EXIT_OK = 0
+EXIT_PARAM = 2
+EXIT_NOT_MP_INVERTIBLE = 3
+EXIT_UNSOLVABLE = 4
+EXIT_HYPOTHESES_FAIL = 5
+EXIT_VERIFY_FAIL = 6
+EXIT_SELF_CHECK = 7
+
+
+def _utc_now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def _report(command: str, **fields) -> dict:
+    """A report: the envelope every subcommand's report shares, then ``fields``."""
+    return {"version": FORMAT_VERSION, "command": command,
+            "generated_at": _utc_now(), **fields}
+
+
+def _finite(value: Optional[float], what: str) -> Optional[float]:
+    """A residual or tolerance (None on the exact backend) for a report
+    field, which is a JSON float; FormatError when it is not finite (an
+    overflow, or a NaN from inf * 0), since a verdict judged by it means
+    nothing."""
+    if value is not None and not math.isfinite(value):
+        raise FormatError(f"{what} is {value}, not a finite float, and cannot be reported")
+    return value
+
+
+def _max_abs(m) -> float:
+    """``m.max_abs()`` through :func:`_finite`."""
+    try:
+        value = m.max_abs()
+    except OverflowError:  # an exact part beyond the float range
+        value = math.inf
+    return _finite(value, "a residual's largest |entry|")
+
+
+def _instance_summary(inst: Instance) -> dict:
+    return {
+        "kind": inst.kind,
+        "backend": inst.backend,
+        "involution": inst.involution,
+        "dims": list(inst.dims) if inst.dims is not None else None,
+        "shapes": {name: list(m.shape) for name, m in sorted(inst.operands.items())},
+    }
+
+
+def _emit(doc: dict, args, summary_lines) -> None:
+    if args.output:
+        write_doc(doc, args.output)
+        for line in summary_lines:
+            print(line)
+        print(f"report written to {args.output}")
+    else:
+        sys.stdout.write(dumps_doc(doc))
+
+
+def __getattr__(name):
+    """``decode_matrix``, from :mod:`starsolve.parse` (PEP 562): the
+    benchmark harness reaches it as ``formats.decode_matrix``."""
+    if name != "decode_matrix":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .parse import decode_matrix
+    return decode_matrix

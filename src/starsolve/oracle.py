@@ -4,7 +4,7 @@ The map X -> A X B* -/+ B X* A* is additive but only real-linear (the star
 conjugates scalars), so the equation A X B* -/+ B X* A* = C is written as
 integer rows over the coordinates (Re X_ij, Im X_ij) -- just Re X_ij under
 the transpose involution, where entries are real.  Solving those rows
-exactly (grids.gauss_jordan, fraction-free) gives an independent verdict,
+exactly (elimination.gauss_jordan, fraction-free) gives an independent verdict,
 a particular solution read off the reduced rows as an exact grid, and the
 real dimension of the solution set.
 
@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import grids
 from .certify import OracleAgreement, _coefficients, certify_family
 from .generate import random_rect_instance, random_sym_instance, random_square_instance
-from .matrix import EXACT, TRANSPOSE, Matrix
+from .elimination import gauss_jordan
+from .grids import make
+from .matrix import Matrix
 from .solvers import MINUS, SolutionFamily, _check_sign
+from .tags import EXACT, TRANSPOSE
 
 __all__ = ["OracleResult", "RealLinearSystem", "linearize", "oracle_solve",
            "random_rect_instance", "random_sym_instance", "random_square_instance",
@@ -114,7 +116,7 @@ def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
     system = linearize(sign, a, b, c)
     ncols = len(system.col_index)
     aug = [([*row, value], [0] * (ncols + 1)) for row, value in zip(system.matrix, system.rhs)]
-    pivots = grids.gauss_jordan(aug, ncols)
+    pivots = gauss_jordan(aug, ncols)
     rank = len(pivots)
     if any(re[ncols] for re, _, _ in aug[rank:]):
         return OracleResult(False, None, ncols - rank)
@@ -127,7 +129,7 @@ def oracle_solve(sign: str, a: Matrix, b: Matrix, c: Matrix) -> OracleResult:
     for (re, _, den), pc in zip(aug, pivots):
         i, j, part = system.col_index[pc]
         parts[part][i][j] = re[ncols] * (d // den)
-    return OracleResult(True, grids.make(n, p, a.involution, parts[RE], parts[IM], d),
+    return OracleResult(True, make(n, p, a.involution, parts[RE], parts[IM], d),
                         ncols - rank)
 
 

@@ -19,9 +19,10 @@ p x m convention seen elsewhere refers to B*.
 
 from typing import NamedTuple, Tuple
 
-from .matrix import RTOL, Matrix
+from .matrix import Matrix
 from .ring import MatrixRing
 from .solvers import MINUS, HypothesisReport, SolutionFamily, check_hypotheses, solve
+from .tags import RTOL
 
 Dims = Tuple[int, int, int]
 

@@ -7,7 +7,8 @@ work on :class:`~starsolve.matrix.Matrix` directly and take a
 :class:`MatrixRing` as the ring of c without reading it.
 """
 
-from .matrix import CONJUGATE_TRANSPOSE, EXACT, Matrix, _check_header
+from .matrix import Matrix
+from .tags import CONJUGATE_TRANSPOSE, EXACT, _check_header
 
 
 class NotMpInvertibleError(Exception):

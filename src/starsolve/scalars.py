@@ -10,9 +10,9 @@ an exact entry given as a Python scalar (:func:`entry_parts`, for
 ``Matrix(...)`` and ``Matrix.scale``) and the entries of exact grids
 (:func:`grid_entries`, for ``Matrix.entries``).  This module, and
 ``fractions`` with it, loads only when code reads an exact matrix's
-``entries`` or ``entry()``, or passes Python scalars to ``Matrix.exact``:
+``entries``, or passes Python scalars to ``Matrix.exact``:
 no CLI subcommand does.  The float backend is the built-in ``complex``,
-validated by ``matrix.finite_complex``.
+validated by ``tags.finite_complex``.
 """
 
 import math

@@ -28,21 +28,16 @@ Failed conditions are reported under stable names:
     "b_star_neq_b", "E_condition", "F_condition"  symmetric special cases
 
 On the float backend every check is a zero test of its residual against
-``matrix.tolerance(rtol, ...)`` over that residual's own terms, so verdicts
+``tags.tolerance(rtol, ...)`` over that residual's own terms, so verdicts
 do not change when an instance is rescaled.
-
-The random draws live here too (:func:`random_matrix`), beside
-``SolutionFamily.sample``, their one caller outside the generators of
-:mod:`starsolve.generate`.
 """
 
-import random
 from typing import NamedTuple, Optional
 
 from . import matrix
-from .matrix import (CONJUGATE_TRANSPOSE, EXACT, RTOL, TRANSPOSE, Matrix, _check_header,
-                     unchecked)
+from .matrix import Matrix
 from .ring import MatrixRing
+from .tags import RTOL, tolerance
 
 MINUS = "minus"
 PLUS = "plus"
@@ -70,7 +65,7 @@ class Condition(NamedTuple):
 
 def _condition(name: str, residual: Matrix, rtol: float, *terms) -> Condition:
     """Zero-test ``residual`` against the tolerance of its ``terms``."""
-    tol = matrix.tolerance(rtol, *terms)
+    tol = tolerance(rtol, *terms)
     return Condition(name, residual.is_zero(tol), residual, tol)
 
 
@@ -129,7 +124,7 @@ def check_hypotheses(ring: MatrixRing, a: Matrix, b: Matrix,
     ``ring`` is the ring of c; nothing reads it (see the module docstring).
     NotMpInvertibleError propagates.  The exact backend compares strictly;
     floats judge the range residual against a a' b and b, the hermitian one
-    against a' b b' a (see matrix.tolerance).
+    against a' b b' a (see tags.tolerance).
     """
     a_dagger = matrix.mp_inverse(a)
     a_a_dagger, a_dagger_b = a @ a_dagger, a_dagger @ b
@@ -264,38 +259,10 @@ class SolutionFamily:
 
     def sample(self, seed: int) -> Matrix:
         """Deterministic family member x0 + L(v), v small and drawn from the seed."""
+        import random
+        from .draws import random_matrix  # only a run that samples loads the draws
         rng = random.Random(seed)
         return self.at(random_matrix(rng, *self.x0.shape, self.x0.backend, self.x0.involution))
-
-
-# -- random draws -----------------------------------------------------------
-
-
-def random_sixths(rng: random.Random) -> int:
-    """A small random rational r as the integer 6 r: numerator in [-9, 9]
-    (``randint``), then denominator in {1, 2, 3} (``choice``)."""
-    numerator = rng.randint(-9, 9)
-    return numerator * (6 // rng.choice((1, 2, 3)))
-
-
-def random_matrix(rng: random.Random, rows: int, cols: int,
-                  backend: str = EXACT, involution: str = CONJUGATE_TRANSPOSE) -> Matrix:
-    """Random entries drawn row by row, real part then imaginary part (none
-    under the transpose involution): exact ones by :func:`random_sixths`,
-    straight into a grid over the denominator 6; float ones uniform in
-    [-1, 1]."""
-    real_only = involution == TRANSPOSE
-    if backend == EXACT:
-        from .grids import from_grids  # the exact arithmetic, which a float run never loads
-        draws = [[(random_sixths(rng), 0 if real_only else random_sixths(rng))
-                  for _ in range(cols)] for _ in range(rows)]
-        return from_grids(rows, cols, involution, [[x for x, _ in row] for row in draws],
-                          [[y for _, y in row] for row in draws], 6)
-    _check_header(rows, cols, involution, backend)  # the draws are finite and fit the tags
-    grid = tuple(tuple(complex(rng.uniform(-1.0, 1.0),
-                               0.0 if real_only else rng.uniform(-1.0, 1.0))
-                       for _ in range(cols)) for _ in range(rows))
-    return unchecked(rows, cols, involution, backend, grid)
 
 
 def solve(ring: MatrixRing, sign: str, a: Matrix, b: Matrix, c: Matrix,

@@ -25,7 +25,7 @@ def graded():
     """The exact n x n matrix u diag(2^-floor(s i / (n - 1))) v of condition
     number 2^s, u and v ``random_unitary`` at ``seed`` and ``seed + 100``."""
     from fractions import Fraction
-    from starsolve.generate import random_unitary
+    from starsolve.structured import random_unitary
 
     def build(n, s, seed):
         diag = Matrix.exact([[Fraction(1, 2 ** (s * i // (n - 1))) if i == j else 0

@@ -12,19 +12,22 @@ from pathlib import Path
 
 import pytest
 
-from starsolve.cli import _in_band, main
+from starsolve.cli import main
+from starsolve.draws import random_matrix
 from starsolve.generate import (GenerationError, PAIR_FAMILIES, random_pair,
                                 random_rect_instance, random_sym_instance,
                                 random_square_instance)
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              is_mp_inverse, mp_inverse, penrose_defects)
+from starsolve.matrix import mp_inverse
 from starsolve.oracle import oracle_solve, verify_family_against_oracle
+from starsolve.penrose import is_mp_inverse, penrose_defects
 from starsolve.rect import (embed, embed_mp, extract_solution, solve_rect,
                             solve_rect_via_embedding)
 from starsolve.ring import MatrixRing, NotMpInvertibleError
 from starsolve.solvers import (MINUS, PLUS, UnsolvableError, check_hypotheses,
-                               equation_lhs, random_matrix, solvability_conditions, solve,
+                               equation_lhs, solvability_conditions, solve,
                                solve_sym_left, solve_sym_right)
+from starsolve.tags import CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE
+from starsolve.verdicts import _in_band
 
 GOLDEN = Path(__file__).parent / "golden"
 TIMESTAMP = re.compile(r'"generated_at": "[^"]*"')

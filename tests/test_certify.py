@@ -12,17 +12,18 @@ from itertools import product
 
 import pytest
 
-from starsolve import cli, formats
+from starsolve import cli, formats, verdicts
 from starsolve.certify import certify_family
 from starsolve.generate import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
                                 random_rect_instance, random_square_instance,
                                 random_sym_instance)
-from starsolve.matrix import CONJUGATE_TRANSPOSE, TRANSPOSE, Matrix
+from starsolve.matrix import Matrix
 from starsolve.oracle import oracle_solve, verify_family_against_oracle
 from starsolve.rect import solve_rect
 from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve, solve_sym_left, solve_sym_right
+from starsolve.tags import CONJUGATE_TRANSPOSE, TRANSPOSE
 
 I = GaussianRational(0, 1)
 RECT_DIMS = ((2, 3, 2), (1, 2, 3), (2, 2, 3), (3, 2, 2), (2, 3, 3))
@@ -185,7 +186,7 @@ def solve_with(monkeypatch, tmp_path, fam, *extra):
     inst = formats.make_instance(fam.sign, "exact", fam.a.involution, ops, None, 0)
     path = tmp_path / "inst.json"
     formats.save_instance(inst, str(path))
-    monkeypatch.setattr(cli, "_solve_instance", lambda inst, rtol: fam)
+    monkeypatch.setattr(verdicts, "_solve_instance", lambda inst, rtol: fam)
     return cli.main(["solve", "--input", str(path), "--oracle", "--samples", "0",
                      "--output", str(tmp_path / "out.json"), *extra])
 

@@ -14,11 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from starsolve import formats, matrix
+from starsolve import formats, matrix, parse, tags
 from starsolve.cli import main, run
+from starsolve.draws import random_matrix
 from starsolve.generate import random_square_instance, random_sym_instance
 from starsolve.ring import MatrixRing
-from starsolve.solvers import MINUS, PLUS, SolutionFamily, random_matrix, solve
+from starsolve.solvers import MINUS, PLUS, SolutionFamily, solve
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -839,7 +840,7 @@ def test_exact_reports_are_never_indeterminate(tmp_path):
 def write_scaled_float(path, inst, scale):
     """Save ``inst`` on the float backend with every operand times ``scale``."""
     operands = {name: m.to_float().scale(scale) for name, m in inst.operands.items()}
-    formats.save_instance(formats.make_instance(inst.kind, matrix.FLOAT, inst.involution,
+    formats.save_instance(formats.make_instance(inst.kind, tags.FLOAT, inst.involution,
                                                 operands, inst.dims), str(path))
 
 
@@ -859,16 +860,16 @@ def test_float_verdicts_are_scale_invariant(tmp_path):
     for i in range(32):
         sign = (MINUS, PLUS)[i % 2]
         family = ("unitary", "equal", "diagonal", "diagonal")[i % 4]
-        involution = (matrix.CONJUGATE_TRANSPOSE, matrix.TRANSPOSE)[i // 16]
+        involution = (tags.CONJUGATE_TRANSPOSE, tags.TRANSPOSE)[i // 16]
         force = (i // 4) % 2 == 0  # else a random c of the sign's symmetry
         a, b, c = random_square_instance(rng, sign, 3, family, force, involution)
-        instances.append(formats.make_instance(sign, matrix.EXACT, involution,
+        instances.append(formats.make_instance(sign, tags.EXACT, involution,
                                                {"a": a, "b": b, "c": c}))
     for i in range(32):
         side = ("right", "left")[i % 2]
-        involution = (matrix.CONJUGATE_TRANSPOSE, matrix.TRANSPOSE)[i // 16]
+        involution = (tags.CONJUGATE_TRANSPOSE, tags.TRANSPOSE)[i // 16]
         a, b = random_sym_instance(rng, side, 3, (i // 2) % 2 == 0, involution)
-        instances.append(formats.make_instance("sym_" + side, matrix.EXACT, involution,
+        instances.append(formats.make_instance("sym_" + side, tags.EXACT, involution,
                                                {"a": a, "b": b}))
     for i, inst in enumerate(instances):
         formats.save_instance(inst, str(exact_path))
@@ -890,7 +891,7 @@ def test_float_verdicts_hold_on_ill_conditioned_pairs(tmp_path, graded):
         a = graded(3, 20, seed)
         h = random_matrix(random.Random(seed), 3, 3)
         for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
-            inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
+            inst = formats.make_instance(sign, tags.EXACT, tags.CONJUGATE_TRANSPOSE,
                                          {"a": a, "b": a, "c": c})
             formats.save_instance(inst, str(exact_path))
             exact = check_report(exact_path)["verdict"]
@@ -916,7 +917,7 @@ def test_float_solve_on_graded_pairs(tmp_path, graded, s):
         a = graded(6, s, seed)
         h = random_matrix(random.Random(seed), 6, 6)
         for sign, c in ((MINUS, h.sub(h.star())), (PLUS, h.add(h.star()))):
-            inst = formats.make_instance(sign, matrix.EXACT, matrix.CONJUGATE_TRANSPOSE,
+            inst = formats.make_instance(sign, tags.EXACT, tags.CONJUGATE_TRANSPOSE,
                                          {"a": a, "b": a, "c": c})
             formats.save_instance(inst, str(exact_path))
             exact = check_report(exact_path)["verdict"]
@@ -927,8 +928,8 @@ def test_float_solve_on_graded_pairs(tmp_path, graded, s):
             report = json.loads(out.read_text())
             assert report["verdict"] == exact or report["indeterminate"], (seed, sign)
             for sample in report.get("samples", []):
-                x = formats.decode_matrix(sample["solution"], matrix.FLOAT,
-                                          matrix.CONJUGATE_TRANSPOSE)
+                x = parse.decode_matrix(sample["solution"], tags.FLOAT,
+                                          tags.CONJUGATE_TRANSPOSE)
                 formats.save_matrix(x, str(sol_path))
                 assert run_main("verify", "--input", str(float_path),
                                 "--solution", str(sol_path)) == 0, (seed, sign)
@@ -947,12 +948,12 @@ def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
     for kind, dims in (("minus", "3"), ("plus", "3"), ("sym_right", "3"), ("sym_left", "3"),
                        ("rect_minus", "2,3,2"), ("rect_plus", "2,2,3")):
         for involution, (seed, force) in itertools.product(
-                matrix.INVOLUTIONS, ((0, True), (1, True), (2, False))):
+                tags.INVOLUTIONS, ((0, True), (1, True), (2, False))):
             argv = ["gen", "--kind", kind, "--seed", str(seed), "--dims", dims,
                     "--involution", involution, "--output", str(exact_path)]
             assert run_main(*argv, *(["--force-solvable"] if force else [])) == 0
             write_scaled_float(float_path, formats.load_instance(str(exact_path)), 1e-6)
-            for backend, path in ((matrix.EXACT, exact_path), (matrix.FLOAT, float_path)):
+            for backend, path in ((tags.EXACT, exact_path), (tags.FLOAT, float_path)):
                 case = (kind, involution, seed, backend)
                 code = run_main("solve", "--input", str(path), "--samples", "2",
                                 "--output", str(out), *tol)
@@ -966,7 +967,7 @@ def test_scaled_float_solve_output_verifies_at_the_same_tol(tmp_path):
                 printed = [(doc["x0"], doc["residual_max_abs"])]
                 printed += [(s["solution"], s["residual_max_abs"]) for s in doc["samples"]]
                 for raw, residual_max in printed:
-                    formats.save_matrix(formats.decode_matrix(raw, backend, involution),
+                    formats.save_matrix(parse.decode_matrix(raw, backend, involution),
                                         str(sol_path))
                     assert run_main("verify", "--input", str(path), "--solution",
                                     str(sol_path), "--output", str(out), *tol) == 0, case
@@ -982,9 +983,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # what a CLI child may load only for some subcommands, or never: exact values
 # stay integer grids from file to file, so no child needs the per-entry
 # scalars (and fractions, decimal, numbers), and no module needs __future__
-WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "starsolve.rect",
-           "starsolve.solvers", "starsolve.floats", "starsolve.scalars", "fractions", "decimal",
-           "numbers", "__future__", "dataclasses", "inspect", "datetime")
+WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "starsolve.structured",
+           "starsolve.draws", "starsolve.rect", "starsolve.commands", "starsolve.verdicts",
+           "starsolve.penrose", "starsolve.parse", "starsolve.quadruples", "starsolve.solvers",
+           "starsolve.elimination", "starsolve.floats", "starsolve.orthogonal",
+           "starsolve.scalars", "fractions", "decimal", "numbers", "__future__", "dataclasses",
+           "inspect", "datetime", "random")
 
 STARTUP_CHILD = f"""
 import json, sys
@@ -1010,7 +1014,7 @@ def cli_files(tmp_path, backend) -> tuple:
     a matrix file, and of its x0 as a solution file."""
     a, b, c = random_square_instance(random.Random(3), MINUS, 3, "unitary")
     ops = {"a": a, "b": b, "c": c}
-    if backend == matrix.FLOAT:
+    if backend == tags.FLOAT:
         ops = {name: m.to_float() for name, m in ops.items()}
     paths = tuple(str(tmp_path / f"{backend}_{name}.json") for name in ("inst", "a", "x"))
     formats.save_instance(formats.make_instance("minus", backend, a.involution, ops, None, 3),
@@ -1023,23 +1027,38 @@ def cli_files(tmp_path, backend) -> tuple:
 def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
     out = ["--output", str(tmp_path / "out.json")]
     assert loaded_by([]) == []
-    for backend in matrix.BACKENDS:
+    for backend in tags.BACKENDS:
         inst, a, x = cli_files(tmp_path, backend)
-        # a float run computes in the float arithmetic, an exact run never does
-        arithmetic = ["starsolve.floats"] if backend == matrix.FLOAT else []
-        # mp runs no solver; check, solve and verify only the solvers
-        assert loaded_by([["mp", "--input", a, *out]]) == arithmetic, backend
-        assert loaded_by([["check", "--input", inst, *out], ["solve", "--input", inst, *out],
-                          ["verify", "--input", inst, "--solution", x, *out]]
-                         ) == ["starsolve.solvers", *arithmetic], backend
-        # gen needs the generators (and RectProblem), not the elimination; it
-        # draws exact values and converts them, so it computes with no floats
-        assert loaded_by([["gen", "--kind", "minus", "--backend", backend, *out]]) == [
-            "starsolve.generate", "starsolve.rect", "starsolve.solvers"], backend
-    # solve --oracle needs the certificate, not the elimination
+        # an exact run reads and writes quadruples and inverts by elimination; a
+        # float run computes in the float arithmetic and inverts by decomposition
+        exact = backend == tags.EXACT
+        codec = {"starsolve.quadruples"} if exact else set()
+        arithmetic = set() if exact else {"starsolve.floats"}
+        inverse = {"starsolve.elimination"} if exact else {"starsolve.orthogonal"}
+        reading = {"starsolve.parse"} | codec | arithmetic
+        # mp runs no solver, only the Penrose checks
+        assert set(loaded_by([["mp", "--input", a, *out]])) == (
+            reading | inverse | {"starsolve.commands", "starsolve.penrose"}), backend
+        # check and solve need the verdict code; only solve draws samples
+        verdict = reading | inverse | {"starsolve.verdicts", "starsolve.solvers"}
+        assert set(loaded_by([["check", "--input", inst, *out]])) == verdict, backend
+        assert set(loaded_by([["solve", "--input", inst, *out]])) == (
+            verdict | {"starsolve.draws", "random"}), backend
+        # verify inverts nothing
+        assert set(loaded_by([["verify", "--input", inst, "--solution", x, *out]])) == (
+            reading | {"starsolve.commands", "starsolve.solvers"}), backend
+        # gen needs the generators (and RectProblem), not the elimination or the
+        # reading; it draws exact values and converts them, so it computes with
+        # no floats
+        assert set(loaded_by([["gen", "--kind", "minus", "--backend", backend, *out]])) == {
+            "starsolve.generate", "starsolve.structured", "starsolve.draws", "starsolve.rect",
+            "starsolve.solvers", "random"} | codec, backend
+    # solve --oracle needs the certificate, not the oracle
     inst = str(GOLDEN / "scalar_minus.json")  # solvable
-    assert loaded_by([["solve", "--input", inst, "--oracle", *out]]) == ["starsolve.certify",
-                                                                        "starsolve.solvers"]
+    assert set(loaded_by([["solve", "--input", inst, "--oracle", *out]])) == {
+        "starsolve.certify", "starsolve.verdicts", "starsolve.parse",
+        "starsolve.quadruples", "starsolve.solvers", "starsolve.elimination",
+        "starsolve.draws", "random"}
 
 
 FRACTION_CHILD = f"""
@@ -1067,7 +1086,7 @@ print(json.dumps([during, made]))
 
 def test_exact_cli_runs_construct_no_fraction(tmp_path):
     out = ["--output", str(tmp_path / "out.json")]
-    inst, a, x = cli_files(tmp_path, matrix.EXACT)
+    inst, a, x = cli_files(tmp_path, tags.EXACT)
     runs = [["check", "--input", inst, *out],
             ["solve", "--input", inst, "--samples", "3", "--oracle", *out],
             ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out],
@@ -1079,23 +1098,24 @@ def test_exact_cli_runs_construct_no_fraction(tmp_path):
     assert json.loads(r.stdout.splitlines()[-1]) == [0, 1]
 
 
-ARITHMETIC = {matrix.EXACT: "starsolve.grids", matrix.FLOAT: "starsolve.floats"}
+ARITHMETIC = {tags.EXACT: ("starsolve.grids", "starsolve.quadruples", "starsolve.elimination"),
+              tags.FLOAT: ("starsolve.floats", "starsolve.orthogonal")}
 
 
-@pytest.mark.parametrize("backend", matrix.BACKENDS)
+@pytest.mark.parametrize("backend", tags.BACKENDS)
 def test_runs_leave_the_other_arithmetic_unloaded(tmp_path, backend):
     out = ["--output", str(tmp_path / "out.json")]
     inst, a, x = cli_files(tmp_path, backend)
     runs = [["check", "--input", inst, *out], ["solve", "--input", inst, *out],
             ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out]]
-    assert loaded_by(runs, tuple(ARITHMETIC.values())) == [ARITHMETIC[backend]]
+    assert loaded_by(runs, sum(ARITHMETIC.values(), ())) == list(ARITHMETIC[backend])
 
 
 # -- compile size per child -----------------------------------------------------
 
 # With no .pyc files, as the benchmark runs, a CLI child compiles every
 # starsolve module it loads, and its peak memory follows the largest one.
-MAX_MODULE_TOKENS = 3_000
+MAX_MODULE_TOKENS = 2_000
 # each module under src/starsolve/, by the name it has in sys.modules
 MODULE_FILES = {("starsolve" if path.stem == "__init__" else f"starsolve.{path.stem}"): path
                 for path in sorted((SRC / "starsolve").glob("*.py"))}
@@ -1126,9 +1146,10 @@ def test_token_count_counts_an_f_string_as_one_token():
 def test_no_cli_child_compiles_a_module_over_the_ceiling(tmp_path):
     out = ["--output", str(tmp_path / "out.json")]
     runs = [["gen", "--kind", kind, *dims, *backend, *out]
-            for kind, dims in (("minus", ()), ("rect_plus", ("--dims", "2,3,2")), ("sym_left", ()))
-            for backend in ((), ("--backend", matrix.FLOAT))]
-    for backend in matrix.BACKENDS:
+            for kind, dims in (("minus", ()), ("rect_plus", ("--dims", "2,3,2")), ("sym_left", ()),
+                               ("plus", ("--family", "rejection")))
+            for backend in ((), ("--backend", tags.FLOAT))]
+    for backend in tags.BACKENDS:
         inst, a, x = cli_files(tmp_path, backend)
         runs += [["check", "--input", inst, *out], ["solve", "--input", inst, *out],
                  ["mp", "--input", a, *out], ["verify", "--input", inst, "--solution", x, *out]]
@@ -1221,7 +1242,7 @@ def test_cli_process_ends_with_the_collector_frozen(argv, code):
 
 def test_main_leaves_the_collector_alone(tmp_path):
     out = ["--output", str(tmp_path / "out.json")]
-    inst, a, x = cli_files(tmp_path, matrix.EXACT)
+    inst, a, x = cli_files(tmp_path, tags.EXACT)
     before = gc.isenabled(), gc.get_freeze_count()
     for argv in (["gen", "--kind", "minus", *out], ["check", "--input", inst, *out],
                  ["solve", "--input", inst, "--oracle", *out], ["mp", "--input", a, *out],

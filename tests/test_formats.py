@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve import formats
-from starsolve.formats import (FormatError, instance_from_doc, instance_to_doc,
-                               matrix_from_doc, matrix_to_doc)
+from starsolve import formats, parse
+from starsolve.draws import random_matrix
+from starsolve.formats import FormatError, instance_to_doc, matrix_to_doc
 from starsolve.generate import (random_rect_instance, random_sym_instance,
                                 random_square_instance)
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE,
-                              Matrix, unchecked)
+from starsolve.matrix import Matrix, unchecked
+from starsolve.parse import instance_from_doc, matrix_from_doc
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import random_matrix
+from starsolve.tags import CONJUGATE_TRANSPOSE, EXACT, FLOAT, TRANSPOSE
 
 seeds = st.integers(min_value=0, max_value=10**6)
 backends = st.sampled_from((EXACT, FLOAT))
@@ -49,16 +49,16 @@ def build_instance(seed, kind, backend, involution):
 def test_exact_scalar_quadruple():
     z = GaussianRational(Fraction(-3, 4), Fraction(5, 2))
     assert formats.encode_scalar(z, EXACT) == ["-3", "4", "5", "2"]
-    assert formats.decode_scalar(["-3", "4", "5", "2"], EXACT) == z
+    assert parse.decode_scalar(["-3", "4", "5", "2"], EXACT) == z
 
 
 def test_exact_scalar_normalizes_on_decode():
-    z = formats.decode_scalar(["2", "4", "0", "1"], EXACT)
+    z = parse.decode_scalar(["2", "4", "0", "1"], EXACT)
     assert z == GaussianRational(Fraction(1, 2), Fraction(0))
 
 
 def test_float_scalar_pair():
-    assert formats.decode_scalar([1.5, -2.0], FLOAT) == 1.5 - 2j
+    assert parse.decode_scalar([1.5, -2.0], FLOAT) == 1.5 - 2j
     assert formats.encode_scalar(1.5 - 2j, FLOAT) == [1.5, -2.0]
 
 
@@ -73,7 +73,7 @@ def test_float_scalar_pair():
 ])
 def test_exact_scalar_rejects_malformed(raw):
     with pytest.raises(FormatError):
-        formats.decode_scalar(raw, EXACT)
+        parse.decode_scalar(raw, EXACT)
 
 
 @pytest.mark.parametrize("raw", [[float("inf"), 0.0], [0.0], ["1", 0.0],
@@ -81,12 +81,12 @@ def test_exact_scalar_rejects_malformed(raw):
                                  [1.7e308, 1.7e308]])  # finite parts, modulus overflows
 def test_float_scalar_rejects_malformed(raw):
     with pytest.raises(FormatError):
-        formats.decode_scalar(raw, FLOAT)
+        parse.decode_scalar(raw, FLOAT)
 
 
 @pytest.mark.parametrize("decode", [
-    lambda backend: formats.decode_scalar(["1", "1", "0", "1"], backend),
-    lambda backend: formats.decode_matrix([[["1", "1", "0", "1"]]], backend,
+    lambda backend: parse.decode_scalar(["1", "1", "0", "1"], backend),
+    lambda backend: parse.decode_matrix([[["1", "1", "0", "1"]]], backend,
                                           CONJUGATE_TRANSPOSE),
 ], ids=["decode_scalar", "decode_matrix"])
 def test_decoders_refuse_an_unknown_backend(decode):
@@ -98,7 +98,7 @@ def test_huge_integers_survive():
     big = Fraction(10**40 + 1, 10**39)
     z = GaussianRational(big, Fraction(0))
     raw = formats.encode_scalar(z, EXACT)
-    assert formats.decode_scalar(raw, EXACT) == z
+    assert parse.decode_scalar(raw, EXACT) == z
 
 
 # -- matrix documents -----------------------------------------------------------
@@ -145,7 +145,7 @@ raw_matrices = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
 def per_entry_route(raw, involution):
     """A GaussianRational per entry, then Matrix.exact; its ValueError as
     decode_matrix words a FormatError."""
-    grid = [[formats.decode_scalar(e, EXACT) for e in row] for row in raw]
+    grid = [[parse.decode_scalar(e, EXACT) for e in row] for row in raw]
     try:
         return Matrix.exact(grid, involution)
     except ValueError as exc:
@@ -158,15 +158,15 @@ def test_grid_decode_and_encode_match_the_per_entry_route(raw, involution):
     expected = per_entry_route(raw, involution)
     if isinstance(expected, str):  # transpose with a nonzero imaginary part
         with pytest.raises(FormatError) as info:
-            formats.decode_matrix(raw, EXACT, involution)
+            parse.decode_matrix(raw, EXACT, involution)
         assert str(info.value) == expected == "matrix: transpose involution requires all-real entries"
         return
-    m = formats.decode_matrix(raw, EXACT, involution)
+    m = parse.decode_matrix(raw, EXACT, involution)
     assert m == expected and m.grids == expected.grids
     assert m.entries == expected.entries
     encoded = formats.encode_matrix(m)
     assert encoded == [[formats.encode_scalar(e, EXACT) for e in row] for row in expected.entries]
-    assert formats.decode_matrix(encoded, EXACT, involution) == m
+    assert parse.decode_matrix(encoded, EXACT, involution) == m
 
 
 # -- instance documents -----------------------------------------------------------

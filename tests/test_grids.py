@@ -10,14 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsolve.draws import random_matrix
+from starsolve.elimination import gauss_jordan
 from starsolve.generate import random_square_instance
-from starsolve.grids import gauss_jordan
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE, Matrix, inverse,
-                              mp_inverse, rank_factorization)
+from starsolve.matrix import Matrix, inverse, mp_inverse, rank_factorization
 from starsolve.oracle import linearize
 from starsolve.ring import NotMpInvertibleError
 from starsolve.scalars import GR_HALF, GR_ZERO, GaussianRational
-from starsolve.solvers import MINUS, PLUS, random_matrix
+from starsolve.solvers import MINUS, PLUS
+from starsolve.tags import CONJUGATE_TRANSPOSE, FLOAT, TRANSPOSE
 
 involutions = st.sampled_from((CONJUGATE_TRANSPOSE, TRANSPOSE))
 sizes = st.integers(min_value=0, max_value=4)

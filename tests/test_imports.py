@@ -5,7 +5,6 @@ loads no submodule."""
 
 import ast
 import importlib
-import re
 import subprocess
 import sys
 from collections import Counter
@@ -51,12 +50,10 @@ def test_no_unused_imports():
     assert found == {}
 
 
-_DOTTED = re.compile(r"^[A-Za-z_][\w.]*$")
-
-
 def names_in(node) -> Counter:
-    """Names a subtree reads: identifiers, attributes, imported names, and
-    strings that are a dotted path (as patch targets are written)."""
+    """Names a subtree's code references: identifiers, attributes and
+    imported names; a string (a patch target, a parameter default) is not
+    a reference."""
     names = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -65,8 +62,6 @@ def names_in(node) -> Counter:
             names[n.attr] += 1
         elif isinstance(n, ast.alias):
             names[n.name.split(".")[-1]] += 1
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and _DOTTED.match(n.value):
-            names.update(n.value.split("."))
     return names
 
 
@@ -87,20 +82,27 @@ def unreferenced_definitions(defining: dict, others: dict) -> list:
 
 
 def test_scanner_sees_unreferenced_definitions():
-    lib = ("def used(): pass\ndef dead(): return dead()\n"
-           "class C:\n    def __eq__(self, o): pass\n    def patched(self): pass\n")
-    callers = {"t": "from lib import used\nused()\nTARGET = 'C.patched'\n"}
-    assert unreferenced_definitions({"lib": lib}, callers) == [("lib", "dead")]
+    lib = ("def used(): pass\ndef dead(): return dead()\ndef entry(what='entry'): pass\n"
+           "class C:\n    def __eq__(self, o): pass\n    def patched(self): pass\n"
+           "    def method(self): pass\n")
+    callers = {"t": "from lib import used as u\nu()\nTARGET = 'C.patched'\n",
+               "s": "import lib\nlib.C().method()\n"}
+    assert unreferenced_definitions({"lib": lib}, callers) == [
+        ("lib", "dead"), ("lib", "entry"), ("lib", "patched")]
 
 
 # definitions only tests call, each a reference the tests compare against
 CALLED_BY_TESTS_ONLY = {
     # the per-entry decoder that the grid codec is checked against
-    ("src/starsolve/formats.py", "decode_scalar"),
+    ("src/starsolve/parse.py", "decode_scalar"),
     # the Penrose judgement the tests apply to every float MP-inverse
-    ("src/starsolve/matrix.py", "is_mp_inverse"),
+    ("src/starsolve/penrose.py", "is_mp_inverse"),
     # called by NamedTuple._replace, which copies a RectProblem
     ("src/starsolve/rect.py", "_make"),
+    # the embedded MP-inverses the block embedding is checked against
+    ("src/starsolve/rect.py", "embed_mp"),
+    # the inverse of extract_solution, which the tests round-trip through
+    ("src/starsolve/rect.py", "embed_solution"),
 }
 
 
@@ -196,9 +198,20 @@ def test_unknown_package_attribute_raises():
 
 def test_matrix_still_resolves_the_two_names_the_benchmark_reaches_there():
     # perfbench/ reaches MatrixRing and random_matrix as starsolve.matrix.*
-    from starsolve import matrix, ring, solvers
+    from starsolve import draws, matrix, ring
     assert matrix.MatrixRing is ring.MatrixRing
-    assert matrix.random_matrix is solvers.random_matrix
+    assert matrix.random_matrix is draws.random_matrix
     with pytest.raises(AttributeError, match="no attribute 'from_parts'"):
         matrix.from_parts
-    assert not hasattr(matrix, "random_sixths")
+    for name in ("random_sixths", "penrose_defects", "is_mp_inverse", "tolerance", "RTOL"):
+        assert not hasattr(matrix, name), name
+
+
+def test_formats_still_resolves_the_one_name_the_benchmark_reaches_there():
+    # perfbench/ reaches decode_matrix as starsolve.formats.decode_matrix
+    from starsolve import formats, parse
+    assert formats.decode_matrix is parse.decode_matrix
+    with pytest.raises(AttributeError, match="no attribute 'instance_from_doc'"):
+        formats.instance_from_doc
+    for name in ("decode_scalar", "matrix_from_doc", "read_doc", "_parse_quadruple"):
+        assert not hasattr(formats, name), name

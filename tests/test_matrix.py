@@ -8,15 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from starsolve import formats, matrix
+from starsolve import matrix, parse
+from starsolve.draws import random_matrix
 from starsolve.formats import FormatError
 from starsolve.grids import from_grids
 from starsolve.ring import MatrixRing, NotMpInvertibleError
-from starsolve.matrix import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
-                              Matrix, ShapeMismatchError, inverse, is_mp_inverse,
-                              mp_inverse, rank_factorization, tolerance)
+from starsolve.matrix import Matrix, inverse, mp_inverse, rank_factorization
+from starsolve.penrose import is_mp_inverse
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import random_matrix
+from starsolve.tags import (BACKENDS, CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
+                            ShapeMismatchError, tolerance)
 
 I = GaussianRational(Fraction(0), Fraction(1))
 
@@ -31,7 +32,7 @@ dims = st.integers(min_value=1, max_value=4)
 def test_exact_construction_coerces_ints():
     m = Matrix.exact([[1, 2], [3, 4]])
     assert m.shape == (2, 2)
-    assert m.entry(1, 0) == GaussianRational(Fraction(3))
+    assert m.entries[1][0] == GaussianRational(Fraction(3))
     assert m.backend == EXACT
 
 
@@ -126,7 +127,7 @@ CONSTRUCTORS = {
     "Matrix.exact": (EXACT, lambda f, e, parts, inv: Matrix.exact([[e]], inv)),
     "from_grids": (EXACT, lambda f, e, parts, inv: from_grids(1, 1, inv, [[parts[0]]],
                                                               [[parts[1]]], 1)),
-    "decode_matrix": (None, lambda f, e, parts, inv: formats.decode_matrix([[list(parts)]],
+    "decode_matrix": (None, lambda f, e, parts, inv: parse.decode_matrix([[list(parts)]],
                                                                            FLOAT, inv)),
 }
 
@@ -164,7 +165,7 @@ def test_constructor_takes_entries_as_exact_and_floating_do():
     m = Matrix(2, 2, rows)
     assert m == Matrix.exact(rows)
     assert m.grids == (((18, -3), (4, 0)), ((0, 0), (6, 0)), 6)
-    assert m.entry(1, 0) == GaussianRational(Fraction(2, 3), 1)
+    assert m.entries[1][0] == GaussianRational(Fraction(2, 3), 1)
     f = Matrix(1, 2, ((1, 2.5),), backend=FLOAT)
     assert f == Matrix.floating([[1, 2.5]])
     assert [type(z) for z in f.entries[0]] == [complex, complex]
@@ -174,10 +175,10 @@ def test_copy_and_pickle_keep_an_overflowed_float_entry():
     # a copy is the same value, built unchecked like the arithmetic result it is
     big = Matrix.floating([[1e308, 1.0]])
     m = big + big
-    assert m.entry(0, 0) == complex(math.inf, 0.0)
+    assert m.entries[0][0] == complex(math.inf, 0.0)
     for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
         assert twin == m and twin.entries == m.entries
-    assert math.isnan(pickle.loads(pickle.dumps(m - m)).entry(0, 0).real)
+    assert math.isnan(pickle.loads(pickle.dumps(m - m)).entries[0][0].real)
 
 
 def test_mixed_tags_raise():
@@ -225,7 +226,7 @@ def test_transpose_scale_refuses_a_non_real_scalar():
         for m in (Matrix.identity(2, TRANSPOSE, backend), Matrix.zeros(2, 2, TRANSPOSE, backend)):
             with pytest.raises(ValueError, match="transpose involution requires all-real entries"):
                 m.scale(i)
-        assert Matrix.identity(2, backend=backend).scale(i).entry(0, 0) == i
+        assert Matrix.identity(2, backend=backend).scale(i).entries[0][0] == i
 
 
 def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
@@ -250,14 +251,14 @@ def test_arithmetic_results_skip_the_validating_constructor(monkeypatch):
 def test_star_conjugate_transpose():
     m = Matrix.exact([[I, 1], [0, 2 * GaussianRational(Fraction(1))]])
     s = m.star()
-    assert s.entry(0, 0) == -I
-    assert s.entry(1, 0) == GaussianRational(Fraction(1))
+    assert s.entries[0][0] == -I
+    assert s.entries[1][0] == GaussianRational(Fraction(1))
 
 
 def test_star_plain_transpose_keeps_entries():
     m = Matrix.exact([[1, 2], [3, 4]], involution=TRANSPOSE)
     s = m.star()
-    assert s.entry(0, 1) == GaussianRational(Fraction(3))
+    assert s.entries[0][1] == GaussianRational(Fraction(3))
 
 
 def float_bits(grid):
@@ -272,7 +273,7 @@ def test_float_star_is_the_entrywise_involution(shape, involution):
     if rows and cols:  # a signed zero, whose sign bits must survive too
         m = m.paste(0, 0, Matrix.floating([[complex(-0.0, 0.0)]], involution))
     conj = involution == CONJUGATE_TRANSPOSE
-    expected = [[m.entry(i, j).conjugate() if conj else m.entry(i, j) for i in range(rows)]
+    expected = [[m.entries[i][j].conjugate() if conj else m.entries[i][j] for i in range(rows)]
                 for j in range(cols)]
     s = m.star()
     assert s.shape == (cols, rows)
@@ -282,10 +283,10 @@ def test_float_star_is_the_entrywise_involution(shape, involution):
 def test_block_paste_roundtrip():
     m = Matrix.exact([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     sub = m.block(1, 0, 2, 2)
-    assert sub.entry(0, 0) == GaussianRational(Fraction(4))
+    assert sub.entries[0][0] == GaussianRational(Fraction(4))
     back = Matrix.zeros(3, 3).paste(1, 0, sub)
-    assert back.entry(2, 1) == GaussianRational(Fraction(8))
-    assert back.entry(0, 0) == GaussianRational(Fraction(0))
+    assert back.entries[2][1] == GaussianRational(Fraction(8))
+    assert back.entries[0][0] == GaussianRational(Fraction(0))
 
 
 @pytest.mark.parametrize("row", ([0.0, 1e300], [1e300, 0.0]))
@@ -300,8 +301,8 @@ def test_to_float_matches_entries():
     m = Matrix.exact([[Fraction(1, 4), I]])
     f = m.to_float()
     assert f.backend == FLOAT
-    assert f.entry(0, 0) == 0.25 + 0j
-    assert f.entry(0, 1) == 1j
+    assert f.entries[0][0] == 0.25 + 0j
+    assert f.entries[0][1] == 1j
 
 
 # -- exact products ------------------------------------------------------------
@@ -311,7 +312,7 @@ PRIMES = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
 
 def schoolbook_product(a, b):
     """Entry grid of a @ b by per-entry GaussianRational sums of products."""
-    return tuple(tuple(sum((a.entry(i, k) * b.entry(k, j) for k in range(a.cols)),
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)),
                            GaussianRational(0))
                        for j in range(b.cols))
                  for i in range(a.rows))
@@ -376,7 +377,7 @@ def test_mp_inverse_pinned_rank_one():
 
 def test_mp_inverse_scalar_imaginary():
     m = Matrix.exact([[I]])
-    assert mp_inverse(m).entry(0, 0) == -I
+    assert mp_inverse(m).entries[0][0] == -I
 
 
 def test_mp_inverse_zero_matrix():
@@ -545,7 +546,7 @@ def test_ring_ops_and_constants():
     assert (a - a).is_zero()
     assert ring.one() @ a == a
     assert ring.zero().is_zero()
-    assert ring.one().half().entry(0, 0) == GaussianRational(Fraction(1, 2))
+    assert ring.one().half().entries[0][0] == GaussianRational(Fraction(1, 2))
     assert (a + a.star()).star() == a + a.star()
     assert (a - a.star()).star() == (a - a.star()).neg()
 

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.generate import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES,
-                                random_coisometry, random_pair, random_rect_instance,
-                                random_sym_instance, random_square_instance, random_unitary)
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE, Matrix, inverse,
-                              rank_factorization)
+from starsolve.draws import random_matrix
+from starsolve.generate import (GenerationError, PAIR_FAMILIES, RECT_FAMILIES, random_pair,
+                                random_rect_instance, random_sym_instance,
+                                random_square_instance)
+from starsolve.matrix import Matrix, inverse, rank_factorization
 from starsolve.oracle import linearize, oracle_solve, verify_family_against_oracle
 from starsolve.rect import solve_rect
 from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (MINUS, PLUS, UnsolvableError, check_hypotheses,
-                               equation_lhs, random_matrix, solve, solve_sym_left,
-                               solve_sym_right)
+                               equation_lhs, solve, solve_sym_left, solve_sym_right)
+from starsolve.structured import random_coisometry, random_unitary
+from starsolve.tags import CONJUGATE_TRANSPOSE, EXACT, TRANSPOSE
 
 I = GaussianRational(Fraction(0), Fraction(1))
 
@@ -130,7 +131,7 @@ def test_rank_nullity(seed, sign):
 def test_oracle_scalar_solvable_pinned():
     result = oracle_solve(MINUS, scalar(1), scalar(1), scalar(2 * I))
     assert result.solvable
-    assert result.particular.entry(0, 0).im == Fraction(1)
+    assert result.particular.entries[0][0].im == Fraction(1)
     assert result.real_dimension == 1
 
 

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from starsolve.draws import random_matrix
 from starsolve.generate import random_rect_instance, random_square_instance
-from starsolve.matrix import TRANSPOSE, Matrix, is_mp_inverse, mp_inverse
+from starsolve.matrix import Matrix, mp_inverse
+from starsolve.penrose import is_mp_inverse
 from starsolve.rect import (RectProblem, check_rect_hypotheses, embed, embed_mp,
                             embed_solution, extract_solution, solve_rect,
                             solve_rect_via_embedding)
 from starsolve.scalars import GaussianRational
-from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs, random_matrix
+from starsolve.solvers import MINUS, PLUS, UnsolvableError, equation_lhs
+from starsolve.tags import TRANSPOSE
 
 I = GaussianRational(Fraction(0), Fraction(1))
 

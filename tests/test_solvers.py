@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starsolve.matrix import (CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE,
-                              Matrix, is_mp_inverse, mp_inverse, tolerance)
+from starsolve.draws import random_matrix
 from starsolve.formats import PAIR_FAMILIES, RECT_FAMILIES
 from starsolve.generate import (random_pair, random_rect_instance, random_square_instance,
                                 random_sym_instance)
+from starsolve.matrix import Matrix, mp_inverse
+from starsolve.penrose import is_mp_inverse
 from starsolve.ring import MatrixRing
 from starsolve.scalars import GaussianRational
 from starsolve.solvers import (Condition, HypothesesFailError, MINUS, PLUS,
                                UnsolvableError, check_hypotheses,
-                               equation_lhs, particular, random_matrix,
+                               equation_lhs, particular,
                                solvability_conditions, solve, solve_sym_left,
                                solve_sym_right, sym_general_form)
+from starsolve.tags import CONJUGATE_TRANSPOSE, EXACT, FLOAT, RTOL, TRANSPOSE, tolerance
 
 I = GaussianRational(Fraction(0), Fraction(1))
 RING2 = MatrixRing(2)
@@ -165,7 +167,7 @@ def test_homogeneous_identity_pair_splits_parts():
 
 def test_particular_scalar_pinned():
     rep = check_hypotheses(RING1, scalar(1), scalar(1))
-    assert particular(MINUS, rep, scalar(2 * I)).entry(0, 0) == I
+    assert particular(MINUS, rep, scalar(2 * I)).entries[0][0] == I
 
 
 def test_particular_diagonal_pinned():
@@ -182,7 +184,7 @@ def test_particular_diagonal_pinned():
 
 def test_solve_scalar_family():
     fam = solve(RING1, MINUS, scalar(1), scalar(1), scalar(2 * I))
-    assert fam.x0.entry(0, 0) == I
+    assert fam.x0.entries[0][0] == I
     assert fam.judge(fam.x0).ok
     for seed in range(4):
         assert fam.judge(fam.sample(seed)).ok
