@@ -27,6 +27,7 @@ from .generate import random_rect_instance, random_sym_instance, random_square_i
 from .elimination import gauss_jordan
 from .grids import make
 from .matrix import Matrix
+from .rect import RectProblem
 from .solvers import MINUS, SolutionFamily, _check_sign
 from .tags import EXACT, TRANSPOSE
 
@@ -36,11 +37,6 @@ __all__ = ["OracleResult", "RealLinearSystem", "linearize", "oracle_solve",
 
 RE = "re"
 IM = "im"
-
-
-def _require_exact(*mats: Matrix):
-    if any(m.backend != EXACT for m in mats):
-        raise ValueError("the oracle works on the exact backend only")
 
 
 @dataclass(frozen=True)
@@ -58,37 +54,27 @@ class RealLinearSystem:
     col_index: tuple  # (i, j, "re"/"im") per column
 
 
-def linearize(sign: str, a: Matrix, b: Matrix, c: Optional[Matrix] = None) -> RealLinearSystem:
-    """Real-linear system for A X B* -/+ B X* A* (= C when given).
+def linearize(sign: str, a: Matrix, b: Matrix, c: Matrix) -> RealLinearSystem:
+    """Real-linear system for A X B* -/+ B X* A* = C.
 
-    A: m x n and B: m x p define the map on X: n x p; the rhs is the zero
-    vector unless C (m x m) is supplied.
+    A: m x n and B: m x p define the map on X: n x p, and C is m x m: the
+    operands of a RectProblem, which checks their shapes and tags.
     """
     _check_sign(sign)
-    _require_exact(a, b)
-    a._check_tags(b)
-    if a.rows != b.rows:
-        raise ValueError(f"A and B must share their row count; got {a.shape}, {b.shape}")
-    m, n, p = a.rows, a.cols, b.cols
-    if c is not None:
-        _require_exact(c)
-        a._check_tags(c)
-        if c.shape != (m, m):
-            raise ValueError(f"C must be {m}x{m}, got {c.shape}")
+    m, n, p = RectProblem(a, b, c).dims
+    if a.backend != EXACT:
+        raise ValueError("the oracle works on the exact backend only")
     k = 1 if a.involution == TRANSPOSE else 2  # real coordinates per entry
     col_index = tuple((i, j, part) for i in range(n) for j in range(p) for part in (RE, IM)[:k])
 
     # Every row is scaled by den * d_c: den is the coefficients' denominator,
-    # d_c is C's (1 without C).  X[i][j] = x + iy adds
+    # d_c is C's (1 for a zero C).  X[i][j] = x + iy adds
     # (alpha + beta) x + i (alpha - beta) y to out[r][s].
     starred = b.neg() if sign == MINUS else b
     den, coefficients = _coefficients([(a, b.star())], [(starred, a.star())])
-    if c is None:
-        d_c, rhs = 1, (0,) * (m * m * k)
-    else:
-        c_re, c_im, d_c = c.grids
-        rhs = tuple(part[r][s] * den for r in range(m) for s in range(m)
-                    for part in (c_re, c_im)[:k])
+    c_re, c_im, d_c = c.grids
+    rhs = tuple(part[r][s] * den for r in range(m) for s in range(m)
+                for part in (c_re, c_im)[:k])
     grid = [[0] * len(col_index) for _ in rhs]
     for r, s, i, j, (alpha_re, alpha_im), (beta_re, beta_im) in coefficients:
         row, col = (r * m + s) * k, (i * p + j) * k

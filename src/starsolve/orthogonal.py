@@ -73,8 +73,6 @@ def mp_inverse(m: Matrix) -> Matrix:
     rows, n = m.shape
     cols = [list(c) for c in zip(*m.entries)] + _eye(rows)
     order, k = _householder_qr(cols, n, tolerance(PIVOT_RTOL, m))
-    if k == 0:
-        return Matrix.zeros(n, rows, m.involution, FLOAT)
     # cols[n + r] is now column r of Q*; the QR of [R11 R12]* leaves column
     # i of T in z[i] and column j of Z* in z[k + j]
     z = [[0j] * i + [cols[j][i].conjugate() for j in range(i, n)] for i in range(k)] + _eye(n)

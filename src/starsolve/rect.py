@@ -60,9 +60,6 @@ class RectProblem(NamedTuple("_Operands", [("a", Matrix), ("b", Matrix), ("c", M
         """The m x m ring of C; it supplies the operations on A, B and X."""
         return MatrixRing(self.a.rows, self.a.backend, self.a.involution)
 
-    def to_float(self) -> "RectProblem":
-        return RectProblem(self.a.to_float(), self.b.to_float(), self.c.to_float())
-
 
 def embed(problem: RectProblem) -> RectProblem:
     """The square problem of order k = m + n + p (dims (k, k, k)): A at block

@@ -386,6 +386,17 @@ def test_mp_inverse_zero_matrix():
     assert mp_inverse(z).is_zero()
 
 
+@pytest.mark.parametrize("involution", (CONJUGATE_TRANSPOSE, TRANSPOSE))
+@pytest.mark.parametrize("shape", ((2, 3), (3, 2), (1, 1)))
+def test_float_mp_inverse_zero_matrix(shape, involution):
+    # rank 0: the zero matrix, with unsigned zeros as in every float result
+    rows, cols = shape
+    d = mp_inverse(Matrix.zeros(rows, cols, involution, FLOAT))
+    assert d == Matrix.zeros(cols, rows, involution, FLOAT)
+    assert all(math.copysign(1.0, part) == 1.0
+               for row in d.entries for e in row for part in (e.real, e.imag))
+
+
 def test_mp_inverse_same_matrix_under_both_involutions_differs():
     # [[i]] is conj-normal but transpose requires real entries; use a real
     # rank-deficient pair instead and check both dagger computations agree

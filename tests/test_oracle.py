@@ -54,37 +54,39 @@ def system_rank(system):
 
 def test_linearize_scalar_minus_pinned():
     # x - x* = 2i Im(x): only the imaginary coordinate survives, doubled
-    system = linearize(MINUS, scalar(1), scalar(1))
+    system = linearize(MINUS, scalar(1), scalar(1), scalar(0))
     assert system.matrix == ((0, 0), (0, 2))
     assert all(type(v) is int for row in system.matrix for v in (*row, *system.rhs))
 
 
 def test_linearize_scalar_plus_pinned():
-    system = linearize(PLUS, scalar(1), scalar(1))
+    system = linearize(PLUS, scalar(1), scalar(1), scalar(0))
     assert system.matrix == ((2, 0), (0, 0))
     assert all(type(v) is int for row in system.matrix for v in (*row, *system.rhs))
 
 
 def test_linearize_zero_operand_gives_zero_system():
-    system = linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(2, 2))
-    assert all(v == 0 for row in system.matrix for v in row)
+    z = Matrix.zeros(2, 2)
+    system = linearize(MINUS, z, z, z)
+    assert all(v == 0 for row in system.matrix for v in (*row, *system.rhs))
 
 
 def test_linearize_rejects_float():
-    with pytest.raises(ValueError):
-        linearize(MINUS, Matrix.floating([[1.0]]), Matrix.floating([[1.0]]))
+    with pytest.raises(ValueError, match="exact backend only"):
+        linearize(MINUS, *(Matrix.floating([[x]]) for x in (1.0, 1.0, 0.0)))
 
 
 def test_linearize_refuses_mismatched_shapes():
-    with pytest.raises(ValueError, match="share their row count"):
-        linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(1, 2))
-    with pytest.raises(ValueError, match="C must be 2x2"):
+    # RectProblem's one shape message
+    with pytest.raises(ValueError, match="need A: m x n, B: m x p, C: m x m"):
+        linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(1, 2), Matrix.zeros(2, 2))
+    with pytest.raises(ValueError, match="need A: m x n, B: m x p, C: m x m"):
         linearize(MINUS, Matrix.zeros(2, 2), Matrix.zeros(2, 2), Matrix.zeros(2, 1))
 
 
 def test_transpose_involution_drops_imaginary_coordinates():
     a = Matrix.exact([[1]], involution=TRANSPOSE)
-    system = linearize(MINUS, a, a)
+    system = linearize(MINUS, a, a, Matrix.zeros(1, 1, TRANSPOSE))
     assert len(system.matrix) == 1  # one real coordinate for a 1x1 unknown
 
 
@@ -96,13 +98,13 @@ def test_linearization_matches_direct_map(seed, sign, involution):
     a = random_matrix(rng, m, n, EXACT, involution)
     b = random_matrix(rng, m, p, EXACT, involution)
     x = random_matrix(rng, n, p, EXACT, involution)
-    system = linearize(sign, a, b)
+    system = linearize(sign, a, b, Matrix.zeros(m, m, involution))
     first = a @ x @ b.star()
     second = b @ x.star() @ a.star()
     direct = first.sub(second) if sign == MINUS else first.add(second)
     with_c = linearize(sign, a, b, direct)
     assert rows_hold(with_c, x)
-    # the same rows, scaled by C's denominator; no C, zero rhs
+    # the same rows, scaled by C's denominator; zero C, zero rhs
     d_c = direct.grids[2]
     assert with_c.matrix == tuple(tuple(v * d_c for v in row) for row in system.matrix)
     assert not any(system.rhs) and len(system.rhs) == len(system.matrix)

@@ -49,7 +49,8 @@ def test_rect_problem_validates_shapes():
 def test_rect_problem_value_semantics():
     prob = random_rect_instance(random.Random(5), (2, 3, 2), "coisometry")
     same = RectProblem(prob.a, prob.b, prob.c)
-    assert same == prob and hash(same) == hash(prob) and same != prob.to_float()
+    floated = RectProblem(*(m.to_float() for m in prob))
+    assert same == prob and hash(same) == hash(prob) and same != floated
     assert RectProblem(prob.a, prob.b, prob.c.neg()) != prob
     assert copy.copy(prob) == prob and pickle.loads(pickle.dumps(prob)) == prob
     with pytest.raises(AttributeError):
@@ -205,7 +206,8 @@ def test_embedded_homogeneous_extracts_to_rect_kernel():
 
 def test_rect_float_backend():
     rng = random.Random(23)
-    prob = random_rect_instance(rng, (2, 3, 2), "coisometry").to_float()
+    exact = random_rect_instance(rng, (2, 3, 2), "coisometry")
+    prob = RectProblem(*(m.to_float() for m in exact))
     fam = solve_rect(prob)
     tol = 1e-9 * (1.0 + prob.c.max_abs())
     assert fam.residual(fam.x0).max_abs() <= tol
