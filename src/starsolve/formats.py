@@ -18,10 +18,16 @@ resolves here, on first access, because the benchmark harness (perfbench/)
 reaches it as ``formats.decode_matrix``.
 
 A document to write may hold ``Matrix`` values where its matrices go: the
-CLI's reports carry them as they are, and one encoder turns each into its
-``encode_matrix`` lists only when it reaches it, so at most one matrix of a
-report exists as lists at a time.  ``dumps_doc`` joins the encoder's chunks
-a batch at a time and never holds a list of every chunk.
+CLI's reports, ``matrix_to_doc`` and the instance document that
+``save_instance`` and `gen` write carry them as they are (``instance_to_doc``
+returns lists, the document a reader parses).  ``dumps_doc`` runs json's
+indented encoder over the rest of the document: it turns an exact matrix
+into its ``encode_matrix`` lists only when it reaches it, and a float matrix
+into a placeholder whose place it then fills with the matrix's text, built
+straight from the entries by :mod:`starsolve.floattext`, which only a
+process that writes a float matrix loads.  Either way the text is what
+``json.dumps`` writes for the encoded lists, and ``dumps_doc`` joins its
+chunks a batch at a time and never holds a list of every chunk.
 
 Every CLI report opens with the same envelope, version, command and
 generated_at, and carries each residual or tolerance as a finite JSON
@@ -103,12 +109,14 @@ def encode_matrix(m: Matrix) -> list:
 
 
 def matrix_to_doc(m: Matrix) -> dict:
+    """The matrix document of ``m``, which carries ``m`` itself for
+    ``dumps_doc`` to write."""
     return {
         "version": FORMAT_VERSION,
         "type": "matrix",
         "backend": m.backend,
         "involution": m.involution,
-        "matrix": encode_matrix(m),
+        "matrix": m,
     }
 
 
@@ -170,14 +178,14 @@ def make_instance(kind: str, backend: str, involution: str,
     return inst
 
 
-def instance_to_doc(inst: Instance) -> dict:
+def _instance_doc(inst: Instance) -> dict:
+    """The instance document to write: its operands are ``Matrix`` values."""
     doc = {
         "version": FORMAT_VERSION,
         "kind": inst.kind,
         "backend": inst.backend,
         "involution": inst.involution,
-        "operands": {name: encode_matrix(inst.operands[name])
-                     for name in OPERAND_NAMES[inst.kind]},
+        "operands": {name: inst.operands[name] for name in OPERAND_NAMES[inst.kind]},
     }
     if inst.dims is not None:
         doc["dims"] = list(inst.dims)
@@ -186,35 +194,58 @@ def instance_to_doc(inst: Instance) -> dict:
     return doc
 
 
+def instance_to_doc(inst: Instance) -> dict:
+    """The instance document with each operand as its ``encode_matrix`` lists."""
+    doc = _instance_doc(inst)
+    doc["operands"] = {name: encode_matrix(m) for name, m in doc["operands"].items()}
+    return doc
+
+
 # -- files --------------------------------------------------------------------
 
 
-def _encode_default(value) -> list:
-    """The encoder's hook for a value json has no rule for: a Matrix becomes
-    its ``encode_matrix`` lists; anything else raises json's own TypeError."""
-    if isinstance(value, Matrix):
-        return encode_matrix(value)
-    return json.JSONEncoder.default(_ENCODER, value)
-
-
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False,
-                            default=_encode_default)
-
-# chunks per joined batch: a few KB of text, against 5,532 chunks in a
-# float n=16 solve report
+# chunks per joined batch: a few KB of json's own text (a float n=16 solve
+# report written through lists has 5,532 chunks)
 _BATCH = 512
 
 
 def dumps_doc(doc) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing
     newline; a ``Matrix`` in ``doc`` is written as ``encode_matrix`` of it.
-    The text equals ``json.dumps`` of ``doc`` with its matrices encoded;
-    the encoder's chunks are joined ``_BATCH`` at a time, so no list of
-    every chunk exists and the peak is about twice the text: the batches
-    and their join.  A non-finite float raises ValueError, a value of
-    another type json's TypeError."""
-    chunks = chain(_ENCODER.iterencode(doc), ("\n",))
+    The text equals ``json.dumps`` of ``doc`` with its matrices encoded.
+    The chunks are joined ``_BATCH`` at a time, so no list of every chunk
+    exists and the peak is about twice the text: the batches and their join.
+    A non-finite float raises ValueError, a value of another type json's
+    TypeError."""
+    floats = []  # the float matrix whose placeholder is the encoder's next chunk
+
+    def default(value):
+        if not isinstance(value, Matrix):
+            return json.JSONEncoder.default(encoder, value)
+        if value.backend == EXACT:
+            return encode_matrix(value)
+        floats.append(value)
+        return "\0"
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False, default=default)
+    chunks = chain(_spliced(encoder.iterencode(doc), floats), ("\n",))
     return "".join(iter(lambda: "".join(islice(chunks, _BATCH)), ""))
+
+
+def _spliced(chunks, floats):
+    """``chunks`` with each float matrix's placeholder replaced by its text.
+    The encoder calls ``default`` just before it yields the placeholder, so
+    the placeholder is the chunk that follows a recorded matrix, whatever
+    strings the document holds; its line's indent is what follows the last
+    newline the encoder wrote."""
+    line = ""
+    for chunk in chunks:
+        if floats:
+            from .floattext import matrix_text  # loaded only to write a float matrix
+            chunk = matrix_text(floats.pop(), len(line) - line.rfind("\n") - 1)
+        elif "\n" in chunk:
+            line = chunk
+        yield chunk
 
 
 def write_doc(doc, path: str) -> None:
@@ -232,7 +263,7 @@ def load_instance(path: str) -> Instance:
 
 
 def save_instance(inst: Instance, path: str) -> None:
-    write_doc(instance_to_doc(inst), path)
+    write_doc(_instance_doc(inst), path)
 
 
 def load_matrix(path: str) -> Matrix:

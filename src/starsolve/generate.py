@@ -206,7 +206,7 @@ def cmd_gen(args) -> None:
         operands = {name: m.to_float() for name, m in operands.items()}
     inst = formats.make_instance(kind, args.backend, args.involution, operands,
                                  inst_dims, args.seed)
-    doc = formats.instance_to_doc(inst)
+    doc = formats._instance_doc(inst)
     if args.output:
         formats.write_doc(doc, args.output)
         shape = f"dims {dims}" if kind in RECT_KINDS else f"size {dims}"

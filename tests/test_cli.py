@@ -114,25 +114,48 @@ def test_golden_float_mp(tmp_path):
     assert normalized(out) == (GOLDEN / "float_mp_report.json").read_text()
 
 
-@pytest.mark.parametrize("which", ("solve_report", "instance"))
+@pytest.mark.parametrize("which", ("solve_report", "instance", "gen"))
 def test_writing_a_float_n16_document_peaks_near_twice_its_text(which, monkeypatch, tmp_path):
     # four 16 x 16 matrices in an 88 KB report; three in a 49 KB instance
+    gen = ("gen", "--kind", "minus", "--dims", "16", "--seed", "1", "--force-solvable",
+           "--backend", "float")
     inst = tmp_path / "inst.json"
-    assert run_main("gen", "--kind", "minus", "--dims", "16", "--seed", "1",
-                    "--force-solvable", "--backend", "float", "--output", str(inst)) == 0
-    if which == "instance":
-        doc = formats.instance_to_doc(formats.load_instance(str(inst)))
+    assert run_main(*gen, "--output", str(inst)) == 0
+    if which == "gen":
+        # from the instance gen has drawn to its text: the document and its writing
+        make, written = formats.make_instance, []
+
+        def made(*args):
+            built = make(*args)
+            tracemalloc.start()
+            return built
+
+        def write(doc, path):
+            written.append((formats.dumps_doc(doc), tracemalloc.get_traced_memory()[1]))
+
+        monkeypatch.setattr(formats, "make_instance", made)
+        monkeypatch.setattr(formats, "write_doc", write)
+        try:
+            assert run_main(*gen, "--output", str(inst)) == 0
+        finally:
+            tracemalloc.stop()
+        (text, peak), = written
+        assert text == inst.read_text()
     else:
-        docs = []
-        monkeypatch.setattr(formats, "write_doc", lambda doc, path: docs.append(doc))
-        assert run_main("solve", "--input", str(inst), "--output", str(tmp_path / "r.json")) == 0
-        doc, = docs
-    tracemalloc.start()
-    try:
-        text = formats.dumps_doc(doc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        if which == "instance":
+            doc = formats.instance_to_doc(formats.load_instance(str(inst)))
+        else:
+            docs = []
+            monkeypatch.setattr(formats, "write_doc", lambda doc, path: docs.append(doc))
+            assert run_main("solve", "--input", str(inst), "--output",
+                            str(tmp_path / "r.json")) == 0
+            doc, = docs
+        tracemalloc.start()
+        try:
+            text = formats.dumps_doc(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak <= 2.5 * len(text)
 
 
@@ -987,24 +1010,42 @@ WATCHED = ("starsolve.oracle", "starsolve.certify", "starsolve.generate", "stars
            "starsolve.draws", "starsolve.rect", "starsolve.commands", "starsolve.verdicts",
            "starsolve.penrose", "starsolve.parse", "starsolve.quadruples", "starsolve.solvers",
            "starsolve.elimination", "starsolve.floats", "starsolve.orthogonal",
-           "starsolve.scalars", "fractions", "decimal", "numbers", "__future__", "dataclasses",
-           "inspect", "datetime", "random")
+           "starsolve.floattext", "starsolve.scalars", "fractions", "decimal", "numbers",
+           "__future__", "dataclasses", "inspect", "datetime", "random")
 
 STARTUP_CHILD = f"""
 import json, sys
 sys.path.insert(0, {str(SRC)!r})
 import starsolve.cli
 for argv in json.loads(sys.argv[1]):
-    assert starsolve.cli.main(argv) == 0, argv
+    assert starsolve.cli.main(argv) == int(sys.argv[3]), argv
 print(json.dumps([m for m in json.loads(sys.argv[2]) if m in sys.modules]))
 """
 
 
-def loaded_by(runs, watched=WATCHED) -> list:
-    """The ``watched`` modules loaded by a fresh child that runs each argv."""
+SAVING_CHILD = f"""
+import json, random, sys
+sys.path.insert(0, {str(SRC)!r})
+from starsolve import formats
+from starsolve.draws import random_matrix
+backend, folder = sys.argv[1:]
+m = random_matrix(random.Random(1), 3, 3, backend)
+loaded = []
+formats.save_matrix(m, folder + "/saved_matrix.json")
+loaded.append("starsolve.floattext" in sys.modules)
+inst = formats.make_instance("minus", backend, m.involution, {{"a": m, "b": m, "c": m}})
+formats.save_instance(inst, folder + "/saved_instance.json")
+loaded.append("starsolve.floattext" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def loaded_by(runs, watched=WATCHED, code=0) -> list:
+    """The ``watched`` modules loaded by a fresh child that runs each argv,
+    each of which exits with ``code``."""
     # -S: no site hooks, so only what the package itself imports is loaded
     r = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD, json.dumps(runs),
-                        json.dumps(watched)], capture_output=True, text=True)
+                        json.dumps(watched), str(code)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return json.loads(r.stdout.splitlines()[-1])
 
@@ -1036,14 +1077,17 @@ def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
         arithmetic = set() if exact else {"starsolve.floats"}
         inverse = {"starsolve.elimination"} if exact else {"starsolve.orthogonal"}
         reading = {"starsolve.parse"} | codec | arithmetic
+        # only a run that writes a float matrix (mp's inverse, solve's
+        # solutions, gen's operands) builds a float matrix's text
+        text = set() if exact else {"starsolve.floattext"}
         # mp runs no solver, only the Penrose checks
         assert set(loaded_by([["mp", "--input", a, *out]])) == (
-            reading | inverse | {"starsolve.commands", "starsolve.penrose"}), backend
+            reading | inverse | {"starsolve.commands", "starsolve.penrose"} | text), backend
         # check and solve need the verdict code; only solve draws samples
         verdict = reading | inverse | {"starsolve.verdicts", "starsolve.solvers"}
         assert set(loaded_by([["check", "--input", inst, *out]])) == verdict, backend
         assert set(loaded_by([["solve", "--input", inst, *out]])) == (
-            verdict | {"starsolve.draws", "random"}), backend
+            verdict | {"starsolve.draws", "random"} | text), backend
         # verify inverts nothing
         assert set(loaded_by([["verify", "--input", inst, "--solution", x, *out]])) == (
             reading | {"starsolve.commands", "starsolve.solvers"}), backend
@@ -1052,7 +1096,27 @@ def test_cli_start_up_leaves_the_oracle_unloaded(tmp_path):
         # no floats
         assert set(loaded_by([["gen", "--kind", "minus", "--backend", backend, *out]])) == {
             "starsolve.generate", "starsolve.structured", "starsolve.draws", "starsolve.rect",
-            "starsolve.solvers", "random"} | codec, backend
+            "starsolve.solvers", "random"} | codec | text, backend
+    # a float solve that prints no solution: unsolvable (exit 4), or the
+    # hypotheses fail (exit 5)
+    unsolvable, failing = tmp_path / "unsolvable.json", tmp_path / "failing.json"
+    assert run_main("gen", "--kind", "minus", "--family", "diagonal", "--dims", "3", "--seed",
+                    "1", "--backend", tags.FLOAT, "--output", str(unsolvable)) == 0
+    fail = formats.load_instance(str(GOLDEN / "diag_fail.json"))
+    formats.save_instance(formats.make_instance(
+        fail.kind, tags.FLOAT, fail.involution,
+        {name: m.to_float() for name, m in fail.operands.items()}), str(failing))
+    for path, code in ((unsolvable, 4), (failing, 5)):
+        assert set(loaded_by([["solve", "--input", str(path), *out]], code=code)) == {
+            "starsolve.parse", "starsolve.floats", "starsolve.orthogonal",
+            "starsolve.verdicts", "starsolve.solvers"}, code
+    # writing in process: an exact matrix or instance file never loads the
+    # float text writer, a float one does
+    for backend in tags.BACKENDS:
+        r = subprocess.run([sys.executable, "-S", "-c", SAVING_CHILD, backend, str(tmp_path)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [backend == tags.FLOAT] * 2, backend
     # solve --oracle needs the certificate, not the oracle
     inst = str(GOLDEN / "scalar_minus.json")  # solvable
     assert set(loaded_by([["solve", "--input", inst, "--oracle", *out]])) == {

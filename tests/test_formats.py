@@ -106,13 +106,13 @@ def test_huge_integers_survive():
 
 def test_matrix_doc_roundtrip():
     m = random_matrix(random.Random(1), 2, 3)
-    doc = matrix_to_doc(m)
+    doc = json.loads(formats.dumps_doc(matrix_to_doc(m)))
     assert matrix_from_doc(doc) == m
     assert doc["type"] == "matrix"
 
 
 def test_matrix_doc_rejects_ragged_rows():
-    doc = matrix_to_doc(Matrix.exact([[1, 2], [3, 4]]))
+    doc = json.loads(formats.dumps_doc(matrix_to_doc(Matrix.exact([[1, 2], [3, 4]]))))
     doc["matrix"][1] = doc["matrix"][1][:1]
     with pytest.raises(FormatError):
         matrix_from_doc(doc)
@@ -335,6 +335,25 @@ def test_write_doc_keeps_the_file_when_serializing_fails(tmp_path):
         assert path.read_text() == "previous report\n"
 
 
+@pytest.mark.parametrize("part", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("where", ("x0", "sample solution", "instance operand"))
+def test_write_doc_keeps_the_file_when_a_float_matrix_is_not_finite(tmp_path, where, part):
+    path = tmp_path / "doc.json"
+    path.write_text("previous report\n")
+    ok = Matrix.floating([[1.5, 2j], [0.25, -1.0]])
+    bad = unchecked(2, 2, CONJUGATE_TRANSPOSE, FLOAT, ((1.5, complex(0.5, part)), (0.25, -1.0)))
+    samples = [{"seed": 0, "solution": ok}, {"seed": 1, "solution": bad}]
+    with pytest.raises(ValueError):
+        if where == "instance operand":
+            formats.save_instance(formats.Instance("minus", FLOAT, CONJUGATE_TRANSPOSE,
+                                                   {"a": ok, "b": ok, "c": bad}), str(path))
+        elif where == "x0":
+            formats.write_doc({"x0": bad, "samples": []}, str(path))
+        else:
+            formats.write_doc({"x0": ok, "samples": samples}, str(path))
+    assert path.read_text() == "previous report\n"
+
+
 def _encoded(value):
     """``value`` with each Matrix in it replaced by ``encode_matrix`` of it."""
     if isinstance(value, Matrix):
@@ -361,6 +380,34 @@ def test_dumps_doc_equals_json_dumps_of_the_encoded_matrices(backend, involution
     for value in (doc, m(2, 2), [], {}):
         expected = json.dumps(_encoded(value), sort_keys=True, indent=2, allow_nan=False)
         assert formats.dumps_doc(value) == expected + "\n"
+
+
+EDGE_PARTS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.0, 0.1,
+              1e16, 1e-7, -2.5)
+
+
+def _float_matrix(rows, cols, involution=CONJUGATE_TRANSPOSE):
+    """A rows x cols float matrix whose parts walk through EDGE_PARTS."""
+    parts = iter(EDGE_PARTS * (2 * rows * cols))
+    imaginary = involution == CONJUGATE_TRANSPOSE
+    return Matrix(rows, cols, [[complex(next(parts), next(parts) if imaginary else 0.0)
+                                for _ in range(cols)] for _ in range(rows)], involution, FLOAT)
+
+
+def test_float_matrices_are_written_as_json_writes_their_lists():
+    shapes = [_float_matrix(r, c) for r, c in ((1, 1), (1, 16), (16, 1), (0, 3), (3, 0), (4, 3))]
+    real = _float_matrix(3, 2, TRANSPOSE)
+    exact = random_matrix(random.Random(2), 2, 2)
+    docs = [*shapes, real, {"x0": shapes[3], "mp_inverse": shapes[5], "exact": exact},
+            [shapes[0], [shapes[4], exact], "\0", real],
+            {"samples": [{"seed": 0, "solution": shapes[5]}, {"seed": 1, "solution": real}],
+             "x0": shapes[2], "nested": {"deeper": {"z": shapes[1]}}},
+            # strings that begin with NUL, beside, before and as keys of matrices
+            {"\0": shapes[0], "\0a": "\0", "a": ["\0", shapes[1], "\0\0"], "b": "\0x"},
+            [shapes[2], "\u0000", {"\0": "\0"}, shapes[0]]]
+    for doc in docs:
+        expected = json.dumps(_encoded(doc), sort_keys=True, indent=2, allow_nan=False)
+        assert formats.dumps_doc(doc) == expected + "\n"
 
 
 def test_dumps_doc_refuses_an_unknown_type_as_json_does():
